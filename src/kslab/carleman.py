@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import HypothesisViolation, LayerViolation
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
-                   diff_t_values, diff_x_values, require_same_grid)
+                   diff_t_values, diff_x_values, require_same_grid,
+                   trapz_weights)
 from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
@@ -323,17 +324,12 @@ def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
 
 def _window_quad(values: np.ndarray, grid: GridSpec, rows: np.ndarray) -> float:
     """Trapezoid quadrature over [t_rows] x [0,1]."""
-    wx = np.full(grid.nx + 1, grid.dx)
-    wx[0] = wx[-1] = 0.5 * grid.dx
-    wt = np.full(rows.size, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    return float(wt @ values @ wx)
+    return float(trapz_weights(rows.size, grid.dt) @ values
+                 @ trapz_weights(grid.nx + 1, grid.dx))
 
 
 def _window_quad_t(series: np.ndarray, grid: GridSpec, rows: np.ndarray) -> float:
-    wt = np.full(rows.size, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    return float(wt @ series)
+    return float(trapz_weights(rows.size, grid.dt) @ series)
 
 
 def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
@@ -631,28 +627,25 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     members = [random_clamped_bump(grid, rng, cfg.eta, n_modes)
                for _ in range(n_members)]
 
-    best = {lam: AuditRow(lam, 0.0, 0.0, 0.0, 0.0, 0.0, True, True)
-            for lam in cfg.lambda_grid}
-    delta_min = {lam: np.inf for lam in cfg.lambda_grid}
+    best = {}
+    deltas = {lam: [] for lam in cfg.lambda_grid}
     worst_idx, worst_chat = 0, -np.inf
     for i, v in enumerate(members):
         rows = carleman_audit(v, weight, coeff, q, cfg)
         for row in rows:
-            if row.c_hat > best[row.lam].c_hat:
+            if row.lam not in best or row.c_hat > best[row.lam].c_hat:
                 best[row.lam] = row
         for lam in cfg.lambda_grid:
             led = inner_product_ledger(v, weight, coeff, q, lam, cfg.eta)
-            delta_min[lam] = min(delta_min[lam], led.delta_hat)
+            deltas[lam].append(led.delta_hat)
         if rows[-1].c_hat > worst_chat:
             worst_chat, worst_idx = rows[-1].c_hat, i
+        if worst_idx == i:
+            worst_ledger = led           # the ledger at the largest lambda
 
-    lambda0 = None
-    for lam in cfg.lambda_grid:
-        if delta_min[lam] > 0:
-            lambda0 = lam
-            break
-    worst_ledger = inner_product_ledger(members[worst_idx], weight, coeff, q,
-                                        cfg.lambda_grid[-1], cfg.eta)
+    delta_min = {lam: min(d) for lam, d in deltas.items()}
+    lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
+                   None)
     return EnsembleAudit(list(best.values()), delta_min, lambda0,
                          None if lambda0 is None else delta_min[lambda0],
                          worst_idx, worst_ledger)

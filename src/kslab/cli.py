@@ -1,16 +1,16 @@
 """Batch front-end: four subcommands with deterministic CSV/JSON outputs.
 
-    kslab simulate       --config run.cfg [--out DIR] [--threads N]
-    kslab carleman-audit --config run.cfg [--out DIR] [--threads N]
-    kslab invert         --config run.cfg [--out DIR] [--threads N]
-    kslab stability-scan --config run.cfg [--out DIR] [--threads N]
+    kslab simulate       --config run.cfg [--out DIR]
+    kslab carleman-audit --config run.cfg [--out DIR]
+    kslab invert         --config run.cfg [--out DIR]
+    kslab stability-scan --config run.cfg [--out DIR]
 
-Exit codes: 0 success, 1 configuration error, 2 fixed-point non-convergence,
-3 Carleman hypothesis/audit failure, 4 snapshot-curvature (inf-condition)
-failure.  Floats are written with 17 significant digits and files are
-written atomically (temp file + rename), so a rerun with the same config and
-seed produces byte-identical CSVs; report.json carries wall-clock timings
-and is reproducible up to its "timings" entry.
+Exit codes: 0 success, 1 configuration or usage error, 2 fixed-point
+non-convergence, 3 Carleman hypothesis/audit failure, 4 snapshot-curvature
+(inf-condition) failure.  Floats are written with 17 significant digits and
+files are written atomically (temp file + rename), so a rerun with the same
+config and seed produces byte-identical CSVs; report.json carries wall-clock
+timings and is reproducible up to its "timings" entry.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .carleman import (CarlemanConfig, carleman_audit, inner_product_ledger,
-                       make_default_weight, random_clamped_bump)
+from .carleman import ensemble_audit, make_default_weight
 from .config import RunConfig
 from .errors import (ConfigError, HypothesisViolation, InfConditionViolated,
                      KSLabError, NoConvergence)
-from .grid import ScalarField1D, extract_traces
+from .grid import GridSpec, ScalarField1D, extract_traces
 from .inverse import (recover_gamma, stability_report,
                       synthesize_measurements)
 from .linear_solver import CoefficientField
@@ -41,6 +39,13 @@ EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INF_CONDITION = 4
+
+# How a failed command reports itself: report.json status and exit code.
+_FAILURES = {
+    NoConvergence: ("no-convergence", EXIT_NO_CONVERGENCE),
+    HypothesisViolation: ("hypothesis-violation", EXIT_HYPOTHESIS),
+    InfConditionViolated: ("inf-condition-violated", EXIT_INF_CONDITION),
+}
 
 
 def _fmt(value) -> str:
@@ -70,120 +75,74 @@ def write_csv(path: str, header: list, rows: list):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_report(path: str, config: RunConfig, seed, results: dict,
-                 timings: dict):
-    payload = {"config": config.to_dict(), "seed": seed, "results": results,
-               "timings": timings}
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_picard(path: str, report):
+    ratios = [None] + list(report.ratios)       # no ratio for the 1st sweep
+    rows = [(i, upd, ratios[i - 1] if i <= len(ratios) else None)
+            for i, upd in enumerate(report.update_norms, start=1)]
+    write_csv(path, ["iter", "update_norm", "ratio"],
+              rows or [(1, 0.0, None)])
 
 
-def _out_dir(cfg: RunConfig, override: str | None) -> str:
-    out = override or cfg.output_block()["dir"]
-    os.makedirs(out, exist_ok=True)
-    return out
+class Run:
+    """One command's output directory, report seed and start time."""
+
+    def __init__(self, cfg: RunConfig, out: str):
+        self.cfg, self.out, self.seed = cfg, out, None
+        self.t_start = time.perf_counter()
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.out, name)
+
+    def report(self, results: dict):
+        payload = {"config": self.cfg.to_dict(), "seed": self.seed,
+                   "results": results,
+                   "timings": {"total_s": time.perf_counter() - self.t_start}}
+        _write_atomic(self.path("report.json"),
+                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_picard(out: str, report):
-    rows = []
-    for i, upd in enumerate(report.update_norms, start=1):
-        ratio = report.ratios[i - 2] if 2 <= i <= len(report.ratios) + 1 else None
-        rows.append((i, upd, ratio))
-    if not rows:
-        rows = [(1, 0.0, None)]
-    write_csv(os.path.join(out, "picard.csv"),
-              ["iter", "update_norm", "ratio"], rows)
-
-
-def cmd_simulate(cfg: RunConfig, out: str, threads: int) -> int:
-    t_start = time.perf_counter()
-    grid = cfg.grid()
-    coeff = cfg.coefficients(grid)
+def cmd_simulate(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
+                 run: Run) -> int:
     bd = cfg.boundary_data(grid)
     ncfg = cfg.nonlinear_config()
     try:
         y, report = solve_ks(coeff, bd, ncfg, grid)
     except NoConvergence as exc:
-        partial = getattr(exc, "report", None)
-        if partial is not None:
-            _write_picard(out, partial)
-        write_report(os.path.join(out, "report.json"), cfg, None,
-                     {"status": "no-convergence", "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab simulate: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        if getattr(exc, "report", None) is not None:
+            _write_picard(run.path("picard.csv"), exc.report)
+        raise
 
     rows = [(grid.t[n], grid.x[i], y.values[n, i])
             for n in range(grid.nt + 1) for i in range(grid.nx + 1)]
-    write_csv(os.path.join(out, "trajectory.csv"), ["t", "x", "y"], rows)
+    write_csv(run.path("trajectory.csv"), ["t", "x", "y"], rows)
     tr2, tr3 = extract_traces(y)
-    write_csv(os.path.join(out, "traces.csv"), ["t", "yxx0", "yxxx0"],
+    write_csv(run.path("traces.csv"), ["t", "yxx0", "yxxx0"],
               list(zip(grid.t, tr2, tr3)))
-    _write_picard(out, report)
-    write_report(os.path.join(out, "report.json"), cfg, None,
-                 {"status": "ok", "iterations": report.iterations,
-                  "residual_rel": report.residual_rel,
-                  "residual_l2": report.residual_l2,
-                  "max_abs_y": float(np.abs(y.values).max())},
-                 {"total_s": time.perf_counter() - t_start})
+    _write_picard(run.path("picard.csv"), report)
+    run.report({"status": "ok", "iterations": report.iterations,
+                "residual_rel": report.residual_rel,
+                "residual_l2": report.residual_l2,
+                "max_abs_y": float(np.abs(y.values).max())})
     return EXIT_OK
 
 
-def cmd_carleman_audit(cfg: RunConfig, out: str, threads: int) -> int:
-    t_start = time.perf_counter()
-    grid = cfg.grid()
-    coeff = cfg.coefficients(grid)
+def cmd_carleman_audit(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
+                       run: Run) -> int:
     block = cfg.carleman_block(grid)
-    ccfg: CarlemanConfig = block["cfg"]
-    try:
-        weight = make_default_weight(grid, coeff.sigma, block["T0"])
-    except HypothesisViolation as exc:
-        write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                     {"status": "hypothesis-violation",
-                      "failed": list(exc.failed), "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab carleman-audit: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    run.seed = block["seed"]
+    weight = make_default_weight(grid, coeff.sigma, block["T0"])
+    audit = ensemble_audit(weight, coeff, block["cfg"],
+                           n_members=block["ensemble"],
+                           seed=block["seed"], n_modes=block["modes"])
 
-    rng = np.random.default_rng(block["seed"])
-    members = [random_clamped_bump(grid, rng, ccfg.eta, block["modes"])
-               for _ in range(block["ensemble"])]
-
-    def member_rows(v):
-        return carleman_audit(v, weight, coeff, None, ccfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = list(pool.map(member_rows, members))
-    else:
-        all_rows = [member_rows(v) for v in members]
-
-    worst = {lam: None for lam in ccfg.lambda_grid}
-    worst_member, worst_chat = 0, -np.inf
-    for i, rows in enumerate(all_rows):
-        for row in rows:
-            cur = worst[row.lam]
-            if cur is None or row.c_hat > cur.c_hat:
-                worst[row.lam] = row
-        if rows[-1].c_hat > worst_chat:
-            worst_chat, worst_member = rows[-1].c_hat, i
-
-    delta_min = {}
-    for lam in ccfg.lambda_grid:
-        delta_min[lam] = min(
-            inner_product_ledger(v, weight, coeff, None, lam, ccfg.eta
-                                 ).delta_hat for v in members)
-    lambda0 = next((lam for lam in ccfg.lambda_grid if delta_min[lam] > 0),
-                   None)
-
-    audit_rows = [(lam, r.lhs, r.rhs_interior, r.rhs_boundary0,
+    audit_rows = [(r.lam, r.lhs, r.rhs_interior, r.rhs_boundary0,
                    r.rhs_boundary1, r.c_hat, int(r.passed))
-                  for lam, r in worst.items()]
-    write_csv(os.path.join(out, "audit.csv"),
+                  for r in audit.rows]
+    write_csv(run.path("audit.csv"),
               ["lambda", "lhs", "rhs_interior", "rhs_boundary0",
                "rhs_boundary1", "c_hat", "pass"], audit_rows)
 
-    led = inner_product_ledger(members[worst_member], weight, coeff, None,
-                               ccfg.lambda_grid[-1], ccfg.eta)
+    led = audit.worst_ledger
     ledger_rows = [("direct", led.direct)]
     ledger_rows += sorted(led.items.items())
     ledger_rows += [("boundary_x0", led.ix0), ("boundary_x1", led.ix1),
@@ -191,16 +150,14 @@ def cmd_carleman_audit(cfg: RunConfig, out: str, threads: int) -> int:
                     ("mismatch_rel", led.mismatch_rel),
                     ("weighted_norm_sq", led.weighted_norm_sq),
                     ("delta_hat", led.delta_hat)]
-    write_csv(os.path.join(out, "ledger.csv"), ["term", "value"], ledger_rows)
+    write_csv(run.path("ledger.csv"), ["term", "value"], ledger_rows)
 
-    ok = lambda0 is not None and all(
-        worst[lam].passed for lam in ccfg.lambda_grid if lam >= lambda0)
-    write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                 {"status": "ok" if ok else "audit-failed",
-                  "lambda0": lambda0,
-                  "delta_min": {str(k): v for k, v in delta_min.items()},
-                  "r": weight.r, "epsilon_margin": weight.epsilon_margin},
-                 {"total_s": time.perf_counter() - t_start})
+    ok = audit.lambda0 is not None and all(
+        r.passed for r in audit.rows if r.lam >= audit.lambda0)
+    run.report({"status": "ok" if ok else "audit-failed",
+                "lambda0": audit.lambda0,
+                "delta_min": {str(k): v for k, v in audit.delta_min.items()},
+                "r": weight.r, "epsilon_margin": weight.epsilon_margin})
     if not ok:
         print("kslab carleman-audit: empirical inequality failed on the "
               "ensemble", file=sys.stderr)
@@ -208,91 +165,58 @@ def cmd_carleman_audit(cfg: RunConfig, out: str, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_invert(cfg: RunConfig, out: str, threads: int) -> int:
-    t_start = time.perf_counter()
-    grid = cfg.grid()
-    coeff_true = cfg.coefficients(grid)
+def cmd_invert(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
+               run: Run) -> int:
     bd = cfg.boundary_data(grid)
     block = cfg.inverse_block(grid)
     ncfg = cfg.nonlinear_config()
-    icfg = block["cfg"]
-    coeff_tilde = CoefficientField(coeff_true.sigma, block["gamma_tilde"],
-                                   coeff_true.sigma0)
-    try:
-        meas = synthesize_measurements(coeff_true, bd, grid, block["T0"],
-                                       block["noise"], block["seed"], ncfg)
-        gamma_hat, report = recover_gamma(meas, coeff_tilde, bd, grid, icfg,
-                                          gamma_true=coeff_true.gamma,
-                                          solve_cfg=ncfg)
-    except InfConditionViolated as exc:
-        write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                     {"status": "inf-condition-violated", "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab invert: {exc}", file=sys.stderr)
-        return EXIT_INF_CONDITION
-    except NoConvergence as exc:
-        write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                     {"status": "no-convergence", "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab invert: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    run.seed = block["seed"]
+    coeff_tilde = CoefficientField(coeff.sigma, block["gamma_tilde"],
+                                   coeff.sigma0)
+    meas = synthesize_measurements(coeff, bd, grid, block["T0"],
+                                   block["noise"], block["seed"], ncfg)
+    gamma_hat, report = recover_gamma(meas, coeff_tilde, bd, grid,
+                                      block["cfg"], gamma_true=coeff.gamma,
+                                      solve_cfg=ncfg)
 
-    write_csv(os.path.join(out, "gamma_hat.csv"),
+    write_csv(run.path("gamma_hat.csv"),
               ["x", "gamma_true_if_known", "gamma_tilde", "gamma_hat"],
-              list(zip(grid.x, coeff_true.gamma.values,
+              list(zip(grid.x, coeff.gamma.values,
                        block["gamma_tilde"].values, gamma_hat.values)))
-    write_csv(os.path.join(out, "recovery.csv"),
+    write_csv(run.path("recovery.csv"),
               ["iter", "J", "grad_norm", "l2_error_if_known"],
               report.iterations)
-    write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                 {"status": "ok", "final_j": report.final_j,
-                  "grad_norm": report.grad_norm,
-                  "l2_error": report.l2_error,
-                  "converged": report.converged,
-                  "max_outer_reached": report.max_outer_reached,
-                  "forward_solves": report.forward_solves},
-                 {"total_s": time.perf_counter() - t_start})
+    run.report({"status": "ok", "final_j": report.final_j,
+                "grad_norm": report.grad_norm,
+                "l2_error": report.l2_error,
+                "converged": report.converged,
+                "max_outer_reached": report.max_outer_reached,
+                "forward_solves": report.forward_solves})
     return EXIT_OK
 
 
-def cmd_stability_scan(cfg: RunConfig, out: str, threads: int) -> int:
-    t_start = time.perf_counter()
-    grid = cfg.grid()
-    coeff = cfg.coefficients(grid)
+def cmd_stability_scan(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
+                       run: Run) -> int:
     bd = cfg.boundary_data(grid)
     block = cfg.inverse_block(grid)
     ncfg = cfg.nonlinear_config()
+    run.seed = block["seed"]
     pert = block["perturbation"](x=grid.x)
 
     rows, all_ok = [], True
-    try:
-        for s in block["amplitudes"]:
-            gt = ScalarField1D(coeff.gamma.values + s * pert, grid)
-            rep = stability_report(coeff, gt, bd, grid, block["T0"],
-                                   block["cfg"], ncfg)
-            rows.append((s, rep.lhs, rep.middle, rep.far_rhs,
-                         rep.c_lower, rep.c_upper))
-            if not rep.degenerate:
-                all_ok &= rep.lhs <= block["c_cap"] * rep.middle
-    except InfConditionViolated as exc:
-        write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                     {"status": "inf-condition-violated", "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab stability-scan: {exc}", file=sys.stderr)
-        return EXIT_INF_CONDITION
-    except NoConvergence as exc:
-        write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                     {"status": "no-convergence", "detail": str(exc)},
-                     {"total_s": time.perf_counter() - t_start})
-        print(f"kslab stability-scan: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    for s in block["amplitudes"]:
+        gt = ScalarField1D(coeff.gamma.values + s * pert, grid)
+        rep = stability_report(coeff, gt, bd, grid, block["T0"],
+                               block["cfg"], ncfg)
+        rows.append((s, rep.lhs, rep.middle, rep.far_rhs,
+                     rep.c_lower, rep.c_upper))
+        if not rep.degenerate:
+            all_ok &= rep.lhs <= block["c_cap"] * rep.middle
 
-    write_csv(os.path.join(out, "stability.csv"),
+    write_csv(run.path("stability.csv"),
               ["s", "lhs", "middle", "far_rhs", "c_lower", "c_upper"], rows)
-    write_report(os.path.join(out, "report.json"), cfg, block["seed"],
-                 {"status": "ok" if all_ok else "cap-exceeded",
-                  "rows": len(rows)},
-                 {"total_s": time.perf_counter() - t_start})
+    run.report({"status": "ok" if all_ok else "cap-exceeded",
+                "rows": len(rows)})
     return EXIT_OK if all_ok else EXIT_HYPOTHESIS
 
 
@@ -313,21 +237,27 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble evaluations")
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("kslab: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:            # --help exits 0, usage errors 2
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = RunConfig.from_file(args.config)
-        out = _out_dir(cfg, args.out)
-        return _COMMANDS[args.command](cfg, out, args.threads)
-    except ConfigError as exc:
-        print(f"kslab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        run = Run(cfg, args.out or cfg.output_block()["dir"])
+        os.makedirs(run.out, exist_ok=True)
+        grid = cfg.grid()
+        return _COMMANDS[args.command](cfg, grid, cfg.coefficients(grid), run)
+    except tuple(_FAILURES) as exc:
+        status, code = _FAILURES[type(exc)]
+        results = {"status": status, "detail": str(exc)}
+        if isinstance(exc, HypothesisViolation):
+            results["failed"] = list(exc.failed)
+        run.report(results)
+        print(f"kslab {args.command}: {exc}", file=sys.stderr)
+        return code
     except KSLabError as exc:
-        print(f"kslab: {exc}", file=sys.stderr)
+        kind = "config error: " if isinstance(exc, ConfigError) else ""
+        print(f"kslab: {kind}{exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -31,7 +31,7 @@ _KNOWN = {
     "inverse": {"gamma_tilde", "t0", "noise", "seed", "m1", "m2", "r_floor",
                 "tikhonov_alpha", "max_outer", "grad_tol", "modes", "fd_step",
                 "perturbation", "amplitudes", "c_cap"},
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 
 _SOLVER_DEFAULTS = {"comp_tol": 1e-8, "lin_tol": 1e-10, "max_picard": 50,
@@ -87,10 +87,10 @@ class RunConfig:
             if s not in self.raw:
                 raise ConfigError(f"missing required section [{s}]")
 
-    def _number(self, section, key, default=None, kind=float):
+    def _number(self, section, key, default=None):
         val = self._get(section, key, default)
         try:
-            return kind(val) if kind is not float else float(val)
+            return float(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"[{section}] {key} = {val!r} is not a valid number") from exc
@@ -158,11 +158,8 @@ class RunConfig:
     def solver_options(self) -> dict:
         out = dict(_SOLVER_DEFAULTS)
         for key in ("comp_tol", "lin_tol", "picard_tol"):
-            out[key] = self._number("solver", key, out[key]) \
-                if "solver" in self.raw else out[key]
-        if "solver" in self.raw:
-            out["max_picard"] = self._int("solver", "max_picard",
-                                          out["max_picard"])
+            out[key] = self._number("solver", key, out[key])
+        out["max_picard"] = self._int("solver", "max_picard", out["max_picard"])
         return out
 
     def nonlinear_config(self) -> NonlinearSolveConfig:
@@ -221,9 +218,4 @@ class RunConfig:
         }
 
     def output_block(self) -> dict:
-        formats = self._get("output", "formats", "csv,json") \
-            if "output" in self.raw else "csv,json"
-        out_dir = self._get("output", "dir", "out") \
-            if "output" in self.raw else "out"
-        return {"dir": out_dir,
-                "formats": [f.strip() for f in formats.split(",") if f.strip()]}
+        return {"dir": self._get("output", "dir", "out")}

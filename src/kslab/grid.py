@@ -187,26 +187,26 @@ def diff_t_values(values: np.ndarray, grid: GridSpec, order: int = 1) -> np.ndar
     return D @ np.asarray(values, dtype=float)
 
 
+def trapz_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of n equispaced nodes with spacing h."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
 def trapz_x(values: np.ndarray, grid: GridSpec) -> float:
     """Trapezoid quadrature over [0,1] of a spatial profile."""
-    w = np.full(grid.nx + 1, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return float(w @ np.asarray(values))
+    return float(trapz_weights(grid.nx + 1, grid.dx) @ np.asarray(values))
 
 
 def trapz_t(values: np.ndarray, grid: GridSpec) -> float:
-    w = np.full(grid.nt + 1, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return float(w @ np.asarray(values))
+    return float(trapz_weights(grid.nt + 1, grid.dt) @ np.asarray(values))
 
 
 def trapz_qt(values: np.ndarray, grid: GridSpec) -> float:
     """Trapezoid quadrature over Q = (0,T) x (0,1) of a trajectory array."""
-    wx = np.full(grid.nx + 1, grid.dx)
-    wx[0] = wx[-1] = 0.5 * grid.dx
-    wt = np.full(grid.nt + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    return float(wt @ np.asarray(values) @ wx)
+    return float(trapz_weights(grid.nt + 1, grid.dt) @ np.asarray(values)
+                 @ trapz_weights(grid.nx + 1, grid.dx))
 
 
 _SPACE_ORDERS = {"L2x": 0, "H1x": 1, "H2x": 2, "H4x": 4}

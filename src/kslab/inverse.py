@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import GridMismatch, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
-                   diff_x_values, discrete_norm, extract_traces)
+                   diff_x_values, discrete_norm, extract_traces,
+                   trapz_weights)
 from .linear_solver import (BoundaryData, CoefficientField, operator_residual,
                             solve_linear_full, zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -160,8 +161,7 @@ def time_derived_difference(u: Trajectory, f: ScalarField1D,
 def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete H1(0,T; H4(0,1)) norm of a trajectory array."""
     ut = diff_t_values(u, grid, 1)
-    wt = np.full(grid.nt + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
+    wt = trapz_weights(grid.nt + 1, grid.dt)
     total = 0.0
     for arr in (u, ut):
         sq = np.array([discrete_norm(arr[n], "H4x", grid) ** 2
@@ -297,8 +297,8 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     n_par = basis.shape[0]
     solves = 0
 
-    swt = np.sqrt(np.r_[grid.dt / 2, np.full(grid.nt - 1, grid.dt), grid.dt / 2])
-    swx = np.sqrt(np.r_[grid.dx / 2, np.full(grid.nx - 1, grid.dx), grid.dx / 2])
+    swt = np.sqrt(trapz_weights(grid.nt + 1, grid.dt))
+    swx = np.sqrt(trapz_weights(grid.nx + 1, grid.dx))
     sqrt_alpha = np.sqrt(cfg.tikhonov_alpha)
 
     def gamma_of(theta: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import splu
 from .errors import (CompatibilityViolation, LengthMismatch, SingularSystem)
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                    diff_t_values, diff_x_values, discrete_norm,
-                   require_same_grid, trapz_qt, trapz_x)
+                   require_same_grid, trapz_qt, trapz_weights, trapz_x)
 
 DEFAULT_COMP_TOL = 1e-8
 DEFAULT_LIN_TOL = 1e-10
@@ -404,9 +404,7 @@ def energy_monitor(z: Trajectory, f: Trajectory, coeff: CoefficientField,
     c2 = ratio(q_zxx, den1)
     h2_sq = np.array([discrete_norm(z.row(n), "H2x") ** 2 for n in range(grid.nt + 1)])
     h4_sq = np.array([discrete_norm(z.row(n), "H4x") ** 2 for n in range(grid.nt + 1)])
-    wt = np.full(grid.nt + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    y2_sq = float(h2_sq.max() + wt @ h4_sq)
+    y2_sq = float(h2_sq.max() + trapz_weights(grid.nt + 1, grid.dt) @ h4_sq)
     ce = ratio(y2_sq, q_f + int_z0xx2)
 
     report = EnergyReport(int_z2, int_szxx2, q_f, q_zxx, int_z02, int_z0xx2,

@@ -118,13 +118,45 @@ def test_noconv_writes_partial_diagnostics(tmp_path):
     assert payload["results"]["status"] == "no-convergence"
 
 
+@pytest.mark.parametrize("cmd, name, code, status, seed", [
+    ("simulate", "fail_noconv.cfg", 2, "no-convergence", None),
+    ("carleman-audit", "fail_hypothesis.cfg", 3, "hypothesis-violation", 1),
+    ("invert", "fail_infcond.cfg", 4, "inf-condition-violated", 0),
+])
+def test_failure_report(tmp_path, capsys, cmd, name, code, status, seed):
+    out = str(tmp_path / "o")
+    assert main([cmd, "--config", cfg_path(name), "--out", out]) == code
+    payload = json.load(open(os.path.join(out, "report.json")))
+    results = payload["results"]
+    assert results["status"] == status
+    assert payload["seed"] == seed
+    assert results["detail"]
+    assert capsys.readouterr().err == f"kslab {cmd}: {results['detail']}\n"
+    expected = {"status", "detail"}
+    if status == "hypothesis-violation":
+        assert results["failed"] == ["hip4B"]
+        expected.add("failed")
+    assert set(results) == expected
+    assert set(payload["timings"]) == {"total_s"}
+
+
 def test_missing_config_file(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
-def test_threads_validation(tmp_path):
-    assert main(["simulate", "--config", cfg_path("simulate_zero.cfg"),
-                 "--threads", "0"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["nonsense", "--config", cfg_path("simulate_zero.cfg")],
+    ["simulate", "--config", cfg_path("simulate_zero.cfg"), "--threads", "2"],
+], ids=["missing-config", "unknown-command", "removed-threads-flag"])
+def test_usage_errors_exit_config(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert "usage: kslab" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: kslab" in capsys.readouterr().out
 
 
 def test_carleman_audit_small_ensemble(tmp_path):
@@ -146,8 +178,7 @@ ensemble = 4
 seed = 5
 """)
     out = str(tmp_path / "o")
-    assert main(["carleman-audit", "--config", str(cfgfile), "--out", out,
-                 "--threads", "2"]) == 0
+    assert main(["carleman-audit", "--config", str(cfgfile), "--out", out]) == 0
     header, rows = read_csv(os.path.join(out, "audit.csv"))
     assert header == ["lambda", "lhs", "rhs_interior", "rhs_boundary0",
                       "rhs_boundary1", "c_hat", "pass"]
@@ -177,6 +208,13 @@ lambda =
 """)
     assert main(["carleman-audit", "--config", str(cfgfile),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(CONFIG_DIR) if n.endswith(".cfg")))
+def test_shipped_configs_load(name):
+    cfg = RunConfig.from_file(cfg_path(name))
+    assert cfg.grid().nx > 0
 
 
 def test_unknown_section_rejected():
