@@ -267,37 +267,48 @@ def conjugated_operator(w: Trajectory, weight: CarlemanWeight,
     return Trajectory(out, grid)
 
 
-def _split_terms(w: Trajectory, weight: CarlemanWeight, coeff: CoefficientField,
-                 q, lam: float, rows: np.ndarray):
-    """P1, P2, R on the window rows from the itemized formulas."""
-    grid = w.grid
-    (w0, wx, wxx, wxxx, wxxxx), wt = _w_jet(w, rows)
-    _, px, pxx, pxxx, pxxxx, pt = weight.phi_arrays(rows)
-    sig, sx, sxx = _sigma_jet(coeff, grid, up_to=2)
-    q0, q1, q2 = _q_arrays(q, grid, rows)
+def _split_factors(phi, sig, lam: float):
+    """The w-independent factor of each P1 and P2 term, in the order in
+    which _p1_p2 multiplies them into the w derivatives."""
+    _, px, pxx = phi[:3]
+    s, sx = sig[:2]
     lam2, lam3, lam4 = lam ** 2, lam ** 3, lam ** 4
+    pxs_x = 2 * px * pxx * s + px ** 2 * sx  # (phi_x^2 sigma)_x
+    return (6 * lam2 * px ** 2 * s, lam4 * px ** 4 * s, 2 * sx,
+            6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
+            4 * lam3 * px * pxs_x)
 
-    swxx_xx = sxx * wxx + 2 * sx * wxxx + sig * wxxxx
-    pxs_x = 2 * px * pxx * sig + px ** 2 * sx  # (phi_x^2 sigma)_x
 
-    P1 = (6 * lam2 * px ** 2 * sig * wxx + lam4 * px ** 4 * sig * w0
-          + swxx_xx + 6 * lam2 * pxs_x * wx)
-    P2 = (wt + 4 * lam3 * px ** 3 * sig * wx + 4 * lam * px * sig * wxxx
-          + 4 * lam3 * px * pxs_x * w0)
-    # remainder; the 6*lam*phi_xx*sigma_x term must multiply w_x, not w --
-    # the identity only balances for constant sigma otherwise
-    R = (lam * pt * w0 + 2 * lam * px * sxx * wx + lam2 * px ** 2 * sxx * w0
-         + lam * pxx * sxx * w0
-         + 6 * lam * px * sx * wxx + 6 * lam2 * px * pxx * sx * w0
-         + 6 * lam * pxx * sx * wx + 2 * lam * pxxx * sx * w0
-         + 4 * lam2 * px * pxxx * sig * w0 + 6 * lam * pxx * sig * wxx
-         + 3 * lam2 * pxx ** 2 * sig * w0 + 4 * lam * pxxx * sig * wx
-         + lam * pxxxx * sig * w0
-         + q0 * w0 + q1 * wx + q1 * lam * px * w0
-         + q2 * wxx + 2 * lam * q2 * px * wx + lam2 * q2 * px ** 2 * w0
-         + lam * pxx * q2 * w0
-         - 2 * lam3 * px ** 2 * pxx * sig * w0 - 2 * lam3 * px ** 3 * sx * w0)
-    return P1, P2, R
+def _p1_p2(factors, sig, jets, wt):
+    """P1 w and P2 w on the window rows from the itemized formulas."""
+    f_wxx, f_w, f_sx, f_wx, g_wx, g_wxxx, g_w = factors
+    w0, wx, wxx, wxxx, wxxxx = jets
+    swxx_xx = sig[2] * wxx + f_sx * wxxx + sig[0] * wxxxx
+    P1 = f_wxx * wxx + f_w * w0 + swxx_xx + f_wx * wx
+    P2 = wt + g_wx * wx + g_wxxx * wxxx + g_w * w0
+    return P1, P2
+
+
+def _remainder(jets, phi, sig, q, lam: float):
+    """R w on the window rows, the lower-order rest of the split."""
+    w0, wx, wxx = jets[:3]
+    _, px, pxx, pxxx, pxxxx, pt = phi
+    sig, sx, sxx = sig[:3]
+    q0, q1, q2 = q
+    lam2, lam3 = lam ** 2, lam ** 3
+    # the 6*lam*phi_xx*sigma_x term must multiply w_x, not w -- the identity
+    # only balances for constant sigma otherwise
+    return (lam * pt * w0 + 2 * lam * px * sxx * wx + lam2 * px ** 2 * sxx * w0
+            + lam * pxx * sxx * w0
+            + 6 * lam * px * sx * wxx + 6 * lam2 * px * pxx * sx * w0
+            + 6 * lam * pxx * sx * wx + 2 * lam * pxxx * sx * w0
+            + 4 * lam2 * px * pxxx * sig * w0 + 6 * lam * pxx * sig * wxx
+            + 3 * lam2 * pxx ** 2 * sig * w0 + 4 * lam * pxxx * sig * wx
+            + lam * pxxxx * sig * w0
+            + q0 * w0 + q1 * wx + q1 * lam * px * w0
+            + q2 * wxx + 2 * lam * q2 * px * wx + lam2 * q2 * px ** 2 * w0
+            + lam * pxx * q2 * w0
+            - 2 * lam3 * px ** 2 * pxx * sig * w0 - 2 * lam3 * px ** 3 * sx * w0)
 
 
 def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
@@ -313,9 +324,13 @@ def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
     lam = weight.lam if lam is None else lam
     rows = weight.window(eta)
     _layer_check(w.values, rows)
-    parts = _split_terms(w, weight, coeff, q, lam, rows)
+    jets, wt = _w_jet(w, rows)
+    phi = weight.phi_arrays(rows)
+    sig = _sigma_jet(coeff, grid, up_to=2)
+    P1, P2 = _p1_p2(_split_factors(phi, sig, lam), sig, jets, wt)
+    R = _remainder(jets, phi, sig, _q_arrays(q, grid, rows), lam)
     out = []
-    for p in parts:
+    for p in (P1, P2, R):
         full = np.zeros_like(w.values)
         full[rows] = p
         out.append(Trajectory(full, grid))
@@ -349,18 +364,28 @@ def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
     return math.sqrt(num / den)
 
 
+def _norm_factors(phi: np.ndarray, lam: float):
+    """Weights of w^2, w_x^2, w_xx^2 and w_xxx^2 in the weighted norm."""
+    return (lam ** 7 * phi ** 7, lam ** 5 * phi ** 5, lam ** 3 * phi ** 3,
+            lam * phi)
+
+
+def _norm_integrand(factors, squares):
+    n_w, n_wx, n_wxx, n_wxxx = factors
+    w2, wx2, wxx2, wxxx2 = squares
+    return n_w * w2 + n_wx * wx2 + n_wxx * wxx2 + n_wxxx * wxxx2
+
+
 def weighted_norm(w: Trajectory, weight: CarlemanWeight,
                   lam: float | None = None, eta: float | None = None) -> float:
     """Quadratic form iint lam^7 phi^7 w^2 + lam^5 phi^5 w_x^2 + lam^3 phi^3
     w_xx^2 + lam phi w_xxx^2 over the window (the squared weighted norm)."""
-    grid = w.grid
     lam = weight.lam if lam is None else lam
     rows = weight.window(eta)
-    (w0, wx, wxx, wxxx, _), _ = _w_jet(w, rows)
-    phi = weight.phi_arrays(rows)[0]
-    integrand = (lam ** 7 * phi ** 7 * w0 ** 2 + lam ** 5 * phi ** 5 * wx ** 2
-                 + lam ** 3 * phi ** 3 * wxx ** 2 + lam * phi * wxxx ** 2)
-    return _window_quad(integrand, grid, rows)
+    jets, _ = _w_jet(w, rows)
+    factors = _norm_factors(weight.phi_arrays(rows)[0], lam)
+    return _window_quad(_norm_integrand(factors, [j ** 2 for j in jets[:4]]),
+                        w.grid, rows)
 
 
 @lru_cache(maxsize=None)
@@ -451,56 +476,79 @@ class Ledger:
     delta_hat: float
 
 
-def inner_product_ledger(w: Trajectory, weight: CarlemanWeight,
-                         coeff: CoefficientField, q=None,
-                         lam: float | None = None, eta: float | None = None,
-                         ledger_tol: float = 1e-4) -> Ledger:
-    """Balance <P1 w, P2 w> against the itemized integration-by-parts sum.
+class _LedgerPrep:
+    """Everything the ledger needs that does not depend on w, for one
+    weight, sigma, lambda and window: the window rows, the sigma jet, the
+    P1/P2 factors, the 17 coefficient fields of _symbolic_ledger_coeffs and
+    the weighted-norm factors.  ensemble_audit shares one across members."""
 
-    The itemized side carries the interior integrals I(w_kx), the remainder
-    block R0(w) and the boundary integral I_x = [.]_{x=0}^{1}; both endpoint
-    contributions are reported separately.  delta_hat = (direct - I_x) /
-    ||w||^2_{lam,phi} is the empirical coercivity margin of the lower bound.
-    """
-    grid = w.grid
-    lam = weight.lam if lam is None else lam
-    eta_val = weight.default_eta() if eta is None else eta
-    rows = weight.window(eta_val)
+    def __init__(self, weight: CarlemanWeight, coeff: CoefficientField,
+                 lam: float, eta: float | None):
+        eta = weight.default_eta() if eta is None else eta
+        self.grid, self.lam, self.eta = weight.grid, lam, eta
+        self.rows = rows = weight.window(eta)
+        require_same_grid(weight, coeff.sigma)
+        phi = weight.phi_arrays(rows)
+        self.sig = _sigma_jet(coeff, self.grid, up_to=3)
+        self.split = _split_factors(phi, self.sig, lam)
+        _, px, pxx, pxxx, pxxxx, pt = phi
+        inv = 1.0 / weight.phi0[rows]
+        # phi_xt = -beta' phi0'/phi0^2, analytic like the other derivatives
+        pxt = np.outer(-weight.phi0_prime[rows] * inv ** 2,
+                       weight.beta_derivs[1])
+        args = (lam, px, pxx, pxxx, pxxxx, pt, pxt, *self.sig)
+        self.fields = [(name, kind, np.broadcast_to(fn(*args), px.shape))
+                       for name, (fn, kind) in _symbolic_ledger_coeffs().items()]
+        self.norm = _norm_factors(phi[0], lam)
+
+
+def _ledger(w: Trajectory, prep: _LedgerPrep) -> Ledger:
+    """Contract w's jets with the precomputed fields of one lambda."""
+    grid, rows = prep.grid, prep.rows
     _layer_check(w.values, rows)
-
-    P1, P2, _ = (p.values[rows] for p in
-                 conjugate_decompose(w, weight, coeff, q, lam, eta_val))
+    require_same_grid(w, prep)
+    jets, wt = _w_jet(w, rows)
+    P1, P2 = _p1_p2(prep.split, prep.sig, jets, wt)
     direct = _window_quad(P1 * P2, grid, rows)
 
-    (w0, wx, wxx, wxxx, _), _ = _w_jet(w, rows)
-    _, px, pxx, pxxx, pxxxx, pt = weight.phi_arrays(rows)
-    inv = 1.0 / weight.phi0[rows]
-    # phi_xt = -beta' phi0'/phi0^2, analytic like the other derivatives
-    pxt = np.outer(-weight.phi0_prime[rows] * inv ** 2, weight.beta_derivs[1])
-    sig, sx, sxx, sxxx = _sigma_jet(coeff, grid, up_to=3)
-    wsq = {"w2": w0 ** 2, "wx2": wx ** 2, "wxx2": wxx ** 2, "wxxx2": wxxx ** 2,
-           "w_wxx": w0 * wxx}
-
-    coeffs = _symbolic_ledger_coeffs()
-    args = (lam, px, pxx, pxxx, pxxxx, pt, pxt, sig, sx, sxx, sxxx)
+    squares = [j ** 2 for j in jets[:4]]
+    wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares),
+               w_wxx=jets[0] * jets[2])
     items, bnd0, bnd1 = {}, 0.0, 0.0
-    for name, (fn, kind) in coeffs.items():
-        cfield = np.broadcast_to(fn(*args), wsq[kind].shape)
+    for name, kind, field in prep.fields:
+        term = field * wsq[kind]
         if name.startswith("bnd_"):
-            bnd0 += _window_quad_t((cfield * wsq[kind])[:, 0], grid, rows)
-            bnd1 += _window_quad_t((cfield * wsq[kind])[:, -1], grid, rows)
+            bnd0 += _window_quad_t(term[:, 0], grid, rows)
+            bnd1 += _window_quad_t(term[:, -1], grid, rows)
         else:
-            items[name] = _window_quad(cfield * wsq[kind], grid, rows)
+            items[name] = _window_quad(term, grid, rows)
 
     ix = bnd1 - bnd0
     itemized = sum(items.values()) + ix
     scale = max(abs(direct), abs(itemized), 1e-300)
     mismatch = abs(direct - itemized) / scale
 
-    wn = weighted_norm(w, weight, lam, eta_val)
+    wn = _window_quad(_norm_integrand(prep.norm, squares), grid, rows)
     delta_hat = (direct - ix) / wn if wn > 0 else 0.0
-    return Ledger(lam, eta_val, direct, items, bnd0, bnd1, itemized, mismatch,
-                  wn, delta_hat)
+    return Ledger(prep.lam, prep.eta, direct, items, bnd0, bnd1, itemized,
+                  mismatch, wn, delta_hat)
+
+
+def inner_product_ledger(w: Trajectory, weight: CarlemanWeight,
+                         coeff: CoefficientField, q=None,
+                         lam: float | None = None,
+                         eta: float | None = None) -> Ledger:
+    """Balance <P1 w, P2 w> against the itemized integration-by-parts sum.
+
+    The itemized side carries the interior integrals I(w_kx), the remainder
+    block R0(w) and the boundary integral I_x = [.]_{x=0}^{1}; both endpoint
+    contributions are reported separately.  delta_hat = (direct - I_x) /
+    ||w||^2_{lam,phi} is the empirical coercivity margin of the lower bound.
+    q enters only the remainder R, which the balance leaves out, so it does
+    not change the result.
+    """
+    lam = weight.lam if lam is None else lam
+    return _ledger(w, _LedgerPrep(weight, coeff, lam, eta))
 
 
 @dataclass(frozen=True)
@@ -622,30 +670,32 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
                    cfg: CarlemanConfig, n_members: int = 50,
                    seed: int = 0, q=None, n_modes: int = 4) -> EnsembleAudit:
     """Audit + ledger scan over seeded random clamped bumps."""
+    if n_members < 1:
+        raise ValueError(f"n_members must be at least 1, got {n_members}")
     grid = weight.grid
     rng = np.random.default_rng(seed)
     members = [random_clamped_bump(grid, rng, cfg.eta, n_modes)
                for _ in range(n_members)]
 
     best = {}
-    deltas = {lam: [] for lam in cfg.lambda_grid}
     worst_idx, worst_chat = 0, -np.inf
     for i, v in enumerate(members):
         rows = carleman_audit(v, weight, coeff, q, cfg)
         for row in rows:
             if row.lam not in best or row.c_hat > best[row.lam].c_hat:
                 best[row.lam] = row
-        for lam in cfg.lambda_grid:
-            led = inner_product_ledger(v, weight, coeff, q, lam, cfg.eta)
-            deltas[lam].append(led.delta_hat)
         if rows[-1].c_hat > worst_chat:
             worst_chat, worst_idx = rows[-1].c_hat, i
-        if worst_idx == i:
-            worst_ledger = led           # the ledger at the largest lambda
 
-    delta_min = {lam: min(d) for lam, d in deltas.items()}
+    # lambda outside the members, so one lambda's fields are alive at a time
+    delta_min = {}
+    for lam in cfg.lambda_grid:
+        prep = _LedgerPrep(weight, coeff, lam, cfg.eta)
+        ledgers = [_ledger(v, prep) for v in members]
+        del prep
+        delta_min[lam] = min(led.delta_hat for led in ledgers)
     lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
                    None)
     return EnsembleAudit(list(best.values()), delta_min, lambda0,
                          None if lambda0 is None else delta_min[lambda0],
-                         worst_idx, worst_ledger)
+                         worst_idx, ledgers[worst_idx])  # at the largest lambda

@@ -180,13 +180,21 @@ class RunConfig:
                 c_cap=self._number("carleman", "c_cap", 1e6))
         except ValueError as exc:
             raise ConfigError(f"[carleman] invalid: {exc}") from exc
-        return {
+        block = {
             "cfg": cfg,
             "T0": self._number("carleman", "t0", grid.T / 2.0),
             "ensemble": self._int("carleman", "ensemble", 50),
             "modes": self._int("carleman", "modes", 4),
             "seed": self._int("carleman", "seed", 0),
         }
+        for key, val, upper in (("ensemble", block["ensemble"], np.inf),
+                                ("modes", block["modes"], np.inf),
+                                ("T0", block["T0"], grid.T),
+                                ("eta", cfg.eta, grid.T / 2)):
+            if not 0 < val < upper:
+                raise ConfigError(f"[carleman] {key} = {val:g} must lie in "
+                                  f"(0, {upper:g})")
+        return block
 
     def inverse_block(self, grid: GridSpec) -> dict:
         self.require("inverse")

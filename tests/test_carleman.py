@@ -228,6 +228,37 @@ def test_ensemble_audit_lambda0_and_worst_ledger():
     assert len(ens.rows) == 2
 
 
+def test_ensemble_audit_matches_per_member_calls():
+    # the batched ensemble must reproduce the public per-member audit and
+    # ledger bit for bit, here with a non-constant sigma
+    g = GridSpec(32, 64, 2.0)
+    sigma = ScalarField1D(1 + 0.02 * g.x, g)
+    coeff = make_coeff(g, sigma=sigma.values)
+    weight = make_default_weight(g, sigma, 1.0)
+    cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
+    ens = ensemble_audit(weight, coeff, cfg, n_members=5, seed=11)
+
+    rng = np.random.default_rng(11)
+    members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(5)]
+    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
+    ledgers = [[inner_product_ledger(v, weight, coeff, None, lam, cfg.eta)
+                for lam in cfg.lambda_grid] for v in members]
+    # max() keeps the first of equal values, like the ensemble's strict >
+    rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
+            for k in range(len(cfg.lambda_grid))]
+    delta_min = {lam: min(led[k].delta_hat for led in ledgers)
+                 for k, lam in enumerate(cfg.lambda_grid)}
+    lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
+                   None)
+    worst = max(range(5), key=lambda i: audits[i][-1].c_hat)
+
+    assert ens.rows == rows
+    assert ens.delta_min == delta_min
+    assert ens.lambda0 == lambda0
+    assert ens.worst_member == worst
+    assert vars(ens.worst_ledger) == vars(ledgers[worst][-1])
+
+
 def test_random_clamped_bump_is_admissible():
     g = GridSpec(64, 64, 2.0)
     rng = np.random.default_rng(3)

@@ -210,6 +210,29 @@ lambda =
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5")])
+def test_bad_carleman_value_is_config_error(tmp_path, capsys, key, value):
+    # T = 2: T0 must lie in (0, T) and eta in (0, T/2)
+    carleman = {"lambda": "2", "ensemble": "2", key: value}
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("""
+[grid]
+nx = 16
+nt = 32
+T = 2.0
+
+[coefficients]
+sigma = 1
+gamma = 0
+
+[carleman]
+""" + "".join(f"{k} = {v}\n" for k, v in carleman.items()))
+    assert main(["carleman-audit", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(
     n for n in os.listdir(CONFIG_DIR) if n.endswith(".cfg")))
 def test_shipped_configs_load(name):
