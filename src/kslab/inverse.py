@@ -5,8 +5,9 @@ The measurement operator is: second and third one-sided x-derivative traces
 at x=0 over (0,T), plus the full profile at the grid time nearest T0.  The
 reconstruction is regularized output least squares over a low-dimensional
 spectral parameterization of gamma (constant plus the leading sine/cosine
-modes), driven by a projected BFGS iteration with forward-difference
-gradients: one forward solve per parameter per gradient.
+modes), driven by a Levenberg-Marquardt iteration on the stacked misfit
+with a forward-difference Jacobian (one forward solve per parameter per
+Jacobian) and an L-infinity projection of each trial iterate.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, the
 trajectory norm surrogate stays below M2, and the reference snapshot

@@ -13,8 +13,10 @@ the trapezoidal (Crank-Nicolson) one-step scheme
 on the interior equation slots; the four equation slots nearest the boundary
 are replaced by the clamped constraints z = h1, h2 (identity rows) and
 z_x = h3, h4 (one-sided first-derivative rows) at time t^{n+1}.  The one-step
-matrix is banded (half-bandwidth 2); it is factorized once and reused across
-steps whenever the operator is time-independent.
+matrix is banded (half-bandwidth 2).  The operator, the one-step matrix and
+its factorization are built once per coefficient field (once per time slot
+when G1/G2 are present) and shared by the steps, the Picard sweeps and the
+residual.
 
 Inhomogeneous boundary data enters through the cubic lifting
 psi(t,x) = sum_j p_j(x) h_j(t); the solver marches the remainder w with the
@@ -25,6 +27,7 @@ z = w + psi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -51,13 +54,22 @@ class CoefficientField:
     G2: Trajectory | None = None
 
     def __post_init__(self):
-        require_same_grid(self.sigma, self.gamma)
+        parts = [p for p in (self.sigma, self.gamma, self.G1, self.G2)
+                 if p is not None]
+        require_same_grid(*parts)
         if not (self.sigma0 > 0):
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.sigma.values.min() < self.sigma0:
             raise ValueError(
                 f"min(sigma)={self.sigma.values.min():g} violates the certified "
                 f"lower bound sigma0={self.sigma0:g}")
+        # the cached CN system is only valid while the coefficients stay put
+        for p in parts:
+            p.values.flags.writeable = False
+
+    @cached_property
+    def _system(self) -> "_CNSystem":
+        return _CNSystem(self)
 
 
 @dataclass(frozen=True)
@@ -165,62 +177,74 @@ def operator_matrix(coeff: CoefficientField, grid: GridSpec,
     return A.tocsr()
 
 
-def _one_step_matrix(A: sparse.csr_matrix, grid: GridSpec) -> sparse.csc_matrix:
-    nx = grid.nx
-    D1 = diff_matrix(grid, 1, "x")
-    M = (sparse.identity(nx + 1) / grid.dt + 0.5 * A).tolil()
-    M[0] = 0.0
-    M[0, 0] = 1.0
-    M[1] = D1[0].toarray().ravel()
-    M[nx - 1] = D1[nx].toarray().ravel()
-    M[nx] = 0.0
-    M[nx, nx] = 1.0
-    return M.tocsc()
+class _CNSystem:
+    """The Crank-Nicolson system of one coefficient field on its own grid.
 
-
-def _march(coeff: CoefficientField, grid: GridSpec, fhat: np.ndarray,
-           init: np.ndarray, targets, lin_tol: float,
-           step_source: np.ndarray | None = None) -> np.ndarray:
-    """CN march of the full operator.
-
-    ``targets`` are the four constraint series (evaluated at t^{n+1});
-    ``step_source``, when given, is an extra per-step right-hand side that is
-    not averaged between the time levels (used for the lifting's step term).
+    ``ops[n]`` is the operator at time slot n and ``steps[n]`` holds the
+    clamped one-step matrix M of the step to t^{n+1}, its LU factor and
+    |M|_inf.  Without G1/G2 every slot shares one operator and one step.
     """
-    nx, nt, dt = grid.nx, grid.nt, grid.dt
-    interior = slice(2, nx - 1)
-    g1, g3, g4, g2 = targets  # dirichlet0, neumann0, neumann1, dirichlet1
-    time_dep = coeff.G1 is not None or coeff.G2 is not None
 
-    z = np.empty((nt + 1, nx + 1))
-    z[0] = init
+    def __init__(self, coeff: CoefficientField):
+        grid = self.grid = coeff.sigma.grid
+        D1 = diff_matrix(grid, 1, "x")
+        self.d_left = D1[0].toarray().ravel()
+        self.d_right = D1[grid.nx].toarray().ravel()
+        if coeff.G1 is None and coeff.G2 is None:
+            self.shared = operator_matrix(coeff, grid)
+            self.ops = [self.shared] * (grid.nt + 1)
+            self.steps = [self._step(self.shared)] * grid.nt
+        else:
+            self.shared = None
+            self.ops = [operator_matrix(coeff, grid, n) for n in range(grid.nt + 1)]
+            self.steps = [self._step(A) for A in self.ops[1:]]
 
-    A_n = operator_matrix(coeff, grid, 0)
-    if not time_dep:
-        M = _one_step_matrix(A_n, grid)
+    def _step(self, A: sparse.csr_matrix):
+        nx = self.grid.nx
+        M = (sparse.identity(nx + 1) / self.grid.dt + 0.5 * A).tolil()
+        M[0] = 0.0
+        M[0, 0] = 1.0
+        M[1] = self.d_left
+        M[nx - 1] = self.d_right
+        M[nx] = 0.0
+        M[nx, nx] = 1.0
+        M = M.tocsc()
         try:
             lu = splu(M)
         except RuntimeError as exc:
             raise SingularSystem(f"one-step factorization failed: {exc}") from exc
-        m_norm = abs(M).sum(axis=1).max()
+        return M, lu, abs(M).sum(axis=1).max()
 
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """A z on every time row of a trajectory array."""
+        if self.shared is not None:
+            return (self.shared @ z.T).T
+        return np.array([A @ row for A, row in zip(self.ops, z)])
+
+
+def _march(system: _CNSystem, fhat: np.ndarray, w0: np.ndarray,
+           neum0: np.ndarray, neum1: np.ndarray, step_source: np.ndarray,
+           lin_tol: float) -> np.ndarray:
+    """CN march of the lifting remainder w.
+
+    The value rows hold w = 0 and the slope rows ``neum0``/``neum1`` at
+    t^{n+1}; ``step_source`` is an extra per-step right-hand side that is
+    not averaged between the time levels (the lifting's step term).
+    """
+    grid = system.grid
+    nx, nt, dt = grid.nx, grid.nt, grid.dt
+    interior = slice(2, nx - 1)
+
+    z = np.empty((nt + 1, nx + 1))
+    z[0] = w0
     for n in range(nt):
-        A_np1 = operator_matrix(coeff, grid, n + 1) if time_dep else A_n
-        if time_dep:
-            M = _one_step_matrix(A_np1, grid)
-            try:
-                lu = splu(M)
-            except RuntimeError as exc:
-                raise SingularSystem(f"one-step factorization failed: {exc}") from exc
-            m_norm = abs(M).sum(axis=1).max()
-
+        M, lu, m_norm = system.steps[n]
         rhs = np.empty(nx + 1)
-        rhs[interior] = (z[n] / dt - 0.5 * (A_n @ z[n])
+        rhs[interior] = (z[n] / dt - 0.5 * (system.ops[n] @ z[n])
                          + 0.5 * (fhat[n + 1] + fhat[n]))[interior]
-        if step_source is not None:
-            rhs[interior] += step_source[n][interior]
-        rhs[0], rhs[1] = g1[n + 1], g3[n + 1]
-        rhs[nx - 1], rhs[nx] = g4[n + 1], g2[n + 1]
+        rhs[interior] += step_source[n][interior]
+        rhs[0], rhs[1] = 0.0, neum0[n + 1]
+        rhs[nx - 1], rhs[nx] = neum1[n + 1], 0.0
 
         znew = lu.solve(rhs)
         if not np.all(np.isfinite(znew)):
@@ -232,33 +256,17 @@ def _march(coeff: CoefficientField, grid: GridSpec, fhat: np.ndarray,
                 f"step {n}: relative residual {res / scale:.2e} exceeds "
                 f"lin_tol={lin_tol:g} (ill-conditioned one-step system)")
         z[n + 1] = znew
-        A_n = A_np1
     return z
-
-
-def _check_clamped(profile: np.ndarray, grid: GridSpec, comp_tol: float, what: str):
-    p = diff_x_values(profile, grid, 1)
-    gaps = (abs(profile[0]), abs(profile[-1]), abs(p[0]), abs(p[-1]))
-    if max(gaps) > comp_tol:
-        raise CompatibilityViolation(
-            f"{what} violates homogeneous clamped conditions by {max(gaps):.2e} "
-            f"(comp_tol={comp_tol:g})")
 
 
 def solve_principal(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,
                     grid: GridSpec, comp_tol: float = DEFAULT_COMP_TOL,
                     lin_tol: float = DEFAULT_LIN_TOL) -> Trajectory:
     """Solve z_t + (sigma z_xx)_xx = f with homogeneous clamped boundary."""
-    require_same_grid(f, z0)
-    if f.grid != grid:
-        raise LengthMismatch("f lives on a different grid")
-    _check_clamped(z0.values, grid, comp_tol, "z0")
     principal = CoefficientField(
         coeff.sigma, ScalarField1D(np.zeros(grid.nx + 1), grid), coeff.sigma0)
-    zeros = np.zeros(grid.nt + 1)
-    z = _march(principal, grid, f.values, z0.values,
-               (zeros, zeros, zeros, zeros), lin_tol)
-    return Trajectory(z, grid)
+    return solve_linear_full(principal, zero_boundary_data(grid, y0=z0, g=f),
+                             grid, comp_tol, lin_tol)
 
 
 def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
@@ -275,33 +283,20 @@ def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
     """
     if bd.grid != grid:
         raise LengthMismatch("boundary data lives on a different grid")
+    require_same_grid(coeff.sigma, bd.y0)
     bd.check_compatibility(comp_tol)
+    system = coeff._system
     psi = build_lifting(bd, grid).psi.values
-
-    D1 = diff_matrix(grid, 1, "x")
-    d_left = np.asarray(D1[0].todense()).ravel()
-    d_right = np.asarray(D1[grid.nx].todense()).ravel()
-
-    time_dep = coeff.G1 is not None or coeff.G2 is not None
-    A_rows = np.empty_like(psi)
-    if time_dep:
-        for n in range(grid.nt + 1):
-            A_rows[n] = operator_matrix(coeff, grid, n) @ psi[n]
-    else:
-        A0 = operator_matrix(coeff, grid, None)
-        A_rows = (A0 @ psi.T).T
 
     # CN right-hand side for w: g - A psi averaged, minus the per-step
     # difference quotient (psi^{n+1}-psi^n)/dt
-    fhat = bd.g.values - A_rows
+    fhat = bd.g.values - system.apply(psi)
     psi_step = -(psi[1:] - psi[:-1]) / grid.dt
 
-    zeros = np.zeros(grid.nt + 1)
-    neum0 = bd.h3 - psi @ d_left
-    neum1 = bd.h4 - psi @ d_right
+    neum0 = bd.h3 - psi @ system.d_left
+    neum1 = bd.h4 - psi @ system.d_right
     w0 = bd.y0.values - psi[0]
-    w = _march(coeff, grid, fhat, w0, (zeros, neum0, neum1, zeros), lin_tol,
-               step_source=psi_step)
+    w = _march(system, fhat, w0, neum0, neum1, psi_step, lin_tol)
     return Trajectory(w + psi, grid)
 
 
@@ -330,30 +325,21 @@ def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
     Returns (max relative one-step residual in the backward-error sense,
     absolute L2Q norm of the interior residual field).
     """
-    require_same_grid(z, fhat)
+    require_same_grid(z, fhat, coeff.sigma)
+    system = coeff._system
     grid = z.grid
-    nx, dt = grid.nx, grid.dt
-    interior = slice(2, nx - 1)
-    time_dep = coeff.G1 is not None or coeff.G2 is not None
-    A_n = operator_matrix(coeff, grid, 0)
-    if not time_dep:
-        M = _one_step_matrix(A_n, grid)
-        m_norm = abs(M).sum(axis=1).max()
-    res_field = np.zeros_like(z.values)
-    max_rel = 0.0
-    for n in range(grid.nt):
-        A_np1 = operator_matrix(coeff, grid, n + 1) if time_dep else A_n
-        if time_dep:
-            M = _one_step_matrix(A_np1, grid)
-            m_norm = abs(M).sum(axis=1).max()
-        r = ((z.values[n + 1] - z.values[n]) / dt
-             + 0.5 * (A_np1 @ z.values[n + 1] + A_n @ z.values[n])
-             - 0.5 * (fhat.values[n + 1] + fhat.values[n]))[interior]
-        res_field[n + 1, interior] = r
-        scale = m_norm * np.abs(z.values[n + 1]).max() + np.abs(
-            0.5 * (fhat.values[n + 1] + fhat.values[n])).max() + 1e-300
-        max_rel = max(max_rel, np.abs(r).max() / scale)
-        A_n = A_np1
+    interior = slice(2, grid.nx - 1)
+    zv, fv = z.values, fhat.values
+    Az = system.apply(zv)
+    f_mid = 0.5 * (fv[1:] + fv[:-1])
+    r = ((zv[1:] - zv[:-1]) / grid.dt + 0.5 * (Az[1:] + Az[:-1])
+         - f_mid)[:, interior]
+    res_field = np.zeros_like(zv)
+    res_field[1:, interior] = r
+    m_norm = np.array([m for _, _, m in system.steps])
+    scale = (m_norm * np.abs(zv[1:]).max(axis=1) + np.abs(f_mid).max(axis=1)
+             + 1e-300)
+    max_rel = max(0.0, *(np.abs(r).max(axis=1) / scale))
     l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
     return max_rel, l2
 

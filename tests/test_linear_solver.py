@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_coeff
-from kslab.errors import CompatibilityViolation, LengthMismatch
+from kslab.errors import CompatibilityViolation, GridMismatch, LengthMismatch
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, field_from_callable,
                         trajectory_from_callable, trapz_qt, trapz_x)
 from kslab.linear_solver import (BoundaryData, build_lifting, energy_monitor,
-                                 operator_residual, solve_linear_full,
+                                 operator_matrix, operator_residual,
+                                 solve_linear_full,
                                  solve_principal, solve_time_derived,
                                  zero_boundary_data)
 
@@ -204,6 +206,80 @@ def test_full_solver_linearity(seed, a, b):
     assert np.abs(zc.values - combo).max() <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("other", [GridSpec(16, 32, 1.0), GridSpec(32, 16, 1.0)],
+                         ids=["nt", "nx"])
+def test_coefficient_field_from_another_grid_is_rejected(other):
+    g = GridSpec(16, 16, 1.0)
+    coeff = make_coeff(other, gamma=np.ones(other.nx + 1))
+    with pytest.raises(GridMismatch):
+        solve_linear_full(coeff, zero_boundary_data(g), g)
+    z = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
+    with pytest.raises(GridMismatch):
+        operator_residual(z, coeff, z)
+
+
+# ---------------------------------------------------------- scheme residual
+def reference_residual(z, coeff, fhat):
+    """Step-by-step CN residual: one operator and one one-step matrix per
+    time slot, as operator_residual computed it before it was vectorized."""
+    grid = z.grid
+    nx, dt = grid.nx, grid.dt
+    interior = slice(2, nx - 1)
+    D1 = diff_matrix(grid, 1, "x")
+
+    def one_step_norm(A):
+        M = (sparse.identity(nx + 1) / dt + 0.5 * A).tolil()
+        M[0] = 0.0
+        M[0, 0] = 1.0
+        M[1] = D1[0].toarray().ravel()
+        M[nx - 1] = D1[nx].toarray().ravel()
+        M[nx] = 0.0
+        M[nx, nx] = 1.0
+        return abs(M.tocsc()).sum(axis=1).max()
+
+    A_n = operator_matrix(coeff, grid, 0)
+    res_field = np.zeros_like(z.values)
+    max_rel = 0.0
+    for n in range(grid.nt):
+        A_np1 = operator_matrix(coeff, grid, n + 1)
+        m_norm = one_step_norm(A_np1)
+        r = ((z.values[n + 1] - z.values[n]) / dt
+             + 0.5 * (A_np1 @ z.values[n + 1] + A_n @ z.values[n])
+             - 0.5 * (fhat.values[n + 1] + fhat.values[n]))[interior]
+        res_field[n + 1, interior] = r
+        scale = m_norm * np.abs(z.values[n + 1]).max() + np.abs(
+            0.5 * (fhat.values[n + 1] + fhat.values[n])).max() + 1e-300
+        max_rel = max(max_rel, np.abs(r).max() / scale)
+        A_n = A_np1
+    l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
+    return max_rel, l2
+
+
+def test_residual_matches_step_reference_variable_sigma(full_linear_case):
+    g = GridSpec(32, 48, 2.0)
+    coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
+                       gamma=np.ones(33))
+    bd = full_case_bd(full_linear_case, g)
+    z = solve_linear_full(coeff, bd, g, comp_tol=1.0)
+    off = Trajectory(z.values + 1e-3 * np.outer(np.cos(g.t), np.sin(3 * g.x)), g)
+    for traj in (z, off):
+        assert operator_residual(traj, coeff, bd.g) == \
+            reference_residual(traj, coeff, bd.g)
+
+
+def test_residual_matches_step_reference_time_dependent():
+    # G1 = ytilde and G2 = ytilde_x, as in the time-derived difference system
+    g = GridSpec(24, 32, 1.0)
+    yt = trajectory_from_callable(
+        lambda t, x: 0.3 * np.exp(-t) * (1 + x ** 2) + 0.1 * np.sin(t + 2 * x), g)
+    coeff = make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(25), G1=yt,
+                       G2=Trajectory(diff_x_values(yt.values, g, 1), g))
+    z = trajectory_from_callable(
+        lambda t, x: np.cos(t) * x ** 2 * (1 - x) ** 2 + 0.01 * t * x, g)
+    fhat = trajectory_from_callable(lambda t, x: np.sin(3 * t) * (1 + x), g)
+    assert operator_residual(z, coeff, fhat) == reference_residual(z, coeff, fhat)
+
+
 # --------------------------------------------------------- time-derived solve
 def test_time_derived_zero():
     g = GridSpec(16, 16, 1.0)
@@ -267,6 +343,16 @@ def test_energy_monitor_constant_stability(principal_case):
         z = solve_principal(coeff, f, z0, g)
         values.append(energy_monitor(z, f, coeff).c_e)
     assert values[1] == pytest.approx(values[0], rel=0.2)
+
+
+def test_coefficient_field_values_are_read_only():
+    g = GridSpec(16, 16, 1.0)
+    yt = Trajectory(np.ones((17, 17)), g)
+    coeff = make_coeff(g, gamma=np.ones(17), G1=yt, G2=yt)
+    for arr in (coeff.sigma.values, coeff.gamma.values, coeff.G1.values,
+                coeff.G2.values):
+        with pytest.raises(ValueError):
+            arr[3] = 2.0
 
 
 def test_coefficient_field_validates_sigma_floor():

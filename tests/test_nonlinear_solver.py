@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kslab.linear_solver as linear_solver
 from conftest import make_coeff, nonlinear_bd
 from kslab.errors import NoConvergence, ZeroDenominator
 from kslab.grid import (GridSpec, Trajectory, trajectory_from_callable)
@@ -130,3 +131,26 @@ def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
         v, w = probe_pair(g, 1e-2)
         rhos[T] = contraction_probe(coeff, bd, g, v, w)
     assert rhos[1.0] < rhos[2.0]
+
+
+def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
+    counts = {"operator_matrix": 0, "splu": 0}
+
+    def counted(name):
+        fn = getattr(linear_solver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(linear_solver, name, wrapper)
+
+    counted("operator_matrix")
+    counted("splu")
+    g = GridSpec(16, 16, 1.0)
+    coeff = make_coeff(g, gamma=np.ones(17))
+    bd = nonlinear_bd(nonlinear_case, g, 1e-2)
+    y, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    assert rep.iterations >= 2
+    assert counts == {"operator_matrix": 1, "splu": 1}
+    contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
+    assert counts == {"operator_matrix": 1, "splu": 1}
