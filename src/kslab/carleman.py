@@ -18,20 +18,25 @@ and shares every discrete derivative array with the itemized P1+P2+R, so the
 identity residual measures the split's algebra, not the stencils.  The
 remainder formulas carry sigma-derivative terms that matter only for
 non-constant diffusion; each was checked against the symbolic reference.
+
+Every entry point evaluates through a _Window per (weight, sigma, eta),
+which holds the rows, phi arrays, sigma jet and trapezoid weights and takes a
+test function's jets, and a _Lambda per lambda on it, which builds what that
+lambda adds on first use.  ensemble_audit takes each member's audit row and
+ledger from one set of jets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import HypothesisViolation, LayerViolation
-from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
-                   diff_t_values, diff_x_values, require_same_grid,
-                   trapz_weights)
+from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
+                   diff_x_values, require_same_grid, trapz_weights)
 from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
@@ -155,48 +160,126 @@ def make_default_weight(grid: GridSpec, sigma: ScalarField1D, T0: float,
     return CarlemanWeight(grid, beta_derivs, phi0, phi0p, T0, float(r), eps, lam)
 
 
-def _layer_check(values: np.ndarray, rows: np.ndarray):
-    mask = np.zeros(values.shape[0], dtype=bool)
-    mask[rows] = True
-    inside = np.abs(values[mask]).max()
-    outside = np.abs(values[~mask]).max() if (~mask).any() else 0.0
-    if outside > _LAYER_TOL * max(inside, 1e-300):
-        raise LayerViolation(
-            f"test function carries {outside:.2e} outside the time window "
-            f"(inside max {inside:.2e})")
+class _Window:
+    """What every quantity needs of one weight, sigma and window [eta, T-eta]:
+    the rows, the phi arrays, the sigma jet up to sigma_xxx and the trapezoid
+    weights.  coeff is None for the weighted norm, which needs no sigma."""
+
+    def __init__(self, weight: CarlemanWeight, coeff: CoefficientField | None,
+                 eta: float | None):
+        self.weight, self.grid = weight, weight.grid
+        self.eta = weight.default_eta() if eta is None else eta
+        self.rows = rows = weight.window(self.eta)
+        self.phi = weight.phi_arrays(rows)
+        self.sig = None
+        if coeff is not None:
+            require_same_grid(weight, coeff.sigma)
+            s = coeff.sigma.values
+            self.sig = [s] + [diff_x_values(s, self.grid, k) for k in (1, 2, 3)]
+        self.trapz_t = trapz_weights(rows.size, self.grid.dt)
+        self.trapz_x = trapz_weights(self.grid.nx + 1, self.grid.dx)
+
+    def quad(self, values: np.ndarray) -> float:
+        """Trapezoid quadrature over the window rows x [0, 1]."""
+        return float(self.trapz_t @ values @ self.trapz_x)
+
+    def quad_t(self, series: np.ndarray) -> float:
+        return float(self.trapz_t @ series)
+
+    def jets(self, w: Trajectory):
+        """([w, w_x, .., w_xxxx], w_t, [w^2, .., w_xxx^2]) on the window rows;
+        GridMismatch for a w from another grid, LayerViolation for one that
+        is not negligible outside the window."""
+        require_same_grid(w, self)
+        w0 = w.values[self.rows]
+        inside = np.abs(w0).max()
+        outside = np.abs(np.delete(w.values, self.rows, 0)).max(initial=0.0)
+        if outside > _LAYER_TOL * max(inside, 1e-300):
+            raise LayerViolation(
+                f"test function carries {outside:.2e} outside the time window "
+                f"(inside max {inside:.2e})")
+        # C order, like the phi arrays: products of mixed layouts run slower
+        jets = [w0] + [np.ascontiguousarray(diff_x_values(w0, self.grid, k))
+                       for k in range(1, 5)]
+        return (jets, diff_t_values(w.values, self.grid, 1)[self.rows],
+                [j ** 2 for j in jets[:4]])
+
+    def full(self, values: np.ndarray) -> Trajectory:
+        """Window-row values as a trajectory that is zero outside the window."""
+        out = np.zeros((self.grid.nt + 1, self.grid.nx + 1))
+        out[self.rows] = values
+        return Trajectory(out, self.grid)
 
 
-def _q_arrays(q, grid: GridSpec, rows: np.ndarray):
-    if q is None:
-        zero = np.zeros((rows.size, grid.nx + 1))
-        return zero, zero.copy(), zero.copy()
+class _Lambda:
+    """What one lambda adds on a window.  Each part is built on first use, so
+    an entry point pays only for the parts it reads."""
+
+    def __init__(self, window: _Window, lam: float | None):
+        self.window = window
+        self.lam = window.weight.lam if lam is None else lam
+
+    @cached_property
+    def e2(self) -> np.ndarray:
+        return np.exp(-2 * self.lam * self.window.phi[0])
+
+    @cached_property
+    def boundary(self) -> list:
+        """(exp(-2 lam phi), v_xx^2 factor, v_xxx^2 factor) at x = 0 and 1."""
+        lam, (phi, px), sig = self.lam, self.window.phi[:2], self.window.sig[0]
+        return [(np.exp(-2 * lam * phi[:, col]),
+                 lam ** 3 * px[:, col] ** 3 * sig[col] ** 2,
+                 lam * px[:, col] * sig[col] ** 2) for col in (0, -1)]
+
+    @cached_property
+    def norm(self) -> tuple:
+        """Weights of w^2, w_x^2, w_xx^2 and w_xxx^2 in the weighted norm."""
+        lam, phi = self.lam, self.window.phi[0]
+        return (lam ** 7 * phi ** 7, lam ** 5 * phi ** 5, lam ** 3 * phi ** 3,
+                lam * phi)
+
+    @cached_property
+    def split(self) -> tuple:
+        """The w-independent factor of each P1 and P2 term, in the order in
+        which _p1_p2 multiplies them into the w derivatives."""
+        _, px, pxx = self.window.phi[:3]
+        (s, sx), lam = self.window.sig[:2], self.lam
+        lam2, lam3, lam4 = lam ** 2, lam ** 3, lam ** 4
+        pxs_x = 2 * px * pxx * s + px ** 2 * sx  # (phi_x^2 sigma)_x
+        return (6 * lam2 * px ** 2 * s, lam4 * px ** 4 * s, 2 * sx,
+                6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
+                4 * lam3 * px * pxs_x)
+
+    @cached_property
+    def fields(self) -> list:
+        """(name, kind, field) for each _symbolic_ledger_coeffs entry."""
+        weight, rows = self.window.weight, self.window.rows
+        _, px, pxx, pxxx, pxxxx, pt = self.window.phi
+        inv = 1.0 / weight.phi0[rows]
+        # phi_xt = -beta' phi0'/phi0^2, analytic like the other derivatives
+        pxt = np.outer(-weight.phi0_prime[rows] * inv ** 2,
+                       weight.beta_derivs[1])
+        args = (self.lam, px, pxx, pxxx, pxxxx, pt, pxt, *self.window.sig)
+        return [(name, kind, np.broadcast_to(fn(*args), px.shape))
+                for name, (fn, kind) in _symbolic_ledger_coeffs().items()]
+
+
+def _q_arrays(q, window: _Window, m: float = np.inf):
+    """q0, q1, q2 on the window rows, an absent one as the scalar 0.0;
+    ValueError when one exceeds the bound m."""
+    shape = (window.rows.size, window.grid.nx + 1)
     out = []
-    for qi in q:
+    for i, qi in enumerate((None, None, None) if q is None else q):
         if qi is None:
-            out.append(np.zeros((rows.size, grid.nx + 1)))
+            qi = 0.0
         elif isinstance(qi, Trajectory):
-            out.append(qi.values[rows])
+            qi = qi.values[window.rows]
         else:
-            arr = np.asarray(qi, dtype=float)
-            out.append(np.broadcast_to(arr, (rows.size, grid.nx + 1)).copy())
+            qi = np.broadcast_to(np.asarray(qi, dtype=float), shape).copy()
+        if np.abs(qi).max() > m + 1e-12:
+            raise ValueError(f"q{i} exceeds the configured bound m={m}")
+        out.append(qi)
     return out
-
-
-def _w_jet(w: Trajectory, rows: np.ndarray):
-    """Shared discrete derivative arrays of w on the window rows."""
-    grid = w.grid
-    jets = [w.values[rows]]
-    for k in range(1, 5):
-        jets.append(diff_x_values(w.values, grid, k)[rows])
-    wt = diff_t_values(w.values, grid, 1)[rows]
-    return jets, wt
-
-
-def _sigma_jet(coeff: CoefficientField, grid: GridSpec, up_to: int = 3):
-    s = [coeff.sigma.values]
-    for k in range(1, up_to + 1):
-        s.append(diff_x_values(coeff.sigma.values, grid, k))
-    return s
 
 
 @lru_cache(maxsize=None)
@@ -247,41 +330,28 @@ def _symbolic_conjugated_operator():
     return sp.lambdify(args, P, "numpy")
 
 
+def _conjugated(lw: _Lambda, jets, wt, qs) -> np.ndarray:
+    """Reference Pw on the window rows from the symbolic expansion."""
+    _, px, pxx, pxxx, pxxxx, pt = lw.window.phi
+    return _symbolic_conjugated_operator()(
+        lw.lam, wt, pt, *jets, px, pxx, pxxx, pxxxx, *lw.window.sig[:3], *qs)
+
+
 def conjugated_operator(w: Trajectory, weight: CarlemanWeight,
                         coeff: CoefficientField, q=None,
                         lam: float | None = None,
                         eta: float | None = None) -> Trajectory:
     """Reference Pw = exp(-lam phi) L(exp(lam phi) w) on the window rows."""
-    grid = w.grid
-    lam = weight.lam if lam is None else lam
-    rows = weight.window(eta)
-    _layer_check(w.values, rows)
-    jets, wt = _w_jet(w, rows)
-    _, px, pxx, pxxx, pxxxx, pt = weight.phi_arrays(rows)
-    s = _sigma_jet(coeff, grid, up_to=2)
-    q0, q1, q2 = _q_arrays(q, grid, rows)
-    fn = _symbolic_conjugated_operator()
-    vals = fn(lam, wt, pt, *jets, px, pxx, pxxx, pxxxx, *s, q0, q1, q2)
-    out = np.zeros_like(w.values)
-    out[rows] = vals
-    return Trajectory(out, grid)
+    window = _Window(weight, coeff, eta)
+    jets, wt, _ = window.jets(w)
+    return window.full(_conjugated(_Lambda(window, lam), jets, wt,
+                                   _q_arrays(q, window)))
 
 
-def _split_factors(phi, sig, lam: float):
-    """The w-independent factor of each P1 and P2 term, in the order in
-    which _p1_p2 multiplies them into the w derivatives."""
-    _, px, pxx = phi[:3]
-    s, sx = sig[:2]
-    lam2, lam3, lam4 = lam ** 2, lam ** 3, lam ** 4
-    pxs_x = 2 * px * pxx * s + px ** 2 * sx  # (phi_x^2 sigma)_x
-    return (6 * lam2 * px ** 2 * s, lam4 * px ** 4 * s, 2 * sx,
-            6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
-            4 * lam3 * px * pxs_x)
-
-
-def _p1_p2(factors, sig, jets, wt):
+def _p1_p2(lw: _Lambda, jets, wt):
     """P1 w and P2 w on the window rows from the itemized formulas."""
-    f_wxx, f_w, f_sx, f_wx, g_wx, g_wxxx, g_w = factors
+    f_wxx, f_w, f_sx, f_wx, g_wx, g_wxxx, g_w = lw.split
+    sig = lw.window.sig
     w0, wx, wxx, wxxx, wxxxx = jets
     swxx_xx = sig[2] * wxx + f_sx * wxxx + sig[0] * wxxxx
     P1 = f_wxx * wxx + f_w * w0 + swxx_xx + f_wx * wx
@@ -289,13 +359,13 @@ def _p1_p2(factors, sig, jets, wt):
     return P1, P2
 
 
-def _remainder(jets, phi, sig, q, lam: float):
+def _remainder(lw: _Lambda, jets, qs):
     """R w on the window rows, the lower-order rest of the split."""
     w0, wx, wxx = jets[:3]
-    _, px, pxx, pxxx, pxxxx, pt = phi
-    sig, sx, sxx = sig[:3]
-    q0, q1, q2 = q
-    lam2, lam3 = lam ** 2, lam ** 3
+    _, px, pxx, pxxx, pxxxx, pt = lw.window.phi
+    sig, sx, sxx = lw.window.sig[:3]
+    q0, q1, q2 = qs
+    lam, lam2, lam3 = lw.lam, lw.lam ** 2, lw.lam ** 3
     # the 6*lam*phi_xx*sigma_x term must multiply w_x, not w -- the identity
     # only balances for constant sigma otherwise
     return (lam * pt * w0 + 2 * lam * px * sxx * wx + lam2 * px ** 2 * sxx * w0
@@ -319,32 +389,12 @@ def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
     Returns three trajectories supported on the window rows.  Raises
     LayerViolation when w is not negligible outside the window.
     """
-    require_same_grid(w, coeff.sigma)
-    grid = w.grid
-    lam = weight.lam if lam is None else lam
-    rows = weight.window(eta)
-    _layer_check(w.values, rows)
-    jets, wt = _w_jet(w, rows)
-    phi = weight.phi_arrays(rows)
-    sig = _sigma_jet(coeff, grid, up_to=2)
-    P1, P2 = _p1_p2(_split_factors(phi, sig, lam), sig, jets, wt)
-    R = _remainder(jets, phi, sig, _q_arrays(q, grid, rows), lam)
-    out = []
-    for p in (P1, P2, R):
-        full = np.zeros_like(w.values)
-        full[rows] = p
-        out.append(Trajectory(full, grid))
-    return tuple(out)
-
-
-def _window_quad(values: np.ndarray, grid: GridSpec, rows: np.ndarray) -> float:
-    """Trapezoid quadrature over [t_rows] x [0,1]."""
-    return float(trapz_weights(rows.size, grid.dt) @ values
-                 @ trapz_weights(grid.nx + 1, grid.dx))
-
-
-def _window_quad_t(series: np.ndarray, grid: GridSpec, rows: np.ndarray) -> float:
-    return float(trapz_weights(rows.size, grid.dt) @ series)
+    window = _Window(weight, coeff, eta)
+    lw = _Lambda(window, lam)
+    jets, wt, _ = window.jets(w)
+    P1, P2 = _p1_p2(lw, jets, wt)
+    R = _remainder(lw, jets, _q_arrays(q, window))
+    return window.full(P1), window.full(P2), window.full(R)
 
 
 def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
@@ -352,22 +402,18 @@ def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
                                   lam: float | None = None,
                                   eta: float | None = None) -> float:
     """Relative L2 gap between P1+P2+R and the chain-rule reference."""
-    lam = weight.lam if lam is None else lam
-    rows = weight.window(eta)
-    P1, P2, R = conjugate_decompose(w, weight, coeff, q, lam, eta)
-    direct = conjugated_operator(w, weight, coeff, q, lam, eta)
-    total = P1.values + P2.values + R.values
-    num = _window_quad((total - direct.values)[rows] ** 2, w.grid, rows)
-    den = _window_quad(direct.values[rows] ** 2, w.grid, rows)
+    window = _Window(weight, coeff, eta)
+    lw = _Lambda(window, lam)
+    jets, wt, _ = window.jets(w)
+    qs = _q_arrays(q, window)
+    P1, P2 = _p1_p2(lw, jets, wt)
+    R = _remainder(lw, jets, qs)
+    direct = _conjugated(lw, jets, wt, qs)
+    num = window.quad((P1 + P2 + R - direct) ** 2)
+    den = window.quad(direct ** 2)
     if den == 0.0:
         return 0.0
     return math.sqrt(num / den)
-
-
-def _norm_factors(phi: np.ndarray, lam: float):
-    """Weights of w^2, w_x^2, w_xx^2 and w_xxx^2 in the weighted norm."""
-    return (lam ** 7 * phi ** 7, lam ** 5 * phi ** 5, lam ** 3 * phi ** 3,
-            lam * phi)
 
 
 def _norm_integrand(factors, squares):
@@ -379,13 +425,13 @@ def _norm_integrand(factors, squares):
 def weighted_norm(w: Trajectory, weight: CarlemanWeight,
                   lam: float | None = None, eta: float | None = None) -> float:
     """Quadratic form iint lam^7 phi^7 w^2 + lam^5 phi^5 w_x^2 + lam^3 phi^3
-    w_xx^2 + lam phi w_xxx^2 over the window (the squared weighted norm)."""
-    lam = weight.lam if lam is None else lam
-    rows = weight.window(eta)
-    jets, _ = _w_jet(w, rows)
-    factors = _norm_factors(weight.phi_arrays(rows)[0], lam)
-    return _window_quad(_norm_integrand(factors, [j ** 2 for j in jets[:4]]),
-                        w.grid, rows)
+    w_xx^2 + lam phi w_xxx^2 over the window (the squared weighted norm).
+
+    Raises LayerViolation when w is not negligible outside the window.
+    """
+    window = _Window(weight, None, eta)
+    squares = window.jets(w)[2]
+    return window.quad(_norm_integrand(_Lambda(window, lam).norm, squares))
 
 
 @lru_cache(maxsize=None)
@@ -476,61 +522,31 @@ class Ledger:
     delta_hat: float
 
 
-class _LedgerPrep:
-    """Everything the ledger needs that does not depend on w, for one
-    weight, sigma, lambda and window: the window rows, the sigma jet, the
-    P1/P2 factors, the 17 coefficient fields of _symbolic_ledger_coeffs and
-    the weighted-norm factors.  ensemble_audit shares one across members."""
+def _ledger(lw: _Lambda, jets, wt, squares) -> Ledger:
+    """Contract one member's jets with the fields of one lambda."""
+    window = lw.window
+    P1, P2 = _p1_p2(lw, jets, wt)
+    direct = window.quad(P1 * P2)
 
-    def __init__(self, weight: CarlemanWeight, coeff: CoefficientField,
-                 lam: float, eta: float | None):
-        eta = weight.default_eta() if eta is None else eta
-        self.grid, self.lam, self.eta = weight.grid, lam, eta
-        self.rows = rows = weight.window(eta)
-        require_same_grid(weight, coeff.sigma)
-        phi = weight.phi_arrays(rows)
-        self.sig = _sigma_jet(coeff, self.grid, up_to=3)
-        self.split = _split_factors(phi, self.sig, lam)
-        _, px, pxx, pxxx, pxxxx, pt = phi
-        inv = 1.0 / weight.phi0[rows]
-        # phi_xt = -beta' phi0'/phi0^2, analytic like the other derivatives
-        pxt = np.outer(-weight.phi0_prime[rows] * inv ** 2,
-                       weight.beta_derivs[1])
-        args = (lam, px, pxx, pxxx, pxxxx, pt, pxt, *self.sig)
-        self.fields = [(name, kind, np.broadcast_to(fn(*args), px.shape))
-                       for name, (fn, kind) in _symbolic_ledger_coeffs().items()]
-        self.norm = _norm_factors(phi[0], lam)
-
-
-def _ledger(w: Trajectory, prep: _LedgerPrep) -> Ledger:
-    """Contract w's jets with the precomputed fields of one lambda."""
-    grid, rows = prep.grid, prep.rows
-    _layer_check(w.values, rows)
-    require_same_grid(w, prep)
-    jets, wt = _w_jet(w, rows)
-    P1, P2 = _p1_p2(prep.split, prep.sig, jets, wt)
-    direct = _window_quad(P1 * P2, grid, rows)
-
-    squares = [j ** 2 for j in jets[:4]]
     wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares),
                w_wxx=jets[0] * jets[2])
     items, bnd0, bnd1 = {}, 0.0, 0.0
-    for name, kind, field in prep.fields:
+    for name, kind, field in lw.fields:
         term = field * wsq[kind]
         if name.startswith("bnd_"):
-            bnd0 += _window_quad_t(term[:, 0], grid, rows)
-            bnd1 += _window_quad_t(term[:, -1], grid, rows)
+            bnd0 += window.quad_t(term[:, 0])
+            bnd1 += window.quad_t(term[:, -1])
         else:
-            items[name] = _window_quad(term, grid, rows)
+            items[name] = window.quad(term)
 
     ix = bnd1 - bnd0
     itemized = sum(items.values()) + ix
     scale = max(abs(direct), abs(itemized), 1e-300)
     mismatch = abs(direct - itemized) / scale
 
-    wn = _window_quad(_norm_integrand(prep.norm, squares), grid, rows)
+    wn = window.quad(_norm_integrand(lw.norm, squares))
     delta_hat = (direct - ix) / wn if wn > 0 else 0.0
-    return Ledger(prep.lam, prep.eta, direct, items, bnd0, bnd1, itemized,
+    return Ledger(lw.lam, window.eta, direct, items, bnd0, bnd1, itemized,
                   mismatch, wn, delta_hat)
 
 
@@ -547,8 +563,8 @@ def inner_product_ledger(w: Trajectory, weight: CarlemanWeight,
     q enters only the remainder R, which the balance leaves out, so it does
     not change the result.
     """
-    lam = weight.lam if lam is None else lam
-    return _ledger(w, _LedgerPrep(weight, coeff, lam, eta))
+    window = _Window(weight, coeff, eta)
+    return _ledger(_Lambda(window, lam), *window.jets(w))
 
 
 @dataclass(frozen=True)
@@ -585,6 +601,35 @@ class AuditRow:
     degenerate: bool = False
 
 
+def _audit_terms(window: _Window, jets, wt, qs):
+    """v_t^2 + ((sigma v_xx)_xx)^2 and (L v)^2 on the window rows."""
+    v0, vx, vxx = jets[:3]
+    svxx_xx = np.ascontiguousarray(diff_x_values(window.sig[0] * vxx,
+                                                 window.grid, 2))
+    q0, q1, q2 = qs
+    Lv = wt + svxx_xx + q2 * vxx + q1 * vx + q0 * v0
+    return wt ** 2 + svxx_xx ** 2, Lv ** 2
+
+
+def _audit_row(lw: _Lambda, squares, terms, c_cap: float) -> AuditRow:
+    """Both sides of the weighted inequality for one member and lambda."""
+    window, lam, phi = lw.window, lw.lam, lw.window.phi[0]
+    curv, lv2 = terms
+    v2, vx2, vxx2, vxxx2 = squares
+    lhs = window.quad(lw.e2 * (curv / (lam * phi) + lam ** 7 * phi ** 7 * v2
+                               + lam ** 5 * phi ** 5 * vx2
+                               + lam ** 3 * phi ** 3 * vxx2
+                               + lam * phi * vxxx2))
+    rhs_int = window.quad(lw.e2 * lv2)
+    bnd0, bnd1 = (window.quad_t(e * (a * vxx2[:, col] + b * vxxx2[:, col]))
+                  for col, (e, a, b) in zip((0, -1), lw.boundary))
+    rhs = rhs_int + bnd0
+    if lhs == 0.0 and rhs == 0.0:
+        return AuditRow(lam, 0.0, 0.0, 0.0, 0.0, 0.0, True, True)
+    c_hat = lhs / rhs if rhs > 0 else np.inf
+    return AuditRow(lam, lhs, rhs_int, bnd0, bnd1, c_hat, bool(c_hat <= c_cap))
+
+
 def carleman_audit(v: Trajectory, weight: CarlemanWeight,
                    coeff: CoefficientField, q=None,
                    cfg: CarlemanConfig = CarlemanConfig()) -> list:
@@ -595,46 +640,11 @@ def carleman_audit(v: Trajectory, weight: CarlemanWeight,
     c_hat uses the x=0 boundary terms (the observation side selected by the
     increasing beta); the x=1 terms are reported alongside.
     """
-    grid = v.grid
-    rows = weight.window(cfg.eta)
-    _layer_check(v.values, rows)
-
-    (v0, vx, vxx, vxxx, _), vt_full = _w_jet(v, rows)
-    D2 = diff_matrix(grid, 2, "x")
-    sig = coeff.sigma.values
-    svxx_xx = (D2 @ (sig * diff_x_values(v.values, grid, 2)).T).T[rows]
-    q0, q1, q2 = _q_arrays(q, grid, rows)
-    for name, qi in (("q0", q0), ("q1", q1), ("q2", q2)):
-        if np.abs(qi).max() > cfg.m + 1e-12:
-            raise ValueError(f"{name} exceeds the configured bound m={cfg.m}")
-    Lv = vt_full + svxx_xx + q2 * vxx + q1 * vx + q0 * v0
-    phi, px = weight.phi_arrays(rows)[:2]
-
-    out = []
-    for lam in cfg.lambda_grid:
-        e2 = np.exp(-2 * lam * phi)
-        lhs = _window_quad(e2 * ((vt_full ** 2 + svxx_xx ** 2) / (lam * phi)
-                                 + lam ** 7 * phi ** 7 * v0 ** 2
-                                 + lam ** 5 * phi ** 5 * vx ** 2
-                                 + lam ** 3 * phi ** 3 * vxx ** 2
-                                 + lam * phi * vxxx ** 2), grid, rows)
-        rhs_int = _window_quad(e2 * Lv ** 2, grid, rows)
-        bnd = {}
-        for side, col in (("0", 0), ("1", -1)):
-            series = (np.exp(-2 * lam * phi[:, col])
-                      * (lam ** 3 * px[:, col] ** 3 * sig[col] ** 2
-                         * vxx[:, col] ** 2
-                         + lam * px[:, col] * sig[col] ** 2
-                         * vxxx[:, col] ** 2))
-            bnd[side] = _window_quad_t(series, grid, rows)
-        rhs = rhs_int + bnd["0"]
-        if lhs == 0.0 and rhs == 0.0:
-            out.append(AuditRow(lam, 0.0, 0.0, 0.0, 0.0, 0.0, True, True))
-            continue
-        c_hat = lhs / rhs if rhs > 0 else np.inf
-        out.append(AuditRow(lam, lhs, rhs_int, bnd["0"], bnd["1"], c_hat,
-                            bool(c_hat <= cfg.c_cap)))
-    return out
+    window = _Window(weight, coeff, cfg.eta)
+    jets, wt, squares = window.jets(v)
+    terms = _audit_terms(window, jets, wt, _q_arrays(q, window, cfg.m))
+    return [_audit_row(_Lambda(window, lam), squares, terms, cfg.c_cap)
+            for lam in cfg.lambda_grid]
 
 
 def random_clamped_bump(grid: GridSpec, rng: np.random.Generator,
@@ -672,30 +682,31 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     """Audit + ledger scan over seeded random clamped bumps."""
     if n_members < 1:
         raise ValueError(f"n_members must be at least 1, got {n_members}")
-    grid = weight.grid
+    window = _Window(weight, coeff, cfg.eta)
+    qs = _q_arrays(q, window, cfg.m)
     rng = np.random.default_rng(seed)
-    members = [random_clamped_bump(grid, rng, cfg.eta, n_modes)
+    members = [random_clamped_bump(window.grid, rng, cfg.eta, n_modes)
                for _ in range(n_members)]
 
-    best = {}
-    worst_idx, worst_chat = 0, -np.inf
-    for i, v in enumerate(members):
-        rows = carleman_audit(v, weight, coeff, q, cfg)
-        for row in rows:
-            if row.lam not in best or row.c_hat > best[row.lam].c_hat:
-                best[row.lam] = row
-        if rows[-1].c_hat > worst_chat:
-            worst_chat, worst_idx = rows[-1].c_hat, i
-
     # lambda outside the members, so one lambda's fields are alive at a time
-    delta_min = {}
+    rows, delta_min = [], {}
     for lam in cfg.lambda_grid:
-        prep = _LedgerPrep(weight, coeff, lam, cfg.eta)
-        ledgers = [_ledger(v, prep) for v in members]
-        del prep
+        lw = _Lambda(window, lam)
+        audit, ledgers = [], []
+        for v in members:
+            jets, wt, squares = window.jets(v)
+            terms = _audit_terms(window, jets, wt, qs)
+            audit.append(_audit_row(lw, squares, terms, cfg.c_cap))
+            ledgers.append(_ledger(lw, jets, wt, squares))
+        rows.append(max(audit, key=lambda row: row.c_hat))  # first of ties
         delta_min[lam] = min(led.delta_hat for led in ledgers)
+
+    worst_idx, worst_chat = 0, -np.inf
+    for i, row in enumerate(audit):  # at the largest lambda
+        if row.c_hat > worst_chat:
+            worst_chat, worst_idx = row.c_hat, i
     lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
                    None)
-    return EnsembleAudit(list(best.values()), delta_min, lambda0,
+    return EnsembleAudit(rows, delta_min, lambda0,
                          None if lambda0 is None else delta_min[lambda0],
-                         worst_idx, ledgers[worst_idx])  # at the largest lambda
+                         worst_idx, ledgers[worst_idx])

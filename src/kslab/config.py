@@ -34,9 +34,6 @@ _KNOWN = {
     "output": {"dir"},
 }
 
-_SOLVER_DEFAULTS = {"comp_tol": 1e-8, "lin_tol": 1e-10, "max_picard": 50,
-                    "picard_tol": 1e-10}
-
 
 @dataclass
 class RunConfig:
@@ -155,19 +152,17 @@ class RunConfig:
         return BoundaryData(hs[0], hs[1], hs[2], hs[3],
                             ScalarField1D(y0, grid), Trajectory(g, grid))
 
-    def solver_options(self) -> dict:
-        out = dict(_SOLVER_DEFAULTS)
-        for key in ("comp_tol", "lin_tol", "picard_tol"):
-            out[key] = self._number("solver", key, out[key])
-        out["max_picard"] = self._int("solver", "max_picard", out["max_picard"])
-        return out
-
     def nonlinear_config(self) -> NonlinearSolveConfig:
-        opts = self.solver_options()
-        return NonlinearSolveConfig(max_picard=opts["max_picard"],
-                                    picard_tol=opts["picard_tol"],
-                                    comp_tol=opts["comp_tol"],
-                                    lin_tol=opts["lin_tol"])
+        """The [solver] keys the file sets; the dataclass supplies the rest."""
+        given = self.raw.get("solver", {})
+        opts = {key: self._number("solver", key) for key in
+                ("comp_tol", "lin_tol", "picard_tol") if key in given}
+        if "max_picard" in given:
+            opts["max_picard"] = self._int("solver", "max_picard")
+        try:
+            return NonlinearSolveConfig(**opts)
+        except ValueError as exc:
+            raise ConfigError(f"[solver] invalid: {exc}") from exc
 
     def carleman_block(self, grid: GridSpec) -> dict:
         self.require("carleman")

@@ -151,18 +151,29 @@ def _unit_diff_matrix(n_nodes: int, order: int) -> sparse.csr_matrix:
     return D.tocsr()
 
 
+@lru_cache(maxsize=None)
+def _scaled_diff_matrix(n_nodes: int, order: int, h: float) -> sparse.csr_matrix:
+    """The unit-spacing matrix scaled to spacing h, built once and shared by
+    every caller, so its arrays are read-only."""
+    D = _unit_diff_matrix(n_nodes, order) * h ** (-order)
+    for arr in (D.data, D.indices, D.indptr):
+        arr.flags.writeable = False
+    return D
+
+
 def diff_matrix(grid: GridSpec, order: int, axis: str = "x") -> sparse.csr_matrix:
-    """Sparse derivative operator along x (nodes) or t (rows)."""
+    """Sparse derivative operator along x (nodes) or t (rows); the returned
+    matrix is shared and read-only."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order}")
     if axis == "x":
         if grid.nx < 2 * order:
             raise GridTooCoarse(f"nx={grid.nx} < 2*order={2 * order}")
-        return _unit_diff_matrix(grid.nx + 1, order) * grid.dx ** (-order)
+        return _scaled_diff_matrix(grid.nx + 1, order, grid.dx)
     if axis == "t":
         if grid.nt < 2 * order:
             raise GridTooCoarse(f"nt={grid.nt} < 2*order={2 * order}")
-        return _unit_diff_matrix(grid.nt + 1, order) * grid.dt ** (-order)
+        return _scaled_diff_matrix(grid.nt + 1, order, grid.dt)
     raise ValueError(f"axis must be 'x' or 't', got {axis!r}")
 
 

@@ -64,8 +64,8 @@ class InverseConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if min(self.M1, self.M2, self.r_floor, self.grad_tol) <= 0:
-            raise ValueError("caps, r_floor and grad_tol must be positive")
+        if min(self.M1, self.M2, self.r_floor, self.grad_tol, self.fd_step) <= 0:
+            raise ValueError("caps, r_floor, grad_tol and fd_step must be positive")
         if self.tikhonov_alpha < 0:
             raise ValueError("tikhonov_alpha must be nonnegative")
         if self.max_outer < 1:

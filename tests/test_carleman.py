@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import layered_bump, make_coeff
-from kslab.carleman import (CarlemanConfig, carleman_audit,
-                            conjugate_decompose, conjugated_operator,
+import kslab.carleman
+from kslab.carleman import (AuditRow, CarlemanConfig, CarlemanWeight,
+                            carleman_audit, conjugate_decompose,
+                            conjugated_operator,
                             conjugation_identity_residual, ensemble_audit,
                             inner_product_ledger, make_default_weight,
                             random_clamped_bump, weighted_norm)
-from kslab.errors import HypothesisViolation, LayerViolation
-from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
-                        diff_x_values)
+from kslab.errors import GridMismatch, HypothesisViolation, LayerViolation
+from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
+                        diff_t_values, diff_x_values, trapz_weights)
 
 R_ANALYTIC = 1.0 / (4.0 * 2.0 ** 1.5)  # min over [0,1] of -beta'' for sqrt(1+x)
 
@@ -79,6 +81,33 @@ def test_layer_violation():
     bad = Trajectory(np.ones((33, 33)), g)  # supported everywhere
     with pytest.raises(LayerViolation):
         conjugate_decompose(bad, weight, coeff)
+
+
+def test_weighted_norm_layer_violation():
+    # constant in time, so it does not vanish in the layers the window cuts
+    g = GridSpec(64, 128, 2.0)
+    weight = make_default_weight(g, make_coeff(g).sigma, 1.0)
+    w = Trajectory(np.outer(np.ones(g.nt + 1), g.x ** 2 * (1 - g.x) ** 2), g)
+    with pytest.raises(LayerViolation):
+        weighted_norm(w, weight)
+
+
+@pytest.mark.parametrize("other", [GridSpec(32, 128, 2.0),
+                                   GridSpec(64, 64, 2.0)], ids=["nt", "nx"])
+@pytest.mark.parametrize("call", [
+    lambda w, weight, coeff: carleman_audit(w, weight, coeff),
+    lambda w, weight, coeff: inner_product_ledger(w, weight, coeff),
+    lambda w, weight, coeff: weighted_norm(w, weight),
+    lambda w, weight, coeff: conjugate_decompose(w, weight, coeff),
+    lambda w, weight, coeff: conjugated_operator(w, weight, coeff),
+    lambda w, weight, coeff: conjugation_identity_residual(w, weight, coeff),
+], ids=["audit", "ledger", "norm", "decompose", "operator", "identity"])
+def test_test_function_from_another_grid_is_rejected(call, other):
+    g = GridSpec(32, 64, 2.0)
+    coeff = make_coeff(g)
+    weight = make_default_weight(g, coeff.sigma, 1.0)
+    with pytest.raises(GridMismatch):
+        call(layered_bump(other), weight, coeff)
 
 
 def test_decompose_zero_function(setup128):
@@ -257,6 +286,95 @@ def test_ensemble_audit_matches_per_member_calls():
     assert ens.lambda0 == lambda0
     assert ens.worst_member == worst
     assert vars(ens.worst_ledger) == vars(ledgers[worst][-1])
+
+
+def reference_audit(v, weight, coeff, q, cfg):
+    """carleman_audit as written before the shared window and per-lambda
+    objects: full-array jets, its own D2 and the whole per-lambda
+    expression inline."""
+    grid = v.grid
+    rows = weight.window(cfg.eta)
+    wt, wx = trapz_weights(rows.size, grid.dt), trapz_weights(grid.nx + 1, grid.dx)
+    v0 = v.values[rows]
+    vx, vxx, vxxx = [diff_x_values(v.values, grid, k)[rows] for k in (1, 2, 3)]
+    vt_full = diff_t_values(v.values, grid, 1)[rows]
+    D2 = diff_matrix(grid, 2, "x")
+    sig = coeff.sigma.values
+    svxx_xx = (D2 @ (sig * diff_x_values(v.values, grid, 2)).T).T[rows]
+    q0, q1, q2 = [np.zeros((rows.size, grid.nx + 1)) if qi is None
+                  else qi.values[rows] for qi in q]
+    Lv = vt_full + svxx_xx + q2 * vxx + q1 * vx + q0 * v0
+    phi, px = weight.phi_arrays(rows)[:2]
+
+    out = []
+    for lam in cfg.lambda_grid:
+        e2 = np.exp(-2 * lam * phi)
+        lhs = float(wt @ (e2 * ((vt_full ** 2 + svxx_xx ** 2) / (lam * phi)
+                                + lam ** 7 * phi ** 7 * v0 ** 2
+                                + lam ** 5 * phi ** 5 * vx ** 2
+                                + lam ** 3 * phi ** 3 * vxx ** 2
+                                + lam * phi * vxxx ** 2)) @ wx)
+        rhs_int = float(wt @ (e2 * Lv ** 2) @ wx)
+        bnd = {}
+        for side, col in (("0", 0), ("1", -1)):
+            series = (np.exp(-2 * lam * phi[:, col])
+                      * (lam ** 3 * px[:, col] ** 3 * sig[col] ** 2
+                         * vxx[:, col] ** 2
+                         + lam * px[:, col] * sig[col] ** 2
+                         * vxxx[:, col] ** 2))
+            bnd[side] = float(wt @ series)
+        rhs = rhs_int + bnd["0"]
+        if lhs == 0.0 and rhs == 0.0:
+            out.append(AuditRow(lam, 0.0, 0.0, 0.0, 0.0, 0.0, True, True))
+            continue
+        c_hat = lhs / rhs if rhs > 0 else np.inf
+        out.append(AuditRow(lam, lhs, rhs_int, bnd["0"], bnd["1"], c_hat,
+                            bool(c_hat <= cfg.c_cap)))
+    return out
+
+
+@pytest.mark.parametrize("slope, with_q", [(0.0, False), (0.02, True)],
+                         ids=["constant-sigma", "sloped-sigma-and-q"])
+def test_audit_matches_reference(slope, with_q):
+    g = GridSpec(48, 96, 2.0)
+    sigma = ScalarField1D(1 + slope * g.x, g)
+    coeff = make_coeff(g, sigma=sigma.values)
+    weight = make_default_weight(g, sigma, 1.0)
+    cfg = CarlemanConfig(lambda_grid=(2.0, 4.0, 8.0, 16.0), eta=0.25)
+    tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+    q = (None, None, None)
+    if with_q:
+        q = (Trajectory(0.5 * np.sin(np.pi * xx) * np.cos(tt), g), None,
+             Trajectory(np.full((g.nt + 1, g.nx + 1), -0.3), g))
+    rng = np.random.default_rng(4)
+    members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(3)]
+    members.append(Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
+    for v in members:
+        assert carleman_audit(v, weight, coeff, q, cfg) \
+            == reference_audit(v, weight, coeff, q, cfg)
+
+
+def test_ensemble_builds_window_once_and_jets_once_per_pair(monkeypatch):
+    # one phi_arrays per ensemble; one w_t (and one jet) per member and lambda
+    calls = {"phi": 0, "dt": 0}
+    phi_arrays, diff_t = CarlemanWeight.phi_arrays, kslab.carleman.diff_t_values
+
+    def counted_phi(self, rows):
+        calls["phi"] += 1
+        return phi_arrays(self, rows)
+
+    def counted_dt(*args, **kwargs):
+        calls["dt"] += 1
+        return diff_t(*args, **kwargs)
+
+    monkeypatch.setattr(CarlemanWeight, "phi_arrays", counted_phi)
+    monkeypatch.setattr(kslab.carleman, "diff_t_values", counted_dt)
+    g = GridSpec(32, 64, 2.0)
+    coeff = make_coeff(g)
+    weight = make_default_weight(g, coeff.sigma, 1.0)
+    ensemble_audit(weight, coeff, CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0)),
+                   n_members=5, seed=3)
+    assert calls == {"phi": 1, "dt": 15}
 
 
 def test_random_clamped_bump_is_admissible():

@@ -233,6 +233,35 @@ gamma = 0
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, section, key, value", [
+    ("simulate", "solver", "max_picard", "0"),
+    ("simulate", "solver", "picard_tol", "-1"),
+    ("invert", "inverse", "fd_step", "0")])
+def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,
+                                                      section, key, value):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"""
+[grid]
+nx = 32
+nt = 16
+T = 1.0
+
+[coefficients]
+sigma = 1
+gamma = 1
+
+[data]
+y0 = 0
+g = 0
+
+[{section}]
+{key} = {value}
+""")
+    assert main([cmd, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(
     n for n in os.listdir(CONFIG_DIR) if n.endswith(".cfg")))
 def test_shipped_configs_load(name):

@@ -110,6 +110,16 @@ def test_diff_matrix_rejects_unknown_axis_and_order():
         diff_matrix(g, 1, "z")
 
 
+def test_diff_matrix_is_cached_and_read_only():
+    g = GridSpec(16, 32, 1.0)
+    for axis in ("x", "t"):
+        D = diff_matrix(g, 2, axis)
+        assert diff_matrix(GridSpec(16, 32, 1.0), 2, axis) is D
+        for arr in (D.data, D.indices, D.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
 def test_norm_zero_field():
     g = GridSpec(16, 16, 1.0)
     z = ScalarField1D(np.zeros(17), g)
