@@ -198,9 +198,7 @@ class _Window:
             raise LayerViolation(
                 f"test function carries {outside:.2e} outside the time window "
                 f"(inside max {inside:.2e})")
-        # C order, like the phi arrays: products of mixed layouts run slower
-        jets = [w0] + [np.ascontiguousarray(diff_x_values(w0, self.grid, k))
-                       for k in range(1, 5)]
+        jets = [w0] + [diff_x_values(w0, self.grid, k) for k in range(1, 5)]
         return (jets, diff_t_values(w.values, self.grid, 1)[self.rows],
                 [j ** 2 for j in jets[:4]])
 
@@ -604,8 +602,7 @@ class AuditRow:
 def _audit_terms(window: _Window, jets, wt, qs):
     """v_t^2 + ((sigma v_xx)_xx)^2 and (L v)^2 on the window rows."""
     v0, vx, vxx = jets[:3]
-    svxx_xx = np.ascontiguousarray(diff_x_values(window.sig[0] * vxx,
-                                                 window.grid, 2))
+    svxx_xx = diff_x_values(window.sig[0] * vxx, window.grid, 2)
     q0, q1, q2 = qs
     Lv = wt + svxx_xx + q2 * vxx + q1 * vx + q0 * v0
     return wt ** 2 + svxx_xx ** 2, Lv ** 2

@@ -184,12 +184,12 @@ def diff_x(field: ScalarField1D, order: int) -> ScalarField1D:
 
 
 def diff_x_values(values: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
-    """Spatial derivative of raw samples; accepts a profile or a trajectory array."""
+    """Spatial derivative of a raw profile or trajectory array, in C order."""
     D = diff_matrix(grid, order, "x")
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         return D @ v
-    return (D @ v.T).T
+    return np.ascontiguousarray((D @ v.T).T)
 
 
 def diff_t_values(values: np.ndarray, grid: GridSpec, order: int = 1) -> np.ndarray:

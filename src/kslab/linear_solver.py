@@ -21,12 +21,13 @@ residual.
 Inhomogeneous boundary data enters through the cubic lifting
 psi(t,x) = sum_j p_j(x) h_j(t); the solver marches the remainder w with the
 lifting's contribution subtracted from the right-hand side and returns
-z = w + psi.
+z = w + psi.  The lifting is built once per boundary data (``with_source``
+copies share it), so a Picard sweep is one source update plus one march.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,10 +95,23 @@ class BoundaryData:
                     f"{name} has length {h.shape}, grid wants {grid.nt + 1}")
             if not np.all(np.isfinite(h)):
                 raise ValueError(f"{name} contains non-finite entries")
+            h.flags.writeable = False
+        # the cached lifting is only valid while h1..h4 and y0 stay put
+        self.y0.values.flags.writeable = False
 
     @property
     def grid(self) -> GridSpec:
         return self.y0.grid
+
+    @cached_property
+    def lifting(self) -> "LiftingField":
+        return build_lifting(self, self.grid)
+
+    def with_source(self, g: Trajectory) -> "BoundaryData":
+        """The same h1..h4 and y0 with source g, sharing this lifting."""
+        bd = replace(self, g=g)
+        bd.__dict__["lifting"] = self.lifting
+        return bd
 
     def check_compatibility(self, comp_tol: float = DEFAULT_COMP_TOL):
         """Corner compatibility of y0 with h_j(0), with y0' taken discretely."""
@@ -122,7 +136,7 @@ def zero_boundary_data(grid: GridSpec, y0: ScalarField1D | None = None,
         y0 = ScalarField1D(np.zeros(grid.nx + 1), grid)
     if g is None:
         g = Trajectory(np.zeros((grid.nt + 1, grid.nx + 1)), grid)
-    return BoundaryData(z, z.copy(), z.copy(), z.copy(), y0, g)
+    return BoundaryData(z, z, z, z, y0, g)
 
 
 # cubic shape functions: value/slope cardinal basis on [0,1]
@@ -144,9 +158,14 @@ def _p4(x):
 
 @dataclass(frozen=True)
 class LiftingField:
-    """Cubic boundary lifting psi(t,x) = sum_j p_j(x) h_j(t)."""
+    """Cubic boundary lifting psi(t,x) = sum_j p_j(x) h_j(t), its step term
+    -(psi^{n+1} - psi^n)/dt, the remainder's slope targets and w0."""
 
     psi: Trajectory
+    step: np.ndarray
+    neum0: np.ndarray
+    neum1: np.ndarray
+    w0: np.ndarray
 
 
 def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
@@ -160,7 +179,11 @@ def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
     x = grid.x
     psi = (np.outer(bd.h1, _p1(x)) + np.outer(bd.h2, _p2(x))
            + np.outer(bd.h3, _p3(x)) + np.outer(bd.h4, _p4(x)))
-    return LiftingField(Trajectory(psi, grid))
+    D1 = diff_matrix(grid, 1, "x")
+    return LiftingField(Trajectory(psi, grid), -(psi[1:] - psi[:-1]) / grid.dt,
+                        bd.h3 - psi @ D1[0].toarray().ravel(),
+                        bd.h4 - psi @ D1[grid.nx].toarray().ravel(),
+                        bd.y0.values - psi[0])
 
 
 def operator_matrix(coeff: CoefficientField, grid: GridSpec,
@@ -222,29 +245,27 @@ class _CNSystem:
         return np.array([A @ row for A, row in zip(self.ops, z)])
 
 
-def _march(system: _CNSystem, fhat: np.ndarray, w0: np.ndarray,
-           neum0: np.ndarray, neum1: np.ndarray, step_source: np.ndarray,
+def _march(system: _CNSystem, fhat: np.ndarray, lift: LiftingField,
            lin_tol: float) -> np.ndarray:
-    """CN march of the lifting remainder w.
+    """CN march of the lifting remainder w from lift.w0.
 
-    The value rows hold w = 0 and the slope rows ``neum0``/``neum1`` at
-    t^{n+1}; ``step_source`` is an extra per-step right-hand side that is
-    not averaged between the time levels (the lifting's step term).
+    The value rows hold w = 0 and the slope rows the lifting's slope targets
+    at t^{n+1}; the lifting's step term is added to each step unaveraged.
     """
     grid = system.grid
     nx, nt, dt = grid.nx, grid.nt, grid.dt
     interior = slice(2, nx - 1)
 
     z = np.empty((nt + 1, nx + 1))
-    z[0] = w0
+    z[0] = lift.w0
     for n in range(nt):
         M, lu, m_norm = system.steps[n]
         rhs = np.empty(nx + 1)
         rhs[interior] = (z[n] / dt - 0.5 * (system.ops[n] @ z[n])
                          + 0.5 * (fhat[n + 1] + fhat[n]))[interior]
-        rhs[interior] += step_source[n][interior]
-        rhs[0], rhs[1] = 0.0, neum0[n + 1]
-        rhs[nx - 1], rhs[nx] = neum1[n + 1], 0.0
+        rhs[interior] += lift.step[n][interior]
+        rhs[0], rhs[1] = 0.0, lift.neum0[n + 1]
+        rhs[nx - 1], rhs[nx] = lift.neum1[n + 1], 0.0
 
         znew = lu.solve(rhs)
         if not np.all(np.isfinite(znew)):
@@ -285,18 +306,9 @@ def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
         raise LengthMismatch("boundary data lives on a different grid")
     require_same_grid(coeff.sigma, bd.y0)
     bd.check_compatibility(comp_tol)
-    system = coeff._system
-    psi = build_lifting(bd, grid).psi.values
-
-    # CN right-hand side for w: g - A psi averaged, minus the per-step
-    # difference quotient (psi^{n+1}-psi^n)/dt
-    fhat = bd.g.values - system.apply(psi)
-    psi_step = -(psi[1:] - psi[:-1]) / grid.dt
-
-    neum0 = bd.h3 - psi @ system.d_left
-    neum1 = bd.h4 - psi @ system.d_right
-    w0 = bd.y0.values - psi[0]
-    w = _march(system, fhat, w0, neum0, neum1, psi_step, lin_tol)
+    system, psi = coeff._system, bd.lifting.psi.values
+    # CN right-hand side for w: g - A psi averaged, plus the lifting's step term
+    w = _march(system, bd.g.values - system.apply(psi), bd.lifting, lin_tol)
     return Trajectory(w + psi, grid)
 
 

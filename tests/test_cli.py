@@ -236,6 +236,10 @@ gamma = 0
 @pytest.mark.parametrize("cmd, section, key, value", [
     ("simulate", "solver", "max_picard", "0"),
     ("simulate", "solver", "picard_tol", "-1"),
+    ("simulate", "solver", "lin_tol", "nan"),
+    ("simulate", "solver", "lin_tol", "-1"),
+    ("simulate", "solver", "comp_tol", "nan"),
+    ("simulate", "solver", "comp_tol", "-1"),
     ("invert", "inverse", "fd_step", "0")])
 def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,
                                                       section, key, value):

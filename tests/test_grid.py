@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from kslab.errors import GridTooCoarse, LengthMismatch
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_x,
-                        diff_matrix, discrete_norm, extract_traces,
+                        diff_matrix, diff_x_values, discrete_norm, extract_traces,
                         field_from_callable, trajectory_from_callable,
                         trapz_x)
 
@@ -108,6 +108,15 @@ def test_diff_matrix_rejects_unknown_axis_and_order():
         diff_matrix(g, 5, "x")
     with pytest.raises(ValueError):
         diff_matrix(g, 1, "z")
+
+
+def test_trajectory_derivative_is_c_ordered():
+    g = GridSpec(16, 32, 1.0)
+    traj = trajectory_from_callable(lambda t, x: np.sin(t + 3 * x), g)
+    for order in (1, 2, 3, 4):
+        d = diff_x_values(traj.values, g, order)
+        assert d.flags.c_contiguous
+        assert np.array_equal(d, (diff_matrix(g, order) @ traj.values.T).T)
 
 
 def test_diff_matrix_is_cached_and_read_only():

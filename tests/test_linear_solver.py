@@ -71,6 +71,26 @@ def test_lifting_length_mismatch():
         build_lifting(zero_boundary_data(other), g)
 
 
+def test_boundary_series_and_initial_profile_are_read_only(full_linear_case):
+    bd = full_case_bd(full_linear_case, GridSpec(16, 8, 1.0))
+    for arr in (bd.h1, bd.h2, bd.h3, bd.h4, bd.y0.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_with_source_shares_lifting_and_matches_fresh_data(full_linear_case):
+    g = GridSpec(32, 32, 1.0)
+    coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
+                       gamma=np.ones(33))
+    bd = full_case_bd(full_linear_case, g)
+    g2 = Trajectory(bd.g.values + np.outer(np.sin(g.t), g.x * (1 - g.x)), g)
+    bd2 = bd.with_source(g2)
+    assert bd2.g is g2 and bd2.lifting is bd.lifting
+    fresh = BoundaryData(bd.h1, bd.h2, bd.h3, bd.h4, bd.y0, g2)
+    assert np.array_equal(solve_linear_full(coeff, bd2, g, comp_tol=1.0).values,
+                          solve_linear_full(coeff, fresh, g, comp_tol=1.0).values)
+
+
 # ---------------------------------------------------------- principal solve
 def test_principal_zero_solution():
     g = GridSpec(16, 16, 1.0)

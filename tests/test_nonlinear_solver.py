@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import kslab.linear_solver as linear_solver
+import kslab.nonlinear_solver as nonlinear_solver
 from conftest import make_coeff, nonlinear_bd
 from kslab.errors import NoConvergence, ZeroDenominator
 from kslab.grid import (GridSpec, Trajectory, trajectory_from_callable)
-from kslab.linear_solver import solve_linear_full, zero_boundary_data
+from kslab.linear_solver import zero_boundary_data
 from kslab.nonlinear_solver import (NonlinearSolveConfig, contraction_probe,
-                                    solve_ks)
+                                    smallness, solve_ks)
 
 
 def test_config_validation():
@@ -42,17 +43,6 @@ def test_manufactured_convergence_and_ratios(nonlinear_case):
     assert np.log2(errs[0] / errs[1]) >= 1.7
 
 
-def test_nonlinearity_off_hook_matches_linear(nonlinear_case):
-    g = GridSpec(32, 16, 1.0)
-    coeff = make_coeff(g, gamma=np.ones(33))
-    bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    y_off, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g,
-                          nonlinearity=False)
-    z_lin = solve_linear_full(coeff, bd, g)
-    assert np.abs(y_off.values - z_lin.values).max() <= 1e-12
-    assert rep.converged
-
-
 def test_delta_sweep_monotone_ratios_and_threshold(nonlinear_case):
     g = GridSpec(32, 32, 2.0)
     coeff = make_coeff(g, gamma=np.ones(33))
@@ -78,12 +68,11 @@ def test_delta_sweep_monotone_ratios_and_threshold(nonlinear_case):
 
 def test_epsilon_report_smallness(nonlinear_case):
     g = GridSpec(32, 16, 1.0)
-    coeff = make_coeff(g, gamma=np.ones(33))
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    _, rep = solve_ks(coeff, bd, NonlinearSolveConfig(epsilon_report=True), g)
-    assert rep.smallness is not None
-    assert rep.smallness["y0_H4x"] > 0
-    assert set(rep.smallness) >= {"y0_H4x", "g_F", "h1_H2t", "h4_H2t"}
+    report = smallness(bd, g)
+    assert report is not None
+    assert report["y0_H4x"] > 0
+    assert set(report) >= {"y0_H4x", "g_F", "h1_H2t", "h4_H2t"}
 
 
 def test_probe_zero_denominator(nonlinear_case):
@@ -134,23 +123,31 @@ def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
 
 
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
-    counts = {"operator_matrix": 0, "splu": 0}
+    counts = {"operator_matrix": 0, "splu": 0, "build_lifting": 0,
+              "solve_linear_full": 0}
 
-    def counted(name):
-        fn = getattr(linear_solver, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(linear_solver, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("operator_matrix")
-    counted("splu")
+    counted(linear_solver, "operator_matrix")
+    counted(linear_solver, "splu")
+    counted(linear_solver, "build_lifting")
+    counted(nonlinear_solver, "solve_linear_full")
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
     y, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
     assert rep.iterations >= 2
-    assert counts == {"operator_matrix": 1, "splu": 1}
+    # one linear solve per sweep plus the first, on one CN system and one
+    # boundary lifting
+    calls = rep.iterations + 1
+    assert counts == {"operator_matrix": 1, "splu": 1, "build_lifting": 1,
+                      "solve_linear_full": calls}
     contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
-    assert counts == {"operator_matrix": 1, "splu": 1}
+    assert counts == {"operator_matrix": 1, "splu": 1, "build_lifting": 1,
+                      "solve_linear_full": calls + 2}
