@@ -12,11 +12,13 @@ the trapezoidal (Crank-Nicolson) one-step scheme
 
 on the interior equation slots; the four equation slots nearest the boundary
 are replaced by the clamped constraints z = h1, h2 (identity rows) and
-z_x = h3, h4 (one-sided first-derivative rows) at time t^{n+1}.  The one-step
-matrix is banded (half-bandwidth 2).  The operator, the one-step matrix and
-its factorization are built once per coefficient field (once per time slot
-when G1/G2 are present) and shared by the steps, the Picard sweeps and the
-residual.
+z_x = h3, h4 (one-sided first-derivative rows) at time t^{n+1}.  Both halves
+are banded: A has half-bandwidth 5 (the 5-node closures of D2), the clamped
+one-step matrix M half-bandwidth 3 (the 5-node slope rows).  The operator,
+the explicit half and the LAPACK band LU of M are built once per coefficient
+field (once per time slot when G1/G2 are present) and shared by the steps,
+the Picard sweeps and the residual.  A step is one banded product and one
+banded solve; the finite-value and residual checks run once per march.
 
 Inhomogeneous boundary data enters through the cubic lifting
 psi(t,x) = sum_j p_j(x) h_j(t); the solver marches the remainder w with the
@@ -28,11 +30,12 @@ copies share it), so a Picard sweep is one source update plus one march.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (CompatibilityViolation, LengthMismatch, SingularSystem)
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
@@ -96,7 +99,8 @@ class BoundaryData:
             if not np.all(np.isfinite(h)):
                 raise ValueError(f"{name} contains non-finite entries")
             h.flags.writeable = False
-        # the cached lifting is only valid while h1..h4 and y0 stay put
+        # the cached lifting and corner gaps are only valid while h1..h4 and
+        # y0 stay put
         self.y0.values.flags.writeable = False
 
     @property
@@ -107,22 +111,28 @@ class BoundaryData:
     def lifting(self) -> "LiftingField":
         return build_lifting(self, self.grid)
 
-    def with_source(self, g: Trajectory) -> "BoundaryData":
-        """The same h1..h4 and y0 with source g, sharing this lifting."""
-        bd = replace(self, g=g)
-        bd.__dict__["lifting"] = self.lifting
-        return bd
-
-    def check_compatibility(self, comp_tol: float = DEFAULT_COMP_TOL):
-        """Corner compatibility of y0 with h_j(0), with y0' taken discretely."""
+    @cached_property
+    def corner_gaps(self) -> dict:
+        """Corner gaps of y0 against h_j(0), with y0' taken discretely."""
         y0p = diff_x_values(self.y0.values, self.grid, 1)
-        gaps = {
+        return {
             "y0(0)=h1(0)": abs(self.y0.values[0] - self.h1[0]),
             "y0(1)=h2(0)": abs(self.y0.values[-1] - self.h2[0]),
             "y0'(0)=h3(0)": abs(y0p[0] - self.h3[0]),
             "y0'(1)=h4(0)": abs(y0p[-1] - self.h4[0]),
         }
-        bad = {k: v for k, v in gaps.items() if v > comp_tol}
+
+    def with_source(self, g: Trajectory) -> "BoundaryData":
+        """The same h1..h4 and y0 with source g, sharing this lifting and
+        these corner gaps."""
+        bd = replace(self, g=g)
+        bd.__dict__["lifting"] = self.lifting
+        bd.__dict__["corner_gaps"] = self.corner_gaps
+        return bd
+
+    def check_compatibility(self, comp_tol: float = DEFAULT_COMP_TOL):
+        """Corner compatibility of y0 with h_j(0)."""
+        bad = {k: v for k, v in self.corner_gaps.items() if v > comp_tol}
         if bad:
             raise CompatibilityViolation(
                 f"compatibility gaps exceed comp_tol={comp_tol:g}: {bad}")
@@ -168,6 +178,14 @@ class LiftingField:
     w0: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _slope_rows(grid: GridSpec) -> np.ndarray:
+    """Rows 0 and nx of D1, dense: the one-sided slopes at x = 0 and x = 1."""
+    rows = diff_matrix(grid, 1, "x")[[0, grid.nx]].toarray()
+    rows.flags.writeable = False
+    return rows
+
+
 def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
     """Interpolate the four boundary series with the cubic shape functions.
 
@@ -179,10 +197,9 @@ def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
     x = grid.x
     psi = (np.outer(bd.h1, _p1(x)) + np.outer(bd.h2, _p2(x))
            + np.outer(bd.h3, _p3(x)) + np.outer(bd.h4, _p4(x)))
-    D1 = diff_matrix(grid, 1, "x")
+    d_left, d_right = _slope_rows(grid)
     return LiftingField(Trajectory(psi, grid), -(psi[1:] - psi[:-1]) / grid.dt,
-                        bd.h3 - psi @ D1[0].toarray().ravel(),
-                        bd.h4 - psi @ D1[grid.nx].toarray().ravel(),
+                        bd.h3 - psi @ d_left, bd.h4 - psi @ d_right,
                         bd.y0.values - psi[0])
 
 
@@ -203,40 +220,38 @@ def operator_matrix(coeff: CoefficientField, grid: GridSpec,
 class _CNSystem:
     """The Crank-Nicolson system of one coefficient field on its own grid.
 
-    ``ops[n]`` is the operator at time slot n and ``steps[n]`` holds the
-    clamped one-step matrix M of the step to t^{n+1}, its LU factor and
-    |M|_inf.  Without G1/G2 every slot shares one operator and one step.
+    ``ops[n]`` is the operator A at time slot n.  The step to t^{n+1} reads
+    ``explicit[n]``, the explicit half B = I/dt - A^n/2 with its four
+    constraint rows zeroed, in LAPACK band storage, and ``steps[n]``: the
+    banded LU factor (lu, piv) of the clamped one-step matrix
+    M = I/dt + A^{n+1}/2 and |M|_inf.  Without G1/G2 every slot shares one
+    operator and one step.
     """
 
     def __init__(self, coeff: CoefficientField):
         grid = self.grid = coeff.sigma.grid
-        D1 = diff_matrix(grid, 1, "x")
-        self.d_left = D1[0].toarray().ravel()
-        self.d_right = D1[grid.nx].toarray().ravel()
+        nx, nt, dt = grid.nx, grid.nt, grid.dt
         if coeff.G1 is None and coeff.G2 is None:
             self.shared = operator_matrix(coeff, grid)
-            self.ops = [self.shared] * (grid.nt + 1)
-            self.steps = [self._step(self.shared)] * grid.nt
+            self.ops = [self.shared] * (nt + 1)
+            a_now = a_next = _band(self.shared, _KA)[None]  # one slot for all
         else:
             self.shared = None
-            self.ops = [operator_matrix(coeff, grid, n) for n in range(grid.nt + 1)]
-            self.steps = [self._step(A) for A in self.ops[1:]]
+            self.ops = [operator_matrix(coeff, grid, n) for n in range(nt + 1)]
+            a = np.array([_band(A, _KA) for A in self.ops])
+            a_now, a_next = a[:-1], a[1:]
 
-    def _step(self, A: sparse.csr_matrix):
-        nx = self.grid.nx
-        M = (sparse.identity(nx + 1) / self.grid.dt + 0.5 * A).tolil()
-        M[0] = 0.0
-        M[0, 0] = 1.0
-        M[1] = self.d_left
-        M[nx - 1] = self.d_right
-        M[nx] = 0.0
-        M[nx, nx] = 1.0
-        M = M.tocsc()
-        try:
-            lu = splu(M)
-        except RuntimeError as exc:
-            raise SingularSystem(f"one-step factorization failed: {exc}") from exc
-        return M, lu, abs(M).sum(axis=1).max()
+        B = -0.5 * a_now[:, _KA - _KB:_KA + _KB + 1]
+        B[:, _KB] += 1 / dt
+        M = 0.5 * a_next[:, _KA - _KM:_KA + _KM + 1]
+        M[:, _KM] += 1 / dt
+        unit, zero = np.eye(nx + 1), np.zeros(nx + 1)
+        d_left, d_right = _slope_rows(grid)
+        for i, row in ((0, unit[0]), (1, d_left), (nx - 1, d_right), (nx, unit[nx])):
+            _set_row(B, _KB, i, zero)
+            _set_row(M, _KM, i, row)
+        self.explicit = [np.asfortranarray(b) for b in B] * (nt // len(B))
+        self.steps = [_factor(m) for m in M] * (nt // len(M))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """A z on every time row of a trajectory array."""
@@ -245,38 +260,85 @@ class _CNSystem:
         return np.array([A @ row for A, row in zip(self.ops, z)])
 
 
+# half-bandwidths in LAPACK band storage, ab[k + i - j, j] = A[i, j]: A (the
+# 5-node D2 closures), M (the 5-node slope rows) and B (centred rows only)
+_KA, _KM, _KB = 5, 3, 2
+
+
+def _band(A: sparse.csr_matrix, k: int) -> np.ndarray:
+    """A in band storage with k sub- and k super-diagonals."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    ab = np.zeros((2 * k + 1, n))
+    ab[k + rows - A.indices, A.indices] = A.data
+    return ab
+
+
+def _set_row(ab: np.ndarray, k: int, i: int, row: np.ndarray):
+    """Overwrite row i of the band matrices ab[:, 2k+1, N] with row."""
+    j = np.arange(max(0, i - k), min(ab.shape[-1], i + k + 1))
+    ab[:, k + i - j, j] = row[j]
+
+
+def _factor(m_band: np.ndarray):
+    """Banded LU (lu, piv) of the one-step matrix and its |M|_inf."""
+    k, n = _KM, m_band.shape[-1]
+    ab = np.zeros((3 * k + 1, n), order="F")
+    ab[k:] = m_band
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
+    if info != 0:
+        raise SingularSystem(f"one-step factorization failed: dgbtrf info={info}")
+    # rows summed column by column in order, as a sparse row sum adds them
+    row_sums = np.zeros(n)
+    for d in range(-k, k + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        row_sums[lo:hi] += np.abs(m_band[k - d, lo + d:hi + d])
+    return lu, piv, row_sums.max()
+
+
 def _march(system: _CNSystem, fhat: np.ndarray, lift: LiftingField,
            lin_tol: float) -> np.ndarray:
     """CN march of the lifting remainder w from lift.w0.
 
     The value rows hold w = 0 and the slope rows the lifting's slope targets
     at t^{n+1}; the lifting's step term is added to each step unaveraged.
+    The constant part of every step's right-hand side is built at once, so a
+    step is one banded product (rhs = B w^n + c^n) and one banded solve; the
+    checks run once, on the whole march, and name the first failing step.
     """
     grid = system.grid
-    nx, nt, dt = grid.nx, grid.nt, grid.dt
+    nx, nt = grid.nx, grid.nt
     interior = slice(2, nx - 1)
 
+    rhs = np.zeros((nt, nx + 1))
+    rhs[:, interior] = (0.5 * (fhat[1:] + fhat[:-1]) + lift.step)[:, interior]
+    rhs[:, 1], rhs[:, nx - 1] = lift.neum0[1:], lift.neum1[1:]
     z = np.empty((nt + 1, nx + 1))
     z[0] = lift.w0
-    for n in range(nt):
-        M, lu, m_norm = system.steps[n]
-        rhs = np.empty(nx + 1)
-        rhs[interior] = (z[n] / dt - 0.5 * (system.ops[n] @ z[n])
-                         + 0.5 * (fhat[n + 1] + fhat[n]))[interior]
-        rhs[interior] += lift.step[n][interior]
-        rhs[0], rhs[1] = 0.0, lift.neum0[n + 1]
-        rhs[nx - 1], rhs[nx] = lift.neum1[n + 1], 0.0
+    for n, (B, (lu, piv, _)) in enumerate(zip(system.explicit, system.steps)):
+        rhs[n] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[n], beta=1.0,
+                       y=rhs[n], overwrite_y=1)
+        z[n + 1] = dgbtrs(lu, _KM, _KM, rhs[n], piv)[0]
 
-        znew = lu.solve(rhs)
-        if not np.all(np.isfinite(znew)):
+    # the finite and residual checks of every step at once; M z^{n+1} is
+    # formed from A and the constraint rows, independently of the band storage
+    znew = z[1:]
+    finite = np.isfinite(znew).all(axis=1)
+    m_norm = np.array([m for _, _, m in system.steps])
+    with np.errstate(invalid="ignore"):
+        Mz = znew / grid.dt + 0.5 * system.apply(z)[1:]
+        Mz[:, [0, nx]] = znew[:, [0, nx]]
+        Mz[:, [1, nx - 1]] = znew @ _slope_rows(grid).T
+        res = np.abs(Mz - rhs).max(axis=1)
+        scale = m_norm * np.abs(znew).max(axis=1) + np.abs(rhs).max(axis=1)
+        bad = ~finite | (res > lin_tol * np.maximum(scale, 1e-300))
+    if bad.any():
+        n = int(np.argmax(bad))
+        if not finite[n]:
             raise SingularSystem("one-step solve produced non-finite values")
-        res = np.abs(M @ znew - rhs).max()
-        scale = m_norm * np.abs(znew).max() + np.abs(rhs).max()
-        if res > lin_tol * max(scale, 1e-300):
-            raise SingularSystem(
-                f"step {n}: relative residual {res / scale:.2e} exceeds "
-                f"lin_tol={lin_tol:g} (ill-conditioned one-step system)")
-        z[n + 1] = znew
+        raise SingularSystem(
+            f"step {n}: relative residual {res[n] / scale[n]:.2e} exceeds "
+            f"lin_tol={lin_tol:g} (ill-conditioned one-step system)")
     return z
 
 

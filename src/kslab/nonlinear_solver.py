@@ -4,11 +4,12 @@ The nonlinearity y y_x is lagged: each sweep solves the linear system with
 source g - v v_x evaluated on the previous iterate, which is exactly the
 contraction map whose fixed point defines the solution.  Only the source
 changes between sweeps, so a sweep is one source update
-(``BoundaryData.with_source``, which keeps the lifting built once) plus one
-march.  The sweep history (update norms and contraction ratios) is part of
-the result, because the contraction behavior itself is a test target: ratios
-approach a limit proportional to the data size, and the iteration is expected
-to break down once the data leaves the small-data regime.
+(``BoundaryData.with_source``, which keeps the lifting and the corner gaps
+built once) plus one march.  The sweep history (update norms and
+contraction ratios) is part of the result, because the contraction behavior
+itself is a test target: ratios approach a limit proportional to the data
+size, and the iteration is expected to break down once the data leaves the
+small-data regime.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ class PicardReport:
     converged: bool = False
 
 
-def _lagged_source(bd: BoundaryData, v: np.ndarray, grid: GridSpec) -> BoundaryData:
-    """bd with the source g - v v_x; it shares bd's lifting."""
+def _lagged_source(bd: BoundaryData, v: np.ndarray, grid: GridSpec) -> Trajectory:
+    """The lagged source g - v v_x."""
     vvx = v * diff_x_values(v, grid, 1)
     if not np.all(np.isfinite(vvx)):
         raise NoConvergence("fixed-point iterate overflowed")
-    return bd.with_source(Trajectory(bd.g.values - vvx, grid))
+    return Trajectory(bd.g.values - vvx, grid)
 
 
 def smallness(bd: BoundaryData, grid: GridSpec) -> dict:
@@ -98,7 +99,7 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
     try:
         prev_update = None
         for k in range(1, cfg.max_picard + 1):
-            bd_k = _lagged_source(bd, v.values, grid)
+            bd_k = bd.with_source(_lagged_source(bd, v.values, grid))
             v_new = solve_linear_full(coeff, bd_k, grid, cfg.comp_tol, cfg.lin_tol)
             update = discrete_norm(
                 Trajectory(v_new.values - v.values, grid), "L2Q")
@@ -131,7 +132,7 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
             raise NoConvergence(
                 f"no convergence in {cfg.max_picard} sweeps "
                 f"(last update {report.update_norms[-1]:.3e})")
-        fhat = _lagged_source(bd, v.values, grid).g
+        fhat = _lagged_source(bd, v.values, grid)
     except NoConvergence as exc:
         exc.report = report
         raise
@@ -148,9 +149,9 @@ def contraction_probe(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
     den = discrete_norm(Trajectory(v.values - w.values, grid), "L2Q")
     if den == 0.0:
         raise ZeroDenominator("contraction probe needs v != w")
-    lv = solve_linear_full(coeff, _lagged_source(bd, v.values, grid), grid,
-                           comp_tol, lin_tol)
-    lw = solve_linear_full(coeff, _lagged_source(bd, w.values, grid), grid,
-                           comp_tol, lin_tol)
+    lv = solve_linear_full(coeff, bd.with_source(_lagged_source(bd, v.values, grid)),
+                           grid, comp_tol, lin_tol)
+    lw = solve_linear_full(coeff, bd.with_source(_lagged_source(bd, w.values, grid)),
+                           grid, comp_tol, lin_tol)
     num = discrete_norm(Trajectory(lv.values - lw.values, grid), "L2Q")
     return num / den

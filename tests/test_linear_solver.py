@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_coeff
-from kslab.errors import CompatibilityViolation, GridMismatch, LengthMismatch
+from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
+                          SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, field_from_callable,
                         trajectory_from_callable, trapz_qt, trapz_x)
@@ -226,6 +227,72 @@ def test_full_solver_linearity(seed, a, b):
     assert np.abs(zc.values - combo).max() <= 1e-10 * scale
 
 
+def dense_march_reference(coeff, bd, grid):
+    """solve_linear_full step by step with dense matrices: one operator and
+    one clamped one-step matrix per time slot, each step np.linalg.solve."""
+    nx, nt, dt = grid.nx, grid.nt, grid.dt
+    D1 = diff_matrix(grid, 1, "x").toarray()
+    ops = [operator_matrix(coeff, grid, n).toarray() for n in range(nt + 1)]
+    lift = bd.lifting
+    psi = lift.psi.values
+    fhat = bd.g.values - np.array([A @ row for A, row in zip(ops, psi)])
+    w = np.empty_like(psi)
+    w[0] = lift.w0
+    for n in range(nt):
+        M = np.eye(nx + 1) / dt + 0.5 * ops[n + 1]
+        M[[0, nx]] = 0.0
+        M[0, 0] = M[nx, nx] = 1.0
+        M[1], M[nx - 1] = D1[0], D1[nx]
+        rhs = (w[n] / dt - 0.5 * ops[n] @ w[n]
+               + 0.5 * (fhat[n + 1] + fhat[n]) + lift.step[n])
+        rhs[[0, nx]] = 0.0
+        rhs[1], rhs[nx - 1] = lift.neum0[n + 1], lift.neum1[n + 1]
+        w[n + 1] = np.linalg.solve(M, rhs)
+    return w + psi
+
+
+def time_dependent_coeff(g):
+    # G1 = ytilde and G2 = ytilde_x, as in the time-derived difference system
+    yt = trajectory_from_callable(
+        lambda t, x: 0.3 * np.exp(-t) * (1 + x ** 2) + 0.1 * np.sin(t + 2 * x), g)
+    return make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(g.nx + 1), G1=yt,
+                      G2=Trajectory(diff_x_values(yt.values, g, 1), g))
+
+
+@pytest.mark.parametrize("kind", ["variable-sigma", "G1-G2"])
+def test_march_matches_dense_step_reference(full_linear_case, kind):
+    g = GridSpec(32, 48, 2.0)
+    if kind == "G1-G2":
+        coeff = time_dependent_coeff(g)
+    else:
+        coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
+                           gamma=np.ones(33))
+    bd = full_case_bd(full_linear_case, g)
+    z = solve_linear_full(coeff, bd, g, comp_tol=1.0)
+    ref = dense_march_reference(coeff, bd, g)
+    assert np.abs(z.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_march_residual_check_reports_first_step(full_linear_case):
+    g = GridSpec(16, 16, 1.0)
+    coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
+                       gamma=np.ones(17))
+    bd = full_case_bd(full_linear_case, g)
+    with pytest.raises(SingularSystem, match="step 0: relative residual"):
+        solve_linear_full(coeff, bd, g, comp_tol=1.0, lin_tol=1e-30)
+
+
+@pytest.mark.parametrize("kind", ["constant", "G1-G2"])
+def test_march_non_finite_source_raises(full_linear_case, kind):
+    g = GridSpec(16, 16, 1.0)
+    coeff = (time_dependent_coeff(g) if kind == "G1-G2"
+             else make_coeff(g, gamma=np.ones(17)))
+    bd = full_case_bd(full_linear_case, g)
+    bd.g.values[3, 5] = np.inf  # a Trajectory checks finiteness when built
+    with pytest.raises(SingularSystem, match="non-finite"):
+        solve_linear_full(coeff, bd, g, comp_tol=1.0)
+
+
 @pytest.mark.parametrize("other", [GridSpec(16, 32, 1.0), GridSpec(32, 16, 1.0)],
                          ids=["nt", "nx"])
 def test_coefficient_field_from_another_grid_is_rejected(other):
@@ -288,12 +355,8 @@ def test_residual_matches_step_reference_variable_sigma(full_linear_case):
 
 
 def test_residual_matches_step_reference_time_dependent():
-    # G1 = ytilde and G2 = ytilde_x, as in the time-derived difference system
     g = GridSpec(24, 32, 1.0)
-    yt = trajectory_from_callable(
-        lambda t, x: 0.3 * np.exp(-t) * (1 + x ** 2) + 0.1 * np.sin(t + 2 * x), g)
-    coeff = make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(25), G1=yt,
-                       G2=Trajectory(diff_x_values(yt.values, g, 1), g))
+    coeff = time_dependent_coeff(g)
     z = trajectory_from_callable(
         lambda t, x: np.cos(t) * x ** 2 * (1 - x) ** 2 + 0.01 * t * x, g)
     fhat = trajectory_from_callable(lambda t, x: np.sin(3 * t) * (1 + x), g)

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 import kslab.linear_solver as linear_solver
 import kslab.nonlinear_solver as nonlinear_solver
 from conftest import make_coeff, nonlinear_bd
+from kslab.config import RunConfig
 from kslab.errors import NoConvergence, ZeroDenominator
 from kslab.grid import (GridSpec, Trajectory, trajectory_from_callable)
 from kslab.linear_solver import zero_boundary_data
@@ -66,6 +69,21 @@ def test_delta_sweep_monotone_ratios_and_threshold(nonlinear_case):
     assert threshold is not None
 
 
+@pytest.mark.parametrize("nx,nt", [(1024, 256), (512, 512), (2048, 512)])
+def test_manufactured_config_converges_on_fine_grids(nx, nt):
+    # the updates reach the linear solver's roundoff here; they must still
+    # read as converged, not as data outside the small-data regime
+    cfg = RunConfig.from_file(os.path.join(
+        os.path.dirname(__file__), "..", "configs", "simulate_manufactured.cfg"))
+    g = GridSpec(nx, nt, 2.0)
+    y, rep = solve_ks(cfg.coefficients(g), cfg.boundary_data(g),
+                      cfg.nonlinear_config(), g)
+    assert rep.converged
+    exact = trajectory_from_callable(
+        lambda t, x: 0.01 * np.exp(-t) * x ** 2 * (1 - x) ** 2, g)
+    assert np.abs(y.values - exact.values).max() <= 1e-7  # the config's bound
+
+
 def test_epsilon_report_smallness(nonlinear_case):
     g = GridSpec(32, 16, 1.0)
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
@@ -123,7 +141,7 @@ def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
 
 
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
-    counts = {"operator_matrix": 0, "splu": 0, "build_lifting": 0,
+    counts = {"operator_matrix": 0, "dgbtrf": 0, "build_lifting": 0,
               "solve_linear_full": 0}
 
     def counted(module, name):
@@ -135,7 +153,7 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(linear_solver, "operator_matrix")
-    counted(linear_solver, "splu")
+    counted(linear_solver, "dgbtrf")
     counted(linear_solver, "build_lifting")
     counted(nonlinear_solver, "solve_linear_full")
     g = GridSpec(16, 16, 1.0)
@@ -146,8 +164,8 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
     # one linear solve per sweep plus the first, on one CN system and one
     # boundary lifting
     calls = rep.iterations + 1
-    assert counts == {"operator_matrix": 1, "splu": 1, "build_lifting": 1,
+    assert counts == {"operator_matrix": 1, "dgbtrf": 1, "build_lifting": 1,
                       "solve_linear_full": calls}
     contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
-    assert counts == {"operator_matrix": 1, "splu": 1, "build_lifting": 1,
+    assert counts == {"operator_matrix": 1, "dgbtrf": 1, "build_lifting": 1,
                       "solve_linear_full": calls + 2}
