@@ -29,7 +29,7 @@ _KNOWN = {
     "carleman": {"t0", "lambda", "eta", "ensemble", "modes", "seed", "m",
                  "c_cap"},
     "inverse": {"gamma_tilde", "t0", "noise", "seed", "m1", "m2", "r_floor",
-                "tikhonov_alpha", "max_outer", "grad_tol", "modes", "fd_step",
+                "tikhonov_alpha", "max_outer", "grad_tol", "modes",
                 "perturbation", "amplitudes", "c_cap"},
     "output": {"dir"},
 }
@@ -201,13 +201,12 @@ class RunConfig:
                 tikhonov_alpha=self._number("inverse", "tikhonov_alpha", 1e-10),
                 max_outer=self._int("inverse", "max_outer", 40),
                 grad_tol=self._number("inverse", "grad_tol", 1e-9),
-                n_modes=self._int("inverse", "modes", 8),
-                fd_step=self._number("inverse", "fd_step", 1e-6))
+                n_modes=self._int("inverse", "modes", 8))
         except ValueError as exc:
             raise ConfigError(f"[inverse] invalid: {exc}") from exc
         gamma_tilde = self._expr("inverse", "gamma_tilde", ("x",),
                                  default="0")(x=grid.x)
-        return {
+        block = {
             "cfg": cfg,
             "gamma_tilde": ScalarField1D(gamma_tilde, grid),
             "T0": self._number("inverse", "t0", grid.T / 2.0),
@@ -219,6 +218,13 @@ class RunConfig:
                                            "1e-3,2e-3,4e-3"),
             "c_cap": self._number("inverse", "c_cap", 1e3),
         }
+        if not 0 < block["T0"] < grid.T:
+            raise ConfigError(f"[inverse] t0 = {block['T0']:g} must lie in "
+                              f"(0, {grid.T:g})")
+        if not block["noise"] >= 0:
+            raise ConfigError(f"[inverse] noise = {block['noise']:g} must be "
+                              f">= 0")
+        return block
 
     def output_block(self) -> dict:
         return {"dir": self._get("output", "dir", "out")}

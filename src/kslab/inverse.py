@@ -6,8 +6,9 @@ at x=0 over (0,T), plus the full profile at the grid time nearest T0.  The
 reconstruction is regularized output least squares over a low-dimensional
 spectral parameterization of gamma (constant plus the leading sine/cosine
 modes), driven by a Levenberg-Marquardt iteration on the stacked misfit
-with a forward-difference Jacobian (one forward solve per parameter per
-Jacobian) and an L-infinity projection of each trial iterate.
+with the tangent-linear Jacobian (one linear solve per parameter on the
+K-S system linearized at the current iterate) and an L-infinity projection
+of each trial iterate.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, the
 trajectory norm surrogate stays below M2, and the reference snapshot
@@ -61,11 +62,12 @@ class InverseConfig:
     max_outer: int = 40
     grad_tol: float = 1e-9
     n_modes: int = 8            # spectral modes of the gamma parameterization
-    fd_step: float = 1e-6
 
     def __post_init__(self):
-        if min(self.M1, self.M2, self.r_floor, self.grad_tol, self.fd_step) <= 0:
-            raise ValueError("caps, r_floor, grad_tol and fd_step must be positive")
+        if min(self.M1, self.M2, self.r_floor, self.grad_tol) <= 0:
+            raise ValueError("caps, r_floor and grad_tol must be positive")
+        if self.n_modes < 0:
+            raise ValueError("n_modes must be nonnegative")
         if self.tikhonov_alpha < 0:
             raise ValueError("tikhonov_alpha must be nonnegative")
         if self.max_outer < 1:
@@ -132,6 +134,14 @@ def difference_system_residual(y: Trajectory, ytilde: Trajectory,
     return l2
 
 
+def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField:
+    """coeff with the advection G1 = y and reaction G2 = y_x of the K-S
+    system linearized at y."""
+    return CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
+                            G2=Trajectory(diff_x_values(y.values, y.grid, 1),
+                                          y.grid))
+
+
 def time_derived_difference(u: Trajectory, f: ScalarField1D,
                             ytilde: Trajectory, y: Trajectory,
                             coeff: CoefficientField, grid: GridSpec,
@@ -150,13 +160,10 @@ def time_derived_difference(u: Trajectory, f: ScalarField1D,
     u_x = diff_x_values(u.values, grid, 1)
     g = u.values * y_xt + u_x * y_t
     src = Trajectory(f.values * yt_xxt - g, grid)
-    coeff_v = CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0,
-                               G1=ytilde,
-                               G2=Trajectory(diff_x_values(ytilde.values, grid, 1),
-                                             grid))
     v0 = ScalarField1D(f.values * yt_xx[0], grid)
     bd = zero_boundary_data(grid, y0=v0, g=src)
-    return solve_linear_full(coeff_v, bd, grid, comp_tol=np.inf, lin_tol=lin_tol)
+    return solve_linear_full(linearized_field(coeff, ytilde), bd, grid,
+                             comp_tol=np.inf, lin_tol=lin_tol)
 
 
 def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
@@ -279,10 +286,12 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     Minimizes the squared H1-in-time trace misfits plus the squared H4
     snapshot misfit plus tikhonov_alpha * |gamma - gamma_tilde|^2_{H2} over
     the spectral parameterization.  The quasi-Newton iteration is
-    Levenberg-Marquardt on the stacked misfit residual with a
-    forward-difference Jacobian (one solve per parameter per sweep) and an
-    L-infinity projection of the iterate; accepted iterates have
-    nonincreasing J.
+    Levenberg-Marquardt on the stacked misfit residual with the
+    tangent-linear Jacobian and an L-infinity projection of the iterate;
+    accepted iterates have nonincreasing J.  Column m of the Jacobian at the
+    iterate y is the misfit stack of dy, the solution of the K-S system
+    linearized at y with zero data and source -b_m y_xx: the exact
+    derivative of the discrete map, one linear solve per basis profile b_m.
     """
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
@@ -296,6 +305,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
 
     basis = gamma_basis(grid, cfg.n_modes)
     n_par = basis.shape[0]
+    zero_bd = zero_boundary_data(grid)
     solves = 0
 
     swt = np.sqrt(trapz_weights(grid.nt + 1, grid.dt))
@@ -315,8 +325,20 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         scale = room / np.abs(theta @ basis).max()
         return theta * min(1.0, 0.999 * scale)
 
-    def residual(theta: np.ndarray) -> np.ndarray:
-        """Stacked misfit whose squared norm is exactly the objective J."""
+    def stack(t2, t3, ds, dg) -> np.ndarray:
+        """Misfit stack of trace, snapshot and gamma gaps (linear in each)."""
+        parts = []
+        for d in (t2, t3):
+            parts += [swt * d, swt * diff_t_values(d, grid, 1)]
+        parts += [swx * ds] + [swx * diff_x_values(ds, grid, k)
+                               for k in range(1, 5)]
+        parts += [sqrt_alpha * swx * dg] + [
+            sqrt_alpha * swx * diff_x_values(dg, grid, k) for k in (1, 2)]
+        return np.concatenate(parts)
+
+    def residual(theta: np.ndarray):
+        """Stacked misfit whose squared norm is exactly the objective J, and
+        the K-S system linearized at the solve."""
         nonlocal solves
         gv = gamma_of(theta)
         coeff_g = CoefficientField(coeff_tilde.sigma,
@@ -324,17 +346,19 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         y, _ = solve_ks(coeff_g, bd, solve_cfg, grid)
         solves += 1
         t2, t3 = extract_traces(y)
-        parts = []
-        for sim, data in ((t2, meas.trace2), (t3, meas.trace3)):
-            d = sim - data
-            parts += [swt * d, swt * diff_t_values(d, grid, 1)]
-        ds = y.values[n0] - meas.snapshot.values
-        parts += [swx * ds] + [swx * diff_x_values(ds, grid, k)
-                               for k in range(1, 5)]
-        dg = gv - gamma_tilde.values
-        parts += [sqrt_alpha * swx * dg] + [
-            sqrt_alpha * swx * diff_x_values(dg, grid, k) for k in (1, 2)]
-        return np.concatenate(parts)
+        return stack(t2 - meas.trace2, t3 - meas.trace3,
+                     y.values[n0] - meas.snapshot.values,
+                     gv - gamma_tilde.values), linearized_field(coeff_g, y)
+
+    def jacobian(lin: CoefficientField) -> np.ndarray:
+        """The exact derivative of the stack at the iterate y = lin.G1."""
+        y_xx = diff_x_values(lin.G1.values, grid, 2)
+        cols = []
+        for b in basis:
+            dy = solve_linear_full(lin, zero_bd.with_source(
+                Trajectory(-b * y_xx, grid)), grid, lin_tol=solve_cfg.lin_tol)
+            cols.append(stack(*extract_traces(dy), dy.values[n0], b))
+        return np.array(cols).T
 
     def l2err(theta: np.ndarray):
         if gamma_true is None:
@@ -343,25 +367,12 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
 
     report = RecoveryReport(final_j=np.inf, grad_norm=np.inf)
     theta = np.zeros(n_par)
-    r = residual(theta)
+    r, lin = residual(theta)
     j_cur = float(r @ r)
-    if j_cur == 0.0:  # the anchor already reproduces the data exactly
-        report.final_j = 0.0
-        report.grad_norm = 0.0
-        report.converged = True
-        report.iterations.append((0, 0.0, 0.0, l2err(theta)))
-        report.l2_error = l2err(theta)
-        report.forward_solves = solves
-        return ScalarField1D(gamma_of(theta), grid), report
-
     mu = 0.0  # Marquardt damping, raised only on rejected steps
     grad_norm = np.inf
     for it in range(cfg.max_outer):
-        J = np.empty((r.size, n_par))
-        for m in range(n_par):
-            step = np.zeros(n_par)
-            step[m] = cfg.fd_step
-            J[:, m] = (residual(theta + step) - r) / cfg.fd_step
+        J = jacobian(lin)
         grad = 2.0 * (J.T @ r)
         grad_norm = float(np.linalg.norm(grad))
         report.iterations.append((it, j_cur, grad_norm, l2err(theta)))
@@ -380,10 +391,10 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
                 mu = max(mu * 10, 1e-20)
                 continue
             cand = project(theta + delta)
-            r_new = residual(cand)
+            r_new, lin_new = residual(cand)
             j_new = float(r_new @ r_new)
             if j_new < j_cur:
-                theta, r, j_cur = cand, r_new, j_new
+                theta, r, j_cur, lin = cand, r_new, j_new, lin_new
                 mu *= 0.3
                 accepted = True
                 break

@@ -206,12 +206,21 @@ def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
 def operator_matrix(coeff: CoefficientField, grid: GridSpec,
                     n: int | None = None) -> sparse.csr_matrix:
     """Spatial operator A (optionally at time slot n for G1/G2 terms)."""
-    D1 = diff_matrix(grid, 1, "x")
+    return _add_lower_order(_principal_part(coeff, grid), coeff, grid, n)
+
+
+def _principal_part(coeff: CoefficientField, grid: GridSpec):
+    """The time-independent part D2 sigma D2 + gamma D2 of A."""
     D2 = diff_matrix(grid, 2, "x")
-    A = D2 @ sparse.diags(coeff.sigma.values) @ D2 \
+    return D2 @ sparse.diags(coeff.sigma.values) @ D2 \
         + sparse.diags(coeff.gamma.values) @ D2
+
+
+def _add_lower_order(A, coeff: CoefficientField, grid: GridSpec,
+                     n: int | None) -> sparse.csr_matrix:
+    """A + G1[n] D1 + G2[n], the terms added in that order."""
     if coeff.G1 is not None:
-        A = A + sparse.diags(coeff.G1.values[n]) @ D1
+        A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(grid, 1, "x")
     if coeff.G2 is not None:
         A = A + sparse.diags(coeff.G2.values[n])
     return A.tocsr()
@@ -237,7 +246,9 @@ class _CNSystem:
             a_now = a_next = _band(self.shared, _KA)[None]  # one slot for all
         else:
             self.shared = None
-            self.ops = [operator_matrix(coeff, grid, n) for n in range(nt + 1)]
+            principal = _principal_part(coeff, grid)
+            self.ops = [_add_lower_order(principal, coeff, grid, n)
+                        for n in range(nt + 1)]
             a = np.array([_band(A, _KA) for A in self.ops])
             a_now, a_next = a[:-1], a[1:]
 

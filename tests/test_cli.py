@@ -240,7 +240,12 @@ gamma = 0
     ("simulate", "solver", "lin_tol", "-1"),
     ("simulate", "solver", "comp_tol", "nan"),
     ("simulate", "solver", "comp_tol", "-1"),
-    ("invert", "inverse", "fd_step", "0")])
+    ("invert", "inverse", "fd_step", "0"),
+    ("invert", "inverse", "t0", "5.0"),
+    ("stability-scan", "inverse", "t0", "0"),
+    ("invert", "inverse", "noise", "-1"),
+    ("invert", "inverse", "noise", "nan"),
+    ("invert", "inverse", "modes", "-2")])
 def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,
                                                       section, key, value):
     cfgfile = tmp_path / "bad.cfg"

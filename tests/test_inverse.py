@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import make_coeff
+from conftest import make_coeff, nonlinear_bd
 from kslab.errors import InfConditionViolated
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                         diff_x_values, discrete_norm, trapz_qt)
 from kslab.inverse import (InverseConfig, MeasurementSet, difference_system_residual,
-                           gamma_basis, recover_gamma, snapshot_index,
-                           stability_report, synthesize_measurements,
-                           time_derived_difference)
-from kslab.linear_solver import CoefficientField, zero_boundary_data
+                           gamma_basis, linearized_field, recover_gamma,
+                           snapshot_index, stability_report,
+                           synthesize_measurements, time_derived_difference)
+from kslab.linear_solver import (CoefficientField, solve_linear_full,
+                                 zero_boundary_data)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
 
 T0 = 1.0
@@ -30,6 +31,8 @@ def test_config_validation():
         InverseConfig(tikhonov_alpha=-1e-3)
     with pytest.raises(ValueError):
         InverseConfig(max_outer=0)
+    with pytest.raises(ValueError):
+        InverseConfig(n_modes=-1)
 
 
 def test_snapshot_index_nearest():
@@ -185,6 +188,54 @@ def test_gamma_basis_layout():
     assert np.allclose(basis[1], np.sin(np.pi * g.x))
     assert np.allclose(basis[2], np.cos(np.pi * g.x))
     assert np.allclose(basis[3], np.sin(2 * np.pi * g.x))
+
+
+def _solve_at(coeff, bd, g, gamma):
+    shifted = CoefficientField(coeff.sigma, ScalarField1D(gamma, g), coeff.sigma0)
+    return solve_ks(shifted, bd, NonlinearSolveConfig(), g)[0].values
+
+
+def _tangent(coeff, bd, g, b):
+    """dy for the gamma direction b: the linearized solve recover_gamma uses."""
+    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    src = Trajectory(-b * diff_x_values(y.values, g, 2), g)
+    dy = solve_linear_full(linearized_field(coeff, y),
+                           zero_boundary_data(g, g=src), g)
+    return y.values, dy.values
+
+
+@pytest.fixture(scope="module", params=["closed-loop", "nonlinear"])
+def tangent_case(request, loop48, nonlinear_case):
+    """The closed-loop data (y ~ 1e-2), and manufactured data with y ~ 6 whose
+    advection y y_x is strong enough that the linearized terms G1 = y and
+    G2 = y_x visibly shape the tangent."""
+    g, coeff, bd = loop48
+    if request.param == "nonlinear":
+        bd = nonlinear_bd(nonlinear_case, g, 100.0)
+    return g, coeff, bd
+
+
+@pytest.mark.parametrize("row", [0, 1, 8], ids=["constant", "sin", "mode8"])
+def test_tangent_taylor_remainder_is_second_order(tangent_case, row):
+    g, coeff, bd = tangent_case
+    b = gamma_basis(g, 8)[row]
+    y, dy = _tangent(coeff, bd, g, b)
+    hs = [0.1, 0.05, 0.025, 0.0125]
+    rem = [np.abs(_solve_at(coeff, bd, g, coeff.gamma.values + h * b) - y
+                  - h * dy).max() for h in hs]
+    ratios = [a / c for a, c in zip(rem, rem[1:])]
+    assert all(3.8 <= q <= 4.2 for q in ratios), ratios
+
+
+@pytest.mark.parametrize("row", [0, 1, 8], ids=["constant", "sin", "mode8"])
+def test_tangent_matches_central_difference(tangent_case, row):
+    g, coeff, bd = tangent_case
+    b = gamma_basis(g, 8)[row]
+    _, dy = _tangent(coeff, bd, g, b)
+    h = 1e-4
+    cd = (_solve_at(coeff, bd, g, coeff.gamma.values + h * b)
+          - _solve_at(coeff, bd, g, coeff.gamma.values - h * b)) / (2 * h)
+    assert np.abs(dy - cd).max() <= 1e-3 * np.abs(cd).max()
 
 
 def test_recover_zero_perturbation(loop48):
