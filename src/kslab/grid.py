@@ -139,16 +139,22 @@ def _unit_diff_matrix(n_nodes: int, order: int) -> sparse.csr_matrix:
     if n_nodes < m_side:
         raise GridTooCoarse(
             f"order-{order} stencils need at least {m_side} nodes, got {n_nodes}")
-    D = sparse.lil_matrix((n_nodes, n_nodes))
-    center = fd_weights(np.arange(-hw, hw + 1), order)
-    for i in range(hw, n_nodes - hw):
-        D[i, i - hw:i + hw + 1] = center
+    n = n_nodes
+    offsets = np.arange(-hw, hw + 1)
+    interior = np.arange(hw, n - hw)
+    rows = [np.repeat(interior, offsets.size)]
+    cols = [(interior[:, None] + offsets).ravel()]
+    vals = [np.tile(fd_weights(offsets, order), interior.size)]
     for i in range(hw):
-        # skewed stencil on the first m_side nodes, evaluated at node i
-        D[i, :m_side] = fd_weights(np.arange(m_side) - i, order)
-        j = n_nodes - 1 - i
-        D[j, n_nodes - m_side:] = fd_weights(np.arange(-m_side + 1, 1) + i, order)
-    return D.tocsr()
+        # skewed stencil on the first m_side nodes, evaluated at node i, and
+        # its mirror at the right end
+        rows += [np.full(m_side, i), np.full(m_side, n - 1 - i)]
+        cols += [np.arange(m_side), np.arange(n - m_side, n)]
+        vals += [fd_weights(np.arange(m_side) - i, order),
+                 fd_weights(np.arange(-m_side + 1, 1) + i, order)]
+    r, c, v = map(np.concatenate, (rows, cols, vals))
+    keep = v != 0  # no stored zeros, D1's centre weight among them
+    return sparse.csr_matrix((v[keep], (r[keep], c[keep])), shape=(n, n))
 
 
 @lru_cache(maxsize=None)

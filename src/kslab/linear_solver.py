@@ -20,11 +20,12 @@ field (once per time slot when G1/G2 are present) and shared by the steps,
 the Picard sweeps and the residual.  A step is one banded product and one
 banded solve; the finite-value and residual checks run once per march.
 
-Inhomogeneous boundary data enters through the cubic lifting
-psi(t,x) = sum_j p_j(x) h_j(t); the solver marches the remainder w with the
-lifting's contribution subtracted from the right-hand side and returns
-z = w + psi.  The lifting is built once per boundary data (``with_source``
-copies share it), so a Picard sweep is one source update plus one march.
+The solver marches z itself from y0, with h1..h4 at t^{n+1} on the
+constraint slots.  The constraint rows of M are O(1) and O(dx^-1) while the
+interior rows are O(dx^-4), so partial pivoting would swamp them: each
+constraint row and its right-hand-side entry are scaled so that the row's
+absolute sum is M's largest interior diagonal entry.  The scheme is
+unchanged, only its roundoff, and |M|_inf keeps its interior value.
 """
 
 from __future__ import annotations
@@ -99,17 +100,12 @@ class BoundaryData:
             if not np.all(np.isfinite(h)):
                 raise ValueError(f"{name} contains non-finite entries")
             h.flags.writeable = False
-        # the cached lifting and corner gaps are only valid while h1..h4 and
-        # y0 stay put
+        # the cached corner gaps are only valid while h1..h4 and y0 stay put
         self.y0.values.flags.writeable = False
 
     @property
     def grid(self) -> GridSpec:
         return self.y0.grid
-
-    @cached_property
-    def lifting(self) -> "LiftingField":
-        return build_lifting(self, self.grid)
 
     @cached_property
     def corner_gaps(self) -> dict:
@@ -123,10 +119,8 @@ class BoundaryData:
         }
 
     def with_source(self, g: Trajectory) -> "BoundaryData":
-        """The same h1..h4 and y0 with source g, sharing this lifting and
-        these corner gaps."""
+        """The same h1..h4 and y0 with source g, sharing these corner gaps."""
         bd = replace(self, g=g)
-        bd.__dict__["lifting"] = self.lifting
         bd.__dict__["corner_gaps"] = self.corner_gaps
         return bd
 
@@ -149,58 +143,15 @@ def zero_boundary_data(grid: GridSpec, y0: ScalarField1D | None = None,
     return BoundaryData(z, z, z, z, y0, g)
 
 
-# cubic shape functions: value/slope cardinal basis on [0,1]
-def _p1(x):
-    return 2 * x ** 3 - 3 * x ** 2 + 1
-
-
-def _p2(x):
-    return -2 * x ** 3 + 3 * x ** 2
-
-
-def _p3(x):
-    return x ** 3 - 2 * x ** 2 + x
-
-
-def _p4(x):
-    return x ** 3 - x ** 2
-
-
-@dataclass(frozen=True)
-class LiftingField:
-    """Cubic boundary lifting psi(t,x) = sum_j p_j(x) h_j(t), its step term
-    -(psi^{n+1} - psi^n)/dt, the remainder's slope targets and w0."""
-
-    psi: Trajectory
-    step: np.ndarray
-    neum0: np.ndarray
-    neum1: np.ndarray
-    w0: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _slope_rows(grid: GridSpec) -> np.ndarray:
-    """Rows 0 and nx of D1, dense: the one-sided slopes at x = 0 and x = 1."""
-    rows = diff_matrix(grid, 1, "x")[[0, grid.nx]].toarray()
+def _constraint_rows(grid: GridSpec) -> np.ndarray:
+    """The unweighted constraint rows of M, dense, for the slots 0, 1, nx - 1
+    and nx: z(0), the one-sided slopes D1 z at x = 0 and x = 1, and z(1)."""
+    rows = np.zeros((4, grid.nx + 1))
+    rows[0, 0] = rows[3, grid.nx] = 1.0
+    rows[1:3] = diff_matrix(grid, 1, "x")[[0, grid.nx]].toarray()
     rows.flags.writeable = False
     return rows
-
-
-def build_lifting(bd: BoundaryData, grid: GridSpec) -> LiftingField:
-    """Interpolate the four boundary series with the cubic shape functions.
-
-    At every time node the cubics reproduce the traces exactly in the
-    analytic sense: psi(t,0)=h1, psi(t,1)=h2, psi_x(t,0)=h3, psi_x(t,1)=h4.
-    """
-    if bd.grid != grid:
-        raise LengthMismatch("boundary data lives on a different grid")
-    x = grid.x
-    psi = (np.outer(bd.h1, _p1(x)) + np.outer(bd.h2, _p2(x))
-           + np.outer(bd.h3, _p3(x)) + np.outer(bd.h4, _p4(x)))
-    d_left, d_right = _slope_rows(grid)
-    return LiftingField(Trajectory(psi, grid), -(psi[1:] - psi[:-1]) / grid.dt,
-                        bd.h3 - psi @ d_left, bd.h4 - psi @ d_right,
-                        bd.y0.values - psi[0])
 
 
 def operator_matrix(coeff: CoefficientField, grid: GridSpec,
@@ -233,8 +184,9 @@ class _CNSystem:
     ``explicit[n]``, the explicit half B = I/dt - A^n/2 with its four
     constraint rows zeroed, in LAPACK band storage, and ``steps[n]``: the
     banded LU factor (lu, piv) of the clamped one-step matrix
-    M = I/dt + A^{n+1}/2 and |M|_inf.  Without G1/G2 every slot shares one
-    operator and one step.
+    M = I/dt + A^{n+1}/2 and |M|_inf.  ``weights[n]`` scales the four
+    constraint rows of that M.  Without G1/G2 every slot shares one operator,
+    one step and one row of weights.
     """
 
     def __init__(self, coeff: CoefficientField):
@@ -256,11 +208,15 @@ class _CNSystem:
         B[:, _KB] += 1 / dt
         M = 0.5 * a_next[:, _KA - _KM:_KA + _KM + 1]
         M[:, _KM] += 1 / dt
-        unit, zero = np.eye(nx + 1), np.zeros(nx + 1)
-        d_left, d_right = _slope_rows(grid)
-        for i, row in ((0, unit[0]), (1, d_left), (nx - 1, d_right), (nx, unit[nx])):
+        # each constraint row is scaled to an absolute sum equal to M's largest
+        # interior diagonal entry (see the module docstring)
+        rows = _constraint_rows(grid)
+        self.weights = (np.abs(M[:, _KM, 2:nx - 1]).max(axis=1)[:, None]
+                        / np.abs(rows).sum(axis=1))
+        zero = np.zeros(nx + 1)
+        for i, row, w in zip((0, 1, nx - 1, nx), rows, self.weights.T):
             _set_row(B, _KB, i, zero)
-            _set_row(M, _KM, i, row)
+            _set_row(M, _KM, i, w[:, None] * row)
         self.explicit = [np.asfortranarray(b) for b in B] * (nt // len(B))
         self.steps = [_factor(m) for m in M] * (nt // len(M))
 
@@ -286,9 +242,10 @@ def _band(A: sparse.csr_matrix, k: int) -> np.ndarray:
 
 
 def _set_row(ab: np.ndarray, k: int, i: int, row: np.ndarray):
-    """Overwrite row i of the band matrices ab[:, 2k+1, N] with row."""
+    """Overwrite row i of the band matrices ab[:, 2k+1, N] with row (one row
+    for all, or one per matrix)."""
     j = np.arange(max(0, i - k), min(ab.shape[-1], i + k + 1))
-    ab[:, k + i - j, j] = row[j]
+    ab[:, k + i - j, j] = row[..., j]
 
 
 def _factor(m_band: np.ndarray):
@@ -307,29 +264,31 @@ def _factor(m_band: np.ndarray):
     return lu, piv, row_sums.max()
 
 
-def _march(system: _CNSystem, fhat: np.ndarray, lift: LiftingField,
-           lin_tol: float) -> np.ndarray:
-    """CN march of the lifting remainder w from lift.w0.
+def _march(system: _CNSystem, bd: BoundaryData, lin_tol: float) -> np.ndarray:
+    """CN march of z from y0.
 
-    The value rows hold w = 0 and the slope rows the lifting's slope targets
-    at t^{n+1}; the lifting's step term is added to each step unaveraged.
-    The constant part of every step's right-hand side is built at once, so a
-    step is one banded product (rhs = B w^n + c^n) and one banded solve; the
-    checks run once, on the whole march, and name the first failing step.
+    The interior slots hold the averaged source and the constraint slots the
+    weighted h1, h3, h4, h2 at t^{n+1}.  The constant part of every step's
+    right-hand side is built at once, so a step is one banded product
+    (rhs = B z^n + c^n) and one banded solve; the checks run once, on the
+    whole march, and name the first failing step.
     """
     grid = system.grid
     nx, nt = grid.nx, grid.nt
-    interior = slice(2, nx - 1)
+    interior, constrained = slice(2, nx - 1), [0, 1, nx - 1, nx]
 
+    g = bd.g.values
     rhs = np.zeros((nt, nx + 1))
-    rhs[:, interior] = (0.5 * (fhat[1:] + fhat[:-1]) + lift.step)[:, interior]
-    rhs[:, 1], rhs[:, nx - 1] = lift.neum0[1:], lift.neum1[1:]
+    rhs[:, interior] = 0.5 * (g[1:, interior] + g[:-1, interior])
+    rhs[:, constrained] = system.weights * np.transpose(
+        [bd.h1, bd.h3, bd.h4, bd.h2])[1:]
     z = np.empty((nt + 1, nx + 1))
-    z[0] = lift.w0
+    z[0] = bd.y0.values
     for n, (B, (lu, piv, _)) in enumerate(zip(system.explicit, system.steps)):
         rhs[n] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[n], beta=1.0,
                        y=rhs[n], overwrite_y=1)
         z[n + 1] = dgbtrs(lu, _KM, _KM, rhs[n], piv)[0]
+    z += 0.0  # the solve leaves -0.0 below negative pivots; make it +0.0
 
     # the finite and residual checks of every step at once; M z^{n+1} is
     # formed from A and the constraint rows, independently of the band storage
@@ -338,8 +297,7 @@ def _march(system: _CNSystem, fhat: np.ndarray, lift: LiftingField,
     m_norm = np.array([m for _, _, m in system.steps])
     with np.errstate(invalid="ignore"):
         Mz = znew / grid.dt + 0.5 * system.apply(z)[1:]
-        Mz[:, [0, nx]] = znew[:, [0, nx]]
-        Mz[:, [1, nx - 1]] = znew @ _slope_rows(grid).T
+        Mz[:, constrained] = system.weights * (znew @ _constraint_rows(grid).T)
         res = np.abs(Mz - rhs).max(axis=1)
         scale = m_norm * np.abs(znew).max(axis=1) + np.abs(rhs).max(axis=1)
         bad = ~finite | (res > lin_tol * np.maximum(scale, 1e-300))
@@ -366,23 +324,18 @@ def solve_principal(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,
 def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
                       comp_tol: float = DEFAULT_COMP_TOL,
                       lin_tol: float = DEFAULT_LIN_TOL) -> Trajectory:
-    """Solve the full linear system with boundary data via the cubic lifting.
+    """Solve the full linear system with clamped boundary data.
 
-    The remainder w = z - psi is marched with right-hand side g - L(psi),
-    where L(psi) is the same discrete operator applied to the lifting, so the
-    returned z satisfies the discrete scheme to solver precision.  The
-    Neumann constraint rows for w absorb the O(dx^2) gap between the analytic
-    cubic slope and the one-sided stencil, which keeps the discrete traces of
-    z exactly on h1..h4.
+    z is marched directly from y0.  Every step's constraint rows put z(0),
+    z(1) on h1, h2 and the one-sided slopes D1 z at x = 0, 1 on h3, h4 at
+    t^{n+1}, so the discrete traces of z land on h1..h4 to solver precision;
+    the interior rows are the CN scheme with the averaged source g.
     """
     if bd.grid != grid:
         raise LengthMismatch("boundary data lives on a different grid")
     require_same_grid(coeff.sigma, bd.y0)
     bd.check_compatibility(comp_tol)
-    system, psi = coeff._system, bd.lifting.psi.values
-    # CN right-hand side for w: g - A psi averaged, plus the lifting's step term
-    w = _march(system, bd.g.values - system.apply(psi), bd.lifting, lin_tol)
-    return Trajectory(w + psi, grid)
+    return Trajectory(_march(coeff._system, bd, lin_tol), grid)
 
 
 def solve_time_derived(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,

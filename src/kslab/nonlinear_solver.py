@@ -4,12 +4,12 @@ The nonlinearity y y_x is lagged: each sweep solves the linear system with
 source g - v v_x evaluated on the previous iterate, which is exactly the
 contraction map whose fixed point defines the solution.  Only the source
 changes between sweeps, so a sweep is one source update
-(``BoundaryData.with_source``, which keeps the lifting and the corner gaps
-built once) plus one march.  The sweep history (update norms and
-contraction ratios) is part of the result, because the contraction behavior
-itself is a test target: ratios approach a limit proportional to the data
-size, and the iteration is expected to break down once the data leaves the
-small-data regime.
+(``BoundaryData.with_source``, which keeps the corner gaps built once) plus
+one march of the same banded CN system, which carries h1..h4 in its weighted
+constraint rows.  The sweep history (update norms and contraction ratios) is
+part of the result, because the contraction behavior itself is a test target:
+ratios approach a limit proportional to the data size, and the iteration is
+expected to break down once the data leaves the small-data regime.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ def test_simulate_zero_data(tmp_path):
     header, rows = read_csv(os.path.join(out, "trajectory.csv"))
     assert header == ["t", "x", "y"]
     assert all(float(r[2]) == 0.0 for r in rows)
+    # no "-0" from the solver's signed zeros
+    assert all(r[2] == "0" for r in rows)
     _, picard = read_csv(os.path.join(out, "picard.csv"))
     assert len(picard) == 1
     _, traces = read_csv(os.path.join(out, "traces.csv"))

@@ -10,7 +10,7 @@ from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, field_from_callable,
                         trajectory_from_callable, trapz_qt, trapz_x)
-from kslab.linear_solver import (BoundaryData, build_lifting, energy_monitor,
+from kslab.linear_solver import (BoundaryData, energy_monitor,
                                  operator_matrix, operator_residual,
                                  solve_linear_full,
                                  solve_principal, solve_time_derived,
@@ -28,48 +28,12 @@ def full_case_bd(case, grid):
                         trajectory_from_callable(case["source"], grid))
 
 
-# ---------------------------------------------------------------- lifting
-def test_lifting_zero_data():
-    g = GridSpec(16, 8, 1.0)
-    psi = build_lifting(zero_boundary_data(g), g).psi
-    assert np.all(psi.values == 0)
-
-
-def test_lifting_p1_midpoint_value():
-    # 2(0.125) - 3(0.25) + 1 = 0.5 at x = 1/2
-    g = GridSpec(16, 8, 1.0)
-    ones = np.ones(g.nt + 1)
-    zeros = np.zeros(g.nt + 1)
-    bd = BoundaryData(ones, zeros, zeros.copy(), zeros.copy(),
-                      ScalarField1D(np.zeros(g.nx + 1), g),
-                      Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
-    psi = build_lifting(bd, g).psi
-    mid = np.where(np.isclose(g.x, 0.5))[0][0]
-    assert np.allclose(psi.values[:, mid], 0.5)
-
-
-def test_lifting_slope_cardinal():
-    # oracle: analytic derivative of p3 = x^3 - 2x^2 + x at the endpoints
-    g = GridSpec(16, 8, 1.0)
-    ones = np.ones(g.nt + 1)
-    zeros = np.zeros(g.nt + 1)
-    bd = BoundaryData(zeros, zeros.copy(), ones, zeros.copy(),
-                      ScalarField1D(np.zeros(g.nx + 1), g),
-                      Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
-    psi = build_lifting(bd, g).psi.values
-    x = g.x
-    p3 = x ** 3 - 2 * x ** 2 + x
-    assert np.abs(psi - np.outer(ones, p3)).max() < 1e-14
-    # analytic traces: value 0 at both ends, slope 1 at 0 and 0 at 1
-    assert np.abs(psi[:, 0]).max() < 1e-10
-    assert np.abs(psi[:, -1]).max() < 1e-10
-
-
+# ------------------------------------------------------------ boundary data
 def test_lifting_length_mismatch():
     g = GridSpec(16, 8, 1.0)
     other = GridSpec(16, 16, 1.0)
     with pytest.raises(LengthMismatch):
-        build_lifting(zero_boundary_data(other), g)
+        solve_linear_full(make_coeff(g), zero_boundary_data(other), g)
 
 
 def test_boundary_series_and_initial_profile_are_read_only(full_linear_case):
@@ -86,7 +50,7 @@ def test_with_source_shares_lifting_and_matches_fresh_data(full_linear_case):
     bd = full_case_bd(full_linear_case, g)
     g2 = Trajectory(bd.g.values + np.outer(np.sin(g.t), g.x * (1 - g.x)), g)
     bd2 = bd.with_source(g2)
-    assert bd2.g is g2 and bd2.lifting is bd.lifting
+    assert bd2.g is g2 and bd2.corner_gaps is bd.corner_gaps
     fresh = BoundaryData(bd.h1, bd.h2, bd.h3, bd.h4, bd.y0, g2)
     assert np.array_equal(solve_linear_full(coeff, bd2, g, comp_tol=1.0).values,
                           solve_linear_full(coeff, fresh, g, comp_tol=1.0).values)
@@ -180,14 +144,16 @@ def test_full_compatibility_gate(full_linear_case):
         solve_linear_full(coeff, bd, g)
 
 
-def test_lifting_exactness_of_solution():
-    # polynomial profile: discrete traces land exactly on the series
-    g = GridSpec(48, 64, 2.0)
-    coeff = make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(49))
+@pytest.mark.parametrize("nx,nt", [(48, 64), (1024, 256), (2048, 512)])
+def test_lifting_exactness_of_solution(nx, nt):
+    # polynomial profile: discrete traces land exactly on the series, also
+    # on fine grids, where the constraint rows are small beside the interior
+    g = GridSpec(nx, nt, 2.0)
+    coeff = make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(nx + 1))
     tt = g.t
     y0 = field_from_callable(lambda x: 1 + x + x ** 2, g)
     bd = BoundaryData(np.cos(tt), 3 * np.cos(tt), np.cos(tt), 3 * np.cos(tt),
-                      y0, Trajectory(np.zeros((65, 49)), g))
+                      y0, Trajectory(np.zeros((nt + 1, nx + 1)), g))
     z = solve_linear_full(coeff, bd, g)
     D1 = diff_matrix(g, 1, "x")
     d0 = D1[0].toarray().ravel()
@@ -229,26 +195,24 @@ def test_full_solver_linearity(seed, a, b):
 
 def dense_march_reference(coeff, bd, grid):
     """solve_linear_full step by step with dense matrices: one operator and
-    one clamped one-step matrix per time slot, each step np.linalg.solve."""
+    one clamped, unweighted one-step matrix per time slot, each step
+    np.linalg.solve."""
     nx, nt, dt = grid.nx, grid.nt, grid.dt
     D1 = diff_matrix(grid, 1, "x").toarray()
     ops = [operator_matrix(coeff, grid, n).toarray() for n in range(nt + 1)]
-    lift = bd.lifting
-    psi = lift.psi.values
-    fhat = bd.g.values - np.array([A @ row for A, row in zip(ops, psi)])
-    w = np.empty_like(psi)
-    w[0] = lift.w0
+    f = bd.g.values
+    z = np.empty_like(f)
+    z[0] = bd.y0.values
     for n in range(nt):
         M = np.eye(nx + 1) / dt + 0.5 * ops[n + 1]
         M[[0, nx]] = 0.0
         M[0, 0] = M[nx, nx] = 1.0
         M[1], M[nx - 1] = D1[0], D1[nx]
-        rhs = (w[n] / dt - 0.5 * ops[n] @ w[n]
-               + 0.5 * (fhat[n + 1] + fhat[n]) + lift.step[n])
-        rhs[[0, nx]] = 0.0
-        rhs[1], rhs[nx - 1] = lift.neum0[n + 1], lift.neum1[n + 1]
-        w[n + 1] = np.linalg.solve(M, rhs)
-    return w + psi
+        rhs = z[n] / dt - 0.5 * ops[n] @ z[n] + 0.5 * (f[n + 1] + f[n])
+        rhs[[0, 1, nx - 1, nx]] = (bd.h1[n + 1], bd.h3[n + 1], bd.h4[n + 1],
+                                   bd.h2[n + 1])
+        z[n + 1] = np.linalg.solve(M, rhs)
+    return z
 
 
 def time_dependent_coeff(g):

@@ -141,8 +141,7 @@ def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
 
 
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
-    counts = {"operator_matrix": 0, "dgbtrf": 0, "build_lifting": 0,
-              "solve_linear_full": 0}
+    counts = {"operator_matrix": 0, "dgbtrf": 0, "solve_linear_full": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -154,18 +153,16 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
 
     counted(linear_solver, "operator_matrix")
     counted(linear_solver, "dgbtrf")
-    counted(linear_solver, "build_lifting")
     counted(nonlinear_solver, "solve_linear_full")
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
     y, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
     assert rep.iterations >= 2
-    # one linear solve per sweep plus the first, on one CN system and one
-    # boundary lifting
+    # one linear solve per sweep plus the first, on one CN system
     calls = rep.iterations + 1
-    assert counts == {"operator_matrix": 1, "dgbtrf": 1, "build_lifting": 1,
+    assert counts == {"operator_matrix": 1, "dgbtrf": 1,
                       "solve_linear_full": calls}
     contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
-    assert counts == {"operator_matrix": 1, "dgbtrf": 1, "build_lifting": 1,
+    assert counts == {"operator_matrix": 1, "dgbtrf": 1,
                       "solve_linear_full": calls + 2}
