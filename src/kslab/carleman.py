@@ -22,8 +22,11 @@ non-constant diffusion; each was checked against the symbolic reference.
 Every entry point evaluates through a _Window per (weight, sigma, eta),
 which holds the rows, phi arrays, sigma jet and trapezoid weights and takes a
 test function's jets, and a _Lambda per lambda on it, which builds what that
-lambda adds on first use.  ensemble_audit takes each member's audit row and
-ledger from one set of jets.
+lambda adds on first use.  The ledger's coefficient fields are the plain
+numpy functions of ledger_fields, generated from a sympy derivation kept with
+the tests, so the audit and the ledger import no sympy.  ensemble_audit takes
+each member's audit row and delta_hat from one set of jets per lambda, and
+the full ledger only for the worst member at the largest lambda.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ import numpy as np
 from .errors import HypothesisViolation, LayerViolation
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, require_same_grid, trapz_weights)
+from .ledger_fields import FIELDS
 from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
+_BOUNDARY = [name for name in FIELDS if name.startswith("bnd_")]
+_INTERIOR = [name for name in FIELDS if name not in _BOUNDARY]
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,13 @@ class _Window:
     def quad_t(self, series: np.ndarray) -> float:
         return float(self.trapz_t @ series)
 
+    @cached_property
+    def phi_xt(self) -> np.ndarray:
+        """-beta' phi0'/phi0^2, analytic like the other phi derivatives."""
+        inv = 1.0 / self.weight.phi0[self.rows]
+        return np.outer(-self.weight.phi0_prime[self.rows] * inv ** 2,
+                        self.weight.beta_derivs[1])
+
     def jets(self, w: Trajectory):
         """([w, w_x, .., w_xxxx], w_t, [w^2, .., w_xxx^2]) on the window rows;
         GridMismatch for a w from another grid, LayerViolation for one that
@@ -210,12 +223,13 @@ class _Window:
 
 
 class _Lambda:
-    """What one lambda adds on a window.  Each part is built on first use, so
-    an entry point pays only for the parts it reads."""
+    """What one lambda adds on a window.  Each part, and each ledger field,
+    is built on first use, so an entry point pays only for what it reads."""
 
     def __init__(self, window: _Window, lam: float | None):
         self.window = window
         self.lam = window.weight.lam if lam is None else lam
+        self._fields = {}
 
     @cached_property
     def e2(self) -> np.ndarray:
@@ -248,18 +262,14 @@ class _Lambda:
                 6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
                 4 * lam3 * px * pxs_x)
 
-    @cached_property
-    def fields(self) -> list:
-        """(name, kind, field) for each _symbolic_ledger_coeffs entry."""
-        weight, rows = self.window.weight, self.window.rows
-        _, px, pxx, pxxx, pxxxx, pt = self.window.phi
-        inv = 1.0 / weight.phi0[rows]
-        # phi_xt = -beta' phi0'/phi0^2, analytic like the other derivatives
-        pxt = np.outer(-weight.phi0_prime[rows] * inv ** 2,
-                       weight.beta_derivs[1])
-        args = (self.lam, px, pxx, pxxx, pxxxx, pt, pxt, *self.window.sig)
-        return [(name, kind, np.broadcast_to(fn(*args), px.shape))
-                for name, (fn, kind) in _symbolic_ledger_coeffs().items()]
+    def field(self, name: str) -> np.ndarray:
+        """The ledger field FIELDS[name] on the window rows."""
+        if name not in self._fields:
+            _, px, pxx, pxxx, pxxxx, pt = self.window.phi
+            values = FIELDS[name][0](self.lam, px, pxx, pxxx, pxxxx, pt,
+                                     self.window.phi_xt, *self.window.sig)
+            self._fields[name] = np.broadcast_to(values, px.shape)
+        return self._fields[name]
 
 
 def _q_arrays(q, window: _Window, m: float = np.inf):
@@ -432,78 +442,6 @@ def weighted_norm(w: Trajectory, weight: CarlemanWeight,
     return window.quad(_norm_integrand(_Lambda(window, lam).norm, squares))
 
 
-@lru_cache(maxsize=None)
-def _symbolic_ledger_coeffs():
-    """Coefficient fields of the itemized inner-product integrals.
-
-    Each entry is one integration-by-parts result for a pairwise product of
-    P1 and P2 terms: the four leading blocks I(w_kx), the remainder block
-    R0, and the boundary integrands.  The r0_i34b and r0_i44 coefficients
-    keep sigma inside the outer derivative; variants that pull it out do not
-    balance the direct product (checked by quadrature), and the difference
-    stays in the remainder class.  Returns {name: (callable, kind)} where
-    kind names the w-derivative square (or product) the coefficient
-    multiplies.
-    """
-    import sympy as sp
-
-    x, t, lam = sp.symbols("x t lam")
-    phi = sp.Function("phi")(t, x)
-    sig = sp.Function("sig")(x)
-    px = sp.diff(phi, x)
-
-    exprs = {
-        "I_w": (-6 * lam ** 7 * px ** 6 * sp.diff(phi, x, 2) * sig ** 2, "w2"),
-        "I_wx": (-lam ** 5 * px ** 4 * sig
-                 * (30 * sp.diff(phi, x, 2) * sig + 12 * px * sp.diff(sig, x)), "wx2"),
-        "I_w2x": (-lam ** 3 * px ** 2 * sig
-                  * (58 * sp.diff(phi, x, 2) * sig + 40 * px * sp.diff(sig, x)), "wxx2"),
-        "I_w3x": (-lam * sig
-                  * (2 * sp.diff(phi, x, 2) * sig - 4 * px * sp.diff(sig, x)), "wxxx2"),
-        "r0_i11": (3 * lam ** 2 * sp.diff(px ** 2 * sig, t), "wx2"),
-        "r0_i14": (12 * lam ** 5
-                   * sp.diff(px ** 3 * sig * sp.diff(px ** 2 * sig, x), x, 2), "w2"),
-        "r0_i21": (-sp.Rational(1, 2) * lam ** 4 * sp.diff(px ** 4 * sig, t), "w2"),
-        "r0_i23": (-2 * lam ** 5 * sp.diff(px ** 5 * sig ** 2, x, 3), "w2"),
-        "r0_i32": (-2 * lam ** 3
-                   * sp.diff(sp.diff(px ** 3 * sig, x, 2) * sig, x), "wx2"),
-        "r0_i33": (-2 * lam * sp.diff(px * sig * sp.diff(sig, x, 2), x), "wxx2"),
-        "r0_i34a": (4 * lam ** 3 * sp.diff(px * sp.diff(px ** 2 * sig, x), x, 2)
-                    * sig, "w_wxx"),
-        "r0_i34b": (-4 * lam ** 3
-                    * sp.diff(sig * sp.diff(px * sp.diff(px ** 2 * sig, x), x), x),
-                    "wx2"),
-        "r0_i43": (12 * lam ** 3
-                   * sp.diff(sp.diff(px ** 2 * sig, x) * px * sig, x, 2), "wx2"),
-        "r0_i44": (-12 * lam ** 5
-                   * sp.diff(px * sp.diff(px ** 2 * sig, x) ** 2, x), "w2"),
-        "bnd_w2x_a": (10 * lam ** 3 * px ** 3 * sig ** 2, "wxx2"),
-        "bnd_w2x_b": (2 * lam * px * sig * sp.diff(sig, x, 2), "wxx2"),
-        "bnd_w3x": (2 * lam * px * sig ** 2, "wxxx2"),
-    }
-
-    syms, subs = {}, {}
-    for k in range(5):
-        syms[f"P{k}"] = sp.Symbol(f"P{k}")
-        if k:
-            subs[sp.Derivative(phi, (x, k))] = syms[f"P{k}"]
-    syms["PT"] = sp.Symbol("PT")
-    subs[sp.Derivative(phi, t)] = syms["PT"]
-    syms["PXT"] = sp.Symbol("PXT")
-    subs[sp.Derivative(phi, t, x)] = syms["PXT"]
-    for k in range(4):
-        syms[f"S{k}"] = sp.Symbol(f"S{k}")
-        subs[sp.Derivative(sig, (x, k)) if k else sig] = syms[f"S{k}"]
-
-    order = [sp.Symbol("lam")] + [syms[f"P{k}"] for k in range(1, 5)] \
-        + [syms["PT"], syms["PXT"]] + [syms[f"S{k}"] for k in range(4)]
-    out = {}
-    for name, (expr, kind) in exprs.items():
-        expanded = sp.expand(sp.expand(expr).subs(subs))
-        out[name] = (sp.lambdify(order, expanded, "numpy"), kind)
-    return out
-
-
 @dataclass
 class Ledger:
     """Direct vs itemized inner product and the associated lower bound."""
@@ -520,31 +458,34 @@ class Ledger:
     delta_hat: float
 
 
-def _ledger(lw: _Lambda, jets, wt, squares) -> Ledger:
-    """Contract one member's jets with the fields of one lambda."""
+def _margin(lw: _Lambda, jets, wt, squares) -> tuple:
+    """(direct, ix0, ix1, weighted_norm_sq, delta_hat): the part of one
+    member's ledger that delta_hat reads, which needs no interior field."""
     window = lw.window
     P1, P2 = _p1_p2(lw, jets, wt)
     direct = window.quad(P1 * P2)
+    wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares))
+    bnd0, bnd1 = 0.0, 0.0
+    for name in _BOUNDARY:
+        term = lw.field(name) * wsq[FIELDS[name][1]]
+        bnd0 += window.quad_t(term[:, 0])
+        bnd1 += window.quad_t(term[:, -1])
+    wn = window.quad(_norm_integrand(lw.norm, squares))
+    delta_hat = (direct - (bnd1 - bnd0)) / wn if wn > 0 else 0.0
+    return direct, bnd0, bnd1, wn, delta_hat
 
+
+def _ledger(lw: _Lambda, jets, wt, squares) -> Ledger:
+    """Contract one member's jets with the fields of one lambda."""
+    direct, bnd0, bnd1, wn, delta_hat = _margin(lw, jets, wt, squares)
     wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares),
                w_wxx=jets[0] * jets[2])
-    items, bnd0, bnd1 = {}, 0.0, 0.0
-    for name, kind, field in lw.fields:
-        term = field * wsq[kind]
-        if name.startswith("bnd_"):
-            bnd0 += window.quad_t(term[:, 0])
-            bnd1 += window.quad_t(term[:, -1])
-        else:
-            items[name] = window.quad(term)
-
-    ix = bnd1 - bnd0
-    itemized = sum(items.values()) + ix
+    items = {name: lw.window.quad(lw.field(name) * wsq[FIELDS[name][1]])
+             for name in _INTERIOR}
+    itemized = sum(items.values()) + (bnd1 - bnd0)
     scale = max(abs(direct), abs(itemized), 1e-300)
     mismatch = abs(direct - itemized) / scale
-
-    wn = window.quad(_norm_integrand(lw.norm, squares))
-    delta_hat = (direct - ix) / wn if wn > 0 else 0.0
-    return Ledger(lw.lam, window.eta, direct, items, bnd0, bnd1, itemized,
+    return Ledger(lw.lam, lw.window.eta, direct, items, bnd0, bnd1, itemized,
                   mismatch, wn, delta_hat)
 
 
@@ -580,11 +521,14 @@ class CarlemanConfig:
         object.__setattr__(self, "lambda_grid", lams)
         if len(lams) == 0:
             raise ValueError("lambda_grid must be non-empty")
-        if any(v <= 0 for v in lams) or any(
+        if not all(0 < v < np.inf for v in lams) or any(
                 b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("lambda_grid must be strictly increasing and positive")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+            raise ValueError("lambda_grid must be strictly increasing, "
+                             "positive and finite")
+        if not self.m >= 0:  # inf is a legal bound, NaN is not
+            raise ValueError(f"m must be nonnegative, got {self.m}")
+        if not self.c_cap > 0:
+            raise ValueError(f"c_cap must be positive, got {self.c_cap}")
 
 
 @dataclass
@@ -687,23 +631,28 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
 
     # lambda outside the members, so one lambda's fields are alive at a time
     rows, delta_min = [], {}
+    worst_idx, worst_chat, worst_ledger = 0, -np.inf, None
     for lam in cfg.lambda_grid:
-        lw = _Lambda(window, lam)
-        audit, ledgers = [], []
-        for v in members:
+        lw, last = _Lambda(window, lam), lam == cfg.lambda_grid[-1]
+        audit, deltas = [], []
+        for i, v in enumerate(members):
             jets, wt, squares = window.jets(v)
             terms = _audit_terms(window, jets, wt, qs)
-            audit.append(_audit_row(lw, squares, terms, cfg.c_cap))
-            ledgers.append(_ledger(lw, jets, wt, squares))
+            row = _audit_row(lw, squares, terms, cfg.c_cap)
+            audit.append(row)
+            # at the largest lambda, the full ledger of the running worst
+            # member (strict >, so the first of ties) while its jets are here
+            if last and (i == 0 or row.c_hat > worst_chat):
+                worst_idx, worst_ledger = i, _ledger(lw, jets, wt, squares)
+                worst_chat = max(worst_chat, row.c_hat)  # NaN stays out
+                deltas.append(worst_ledger.delta_hat)
+            else:
+                deltas.append(_margin(lw, jets, wt, squares)[-1])
         rows.append(max(audit, key=lambda row: row.c_hat))  # first of ties
-        delta_min[lam] = min(led.delta_hat for led in ledgers)
+        delta_min[lam] = min(deltas)
 
-    worst_idx, worst_chat = 0, -np.inf
-    for i, row in enumerate(audit):  # at the largest lambda
-        if row.c_hat > worst_chat:
-            worst_chat, worst_idx = row.c_hat, i
     lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
                    None)
     return EnsembleAudit(rows, delta_min, lambda0,
                          None if lambda0 is None else delta_min[lambda0],
-                         worst_idx, ledgers[worst_idx])
+                         worst_idx, worst_ledger)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kslab
 from kslab.cli import main
 from kslab.config import RunConfig
 from kslab.errors import ConfigError
@@ -161,9 +164,7 @@ def test_help_exits_ok(capsys):
     assert "usage: kslab" in capsys.readouterr().out
 
 
-def test_carleman_audit_small_ensemble(tmp_path):
-    cfgfile = tmp_path / "small_audit.cfg"
-    cfgfile.write_text("""
+SMALL_AUDIT = """
 [grid]
 nx = 64
 nt = 128
@@ -178,7 +179,12 @@ T0 = 1.0
 lambda = 2,8
 ensemble = 4
 seed = 5
-""")
+"""
+
+
+def test_carleman_audit_small_ensemble(tmp_path):
+    cfgfile = tmp_path / "small_audit.cfg"
+    cfgfile.write_text(SMALL_AUDIT)
     out = str(tmp_path / "o")
     assert main(["carleman-audit", "--config", str(cfgfile), "--out", out]) == 0
     header, rows = read_csv(os.path.join(out, "audit.csv"))
@@ -213,7 +219,9 @@ lambda =
 
 
 @pytest.mark.parametrize("key, value", [
-    ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5")])
+    ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5"),
+    ("lambda", "2,nan"), ("lambda", "2,inf"), ("m", "nan"),
+    ("c_cap", "nan"), ("c_cap", "0")])
 def test_bad_carleman_value_is_config_error(tmp_path, capsys, key, value):
     # T = 2: T0 must lie in (0, T) and eta in (0, T/2)
     carleman = {"lambda": "2", "ensemble": "2", key: value}
@@ -285,3 +293,34 @@ def test_unknown_section_rejected():
         RunConfig.from_dict({"nonsense": {"a": "1"}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"grid": {"nx": "32", "bogus": "1"}})
+
+
+def run_fresh(code, *args):
+    """Run code in a new interpreter that imports kslab from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(kslab.__file__)))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("cmd, name", [
+    ("simulate", "simulate_zero.cfg"), ("carleman-audit", None),
+    ("invert", "invert_closed_loop.cfg"),
+    ("stability-scan", "stability_scan.cfg")])
+def test_cli_commands_do_not_import_sympy(tmp_path, cmd, name):
+    cfgfile = tmp_path / "small_audit.cfg"
+    cfgfile.write_text(SMALL_AUDIT)
+    config = str(cfgfile) if name is None else cfg_path(name)
+    out = run_fresh("import sys\n"
+                    "from kslab.cli import main\n"
+                    "code = main(sys.argv[1:])\n"
+                    "print(code, 'sympy' in sys.modules)",
+                    cmd, "--config", config, "--out", str(tmp_path / "o"))
+    assert out == ["0", "False"]
+
+
+def test_carleman_import_does_not_import_sympy():
+    assert run_fresh("import sys, kslab.carleman\n"
+                     "print('sympy' in sys.modules)") == ["False"]
