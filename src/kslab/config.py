@@ -224,6 +224,9 @@ class RunConfig:
         if not block["noise"] >= 0:
             raise ConfigError(f"[inverse] noise = {block['noise']:g} must be "
                               f">= 0")
+        if not block["c_cap"] > 0:
+            raise ConfigError(f"[inverse] c_cap = {block['c_cap']:g} must be "
+                              f"> 0")
         return block
 
     def output_block(self) -> dict:

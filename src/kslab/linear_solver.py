@@ -14,11 +14,13 @@ on the interior equation slots; the four equation slots nearest the boundary
 are replaced by the clamped constraints z = h1, h2 (identity rows) and
 z_x = h3, h4 (one-sided first-derivative rows) at time t^{n+1}.  Both halves
 are banded: A has half-bandwidth 5 (the 5-node closures of D2), the clamped
-one-step matrix M half-bandwidth 3 (the 5-node slope rows).  The operator,
-the explicit half and the LAPACK band LU of M are built once per coefficient
-field (once per time slot when G1/G2 are present) and shared by the steps,
-the Picard sweeps and the residual.  A step is one banded product and one
-banded solve; the finite-value and residual checks run once per march.
+one-step matrix M half-bandwidth 3 (the 5-node slope rows).  Each
+coefficient field holds one array of A's LAPACK bands, one slot for all times
+or, with G1/G2, one per time slot, built for all slots in one numpy pass; the
+explicit half and the band LU of M are sliced from it once and shared by the
+steps, the Picard sweeps and the residual.  A z over a whole trajectory is
+one band product.  A step is one banded product and one banded solve; the
+finite-value and residual checks run once per march.
 
 The solver marches z itself from y0, with h1..h4 at t^{n+1} on the
 constraint slots.  The constraint rows of M are O(1) and O(dx^-1) while the
@@ -156,8 +158,18 @@ def _constraint_rows(grid: GridSpec) -> np.ndarray:
 
 def operator_matrix(coeff: CoefficientField, grid: GridSpec,
                     n: int | None = None) -> sparse.csr_matrix:
-    """Spatial operator A (optionally at time slot n for G1/G2 terms)."""
-    return _add_lower_order(_principal_part(coeff, grid), coeff, grid, n)
+    """Spatial operator A (optionally at time slot n for G1/G2 terms), the
+    terms added in the order of its formula.  Its column indices are sorted,
+    so its product sums each row in ascending column order, as
+    ``_CNSystem.apply`` does."""
+    A = _principal_part(coeff, grid)
+    if coeff.G1 is not None:
+        A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(grid, 1, "x")
+    if coeff.G2 is not None:
+        A = A + sparse.diags(coeff.G2.values[n])
+    A = A.tocsr()
+    A.sort_indices()
+    return A
 
 
 def _principal_part(coeff: CoefficientField, grid: GridSpec):
@@ -167,44 +179,51 @@ def _principal_part(coeff: CoefficientField, grid: GridSpec):
         + sparse.diags(coeff.gamma.values) @ D2
 
 
-def _add_lower_order(A, coeff: CoefficientField, grid: GridSpec,
-                     n: int | None) -> sparse.csr_matrix:
-    """A + G1[n] D1 + G2[n], the terms added in that order."""
-    if coeff.G1 is not None:
-        A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(grid, 1, "x")
-    if coeff.G2 is not None:
-        A = A + sparse.diags(coeff.G2.values[n])
-    return A.tocsr()
-
-
 class _CNSystem:
     """The Crank-Nicolson system of one coefficient field on its own grid.
 
-    ``ops[n]`` is the operator A at time slot n.  The step to t^{n+1} reads
-    ``explicit[n]``, the explicit half B = I/dt - A^n/2 with its four
-    constraint rows zeroed, in LAPACK band storage, and ``steps[n]``: the
-    banded LU factor (lu, piv) of the clamped one-step matrix
-    M = I/dt + A^{n+1}/2 and |M|_inf.  ``weights[n]`` scales the four
-    constraint rows of that M.  Without G1/G2 every slot shares one operator,
-    one step and one row of weights.
+    ``band[n]`` is the operator A at time slot n in LAPACK band storage,
+    built for all slots in one pass: the band of D2 sigma D2 + gamma D2, plus
+    G1[n] times the band of D1 scaled row by row, plus G2[n] on the diagonal
+    (the sums of ``operator_matrix``, entry for entry).  The step to t^{n+1}
+    reads ``explicit[n]``, the explicit half B = I/dt - A^n/2 with its four
+    constraint rows zeroed, in band storage, and ``steps[n]``, the banded LU
+    factor (lu, piv) of the clamped one-step matrix M = I/dt + A^{n+1}/2;
+    ``m_norm`` holds |M|_inf and ``weights`` the scales of M's four
+    constraint rows.  Without G1/G2 every slot shares one band, one step,
+    one |M|_inf and one row of weights.
     """
 
     def __init__(self, coeff: CoefficientField):
         grid = self.grid = coeff.sigma.grid
         nx, nt, dt = grid.nx, grid.nt, grid.dt
         if coeff.G1 is None and coeff.G2 is None:
-            self.shared = operator_matrix(coeff, grid)
-            self.ops = [self.shared] * (nt + 1)
-            a_now = a_next = _band(self.shared, _KA)[None]  # one slot for all
+            # one slot for all times
+            a = a_now = a_next = _band(operator_matrix(coeff, grid), _KA)[None]
         else:
-            self.shared = None
-            principal = _principal_part(coeff, grid)
-            self.ops = [_add_lower_order(principal, coeff, grid, n)
-                        for n in range(nt + 1)]
-            a = np.array([_band(A, _KA) for A in self.ops])
+            a = np.repeat(_band(_principal_part(coeff, grid), _KA)[None],
+                          nt + 1, axis=0)
+            if coeff.G1 is not None:
+                # entry (d, j) of D1's band sits in row j + d - _KA
+                d1 = _band(diff_matrix(grid, 1, "x"), _KA)
+                d, j = np.nonzero(d1)
+                a[:, d, j] += coeff.G1.values[:, j + d - _KA] * d1[d, j]
+            if coeff.G2 is not None:
+                a[:, _KA] += coeff.G2.values
             a_now, a_next = a[:-1], a[1:]
+        self.band = a
+        # the rows in which each diagonal of A (column j = i + off) has an
+        # entry in some slot: the wide diagonals only in the boundary rows
+        cols = (a != 0).any(axis=0)
+        self.spans = []
+        for off in range(-_KA, _KA + 1):
+            i = np.flatnonzero(cols[_KA - off]) - off
+            if i.size:
+                self.spans.append((off, i[0], i[-1] + 1))
 
-        B = -0.5 * a_now[:, _KA - _KB:_KA + _KB + 1]
+        # every slot of B is Fortran-ordered, as dgbmv reads it
+        B = np.empty((len(a_now), nx + 1, 2 * _KB + 1)).transpose(0, 2, 1)
+        np.multiply(-0.5, a_now[:, _KA - _KB:_KA + _KB + 1], out=B)
         B[:, _KB] += 1 / dt
         M = 0.5 * a_next[:, _KA - _KM:_KA + _KM + 1]
         M[:, _KM] += 1 / dt
@@ -217,19 +236,32 @@ class _CNSystem:
         for i, row, w in zip((0, 1, nx - 1, nx), rows, self.weights.T):
             _set_row(B, _KB, i, zero)
             _set_row(M, _KM, i, w[:, None] * row)
-        self.explicit = [np.asfortranarray(b) for b in B] * (nt // len(B))
-        self.steps = [_factor(m) for m in M] * (nt // len(M))
+        steps, self.m_norm = _factor(M)
+        self.explicit = list(B) * (nt // len(B))
+        self.steps = steps * (nt // len(steps))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """A z on every time row of a trajectory array."""
-        if self.shared is not None:
-            return (self.shared @ z.T).T
-        return np.array([A @ row for A, row in zip(self.ops, z)])
+        """A z on every time row of a trajectory array, as one band product.
+        Each row is summed in ascending column order, as the product of the
+        sorted ``operator_matrix`` sums it, so the two agree bit for bit (the
+        zeros skipped outside ``spans`` add nothing to such a sum).  The time
+        rows go in blocks of about _APPLY_BLOCK entries, so that each block's
+        temporaries stay in cache."""
+        Az = np.zeros(z.shape)
+        band = np.broadcast_to(self.band, (len(z),) + self.band.shape[1:])
+        step = max(1, _APPLY_BLOCK // z.shape[-1])
+        for s in range(0, len(z), step):
+            a, x, y = band[s:s + step], z[s:s + step], Az[s:s + step]
+            for off, lo, hi in self.spans:
+                y[:, lo:hi] += (a[:, _KA - off, lo + off:hi + off]
+                                * x[:, lo + off:hi + off])
+        return Az
 
 
 # half-bandwidths in LAPACK band storage, ab[k + i - j, j] = A[i, j]: A (the
 # 5-node D2 closures), M (the 5-node slope rows) and B (centred rows only)
 _KA, _KM, _KB = 5, 3, 2
+_APPLY_BLOCK = 1 << 15
 
 
 def _band(A: sparse.csr_matrix, k: int) -> np.ndarray:
@@ -248,20 +280,25 @@ def _set_row(ab: np.ndarray, k: int, i: int, row: np.ndarray):
     ab[:, k + i - j, j] = row[..., j]
 
 
-def _factor(m_band: np.ndarray):
-    """Banded LU (lu, piv) of the one-step matrix and its |M|_inf."""
-    k, n = _KM, m_band.shape[-1]
-    ab = np.zeros((3 * k + 1, n), order="F")
-    ab[k:] = m_band
-    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
-    if info != 0:
-        raise SingularSystem(f"one-step factorization failed: dgbtrf info={info}")
+def _factor(m_bands: np.ndarray):
+    """Banded LU factors [(lu, piv), ...] of the one-step matrices
+    m_bands[s] and the |M|_inf of each."""
+    k, (slots, _, n) = _KM, m_bands.shape
     # rows summed column by column in order, as a sparse row sum adds them
-    row_sums = np.zeros(n)
+    row_sums = np.zeros((slots, n))
     for d in range(-k, k + 1):
         lo, hi = max(0, -d), min(n, n - d)
-        row_sums[lo:hi] += np.abs(m_band[k - d, lo + d:hi + d])
-    return lu, piv, row_sums.max()
+        row_sums[:, lo:hi] += np.abs(m_bands[:, k - d, lo + d:hi + d])
+    steps = []
+    for m_band in m_bands:
+        ab = np.zeros((3 * k + 1, n), order="F")
+        ab[k:] = m_band
+        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
+        if info != 0:
+            raise SingularSystem(
+                f"one-step factorization failed: dgbtrf info={info}")
+        steps.append((lu, piv))
+    return steps, row_sums.max(axis=1)
 
 
 def _march(system: _CNSystem, bd: BoundaryData, lin_tol: float) -> np.ndarray:
@@ -284,22 +321,23 @@ def _march(system: _CNSystem, bd: BoundaryData, lin_tol: float) -> np.ndarray:
         [bd.h1, bd.h3, bd.h4, bd.h2])[1:]
     z = np.empty((nt + 1, nx + 1))
     z[0] = bd.y0.values
-    for n, (B, (lu, piv, _)) in enumerate(zip(system.explicit, system.steps)):
+    for n, (B, (lu, piv)) in enumerate(zip(system.explicit, system.steps)):
         rhs[n] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[n], beta=1.0,
                        y=rhs[n], overwrite_y=1)
         z[n + 1] = dgbtrs(lu, _KM, _KM, rhs[n], piv)[0]
     z += 0.0  # the solve leaves -0.0 below negative pivots; make it +0.0
 
     # the finite and residual checks of every step at once; M z^{n+1} is
-    # formed from A and the constraint rows, independently of the band storage
+    # formed from A's band and the constraint rows, independently of B, M and
+    # the LU factors
     znew = z[1:]
     finite = np.isfinite(znew).all(axis=1)
-    m_norm = np.array([m for _, _, m in system.steps])
     with np.errstate(invalid="ignore"):
         Mz = znew / grid.dt + 0.5 * system.apply(z)[1:]
         Mz[:, constrained] = system.weights * (znew @ _constraint_rows(grid).T)
         res = np.abs(Mz - rhs).max(axis=1)
-        scale = m_norm * np.abs(znew).max(axis=1) + np.abs(rhs).max(axis=1)
+        scale = (system.m_norm * np.abs(znew).max(axis=1)
+                 + np.abs(rhs).max(axis=1))
         bad = ~finite | (res > lin_tol * np.maximum(scale, 1e-300))
     if bad.any():
         n = int(np.argmax(bad))
@@ -374,9 +412,8 @@ def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
          - f_mid)[:, interior]
     res_field = np.zeros_like(zv)
     res_field[1:, interior] = r
-    m_norm = np.array([m for _, _, m in system.steps])
-    scale = (m_norm * np.abs(zv[1:]).max(axis=1) + np.abs(f_mid).max(axis=1)
-             + 1e-300)
+    scale = (system.m_norm * np.abs(zv[1:]).max(axis=1)
+             + np.abs(f_mid).max(axis=1) + 1e-300)
     max_rel = max(0.0, *(np.abs(r).max(axis=1) / scale))
     l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
     return max_rel, l2

@@ -255,7 +255,10 @@ gamma = 0
     ("stability-scan", "inverse", "t0", "0"),
     ("invert", "inverse", "noise", "-1"),
     ("invert", "inverse", "noise", "nan"),
-    ("invert", "inverse", "modes", "-2")])
+    ("invert", "inverse", "modes", "-2"),
+    ("stability-scan", "inverse", "c_cap", "nan"),
+    ("stability-scan", "inverse", "c_cap", "0"),
+    ("stability-scan", "inverse", "c_cap", "-5")])
 def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,
                                                       section, key, value):
     cfgfile = tmp_path / "bad.cfg"
@@ -278,7 +281,11 @@ g = 0
 """)
     assert main([cmd, "--config", str(cfgfile),
                  "--out", str(tmp_path / "o")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # fd_step is no longer a key: its row checks that an unknown key is
+    # rejected, and every other row that a bad value of a known key is
+    assert ("unknown key" in err) == (key == "fd_step")
 
 
 @pytest.mark.parametrize("name", sorted(

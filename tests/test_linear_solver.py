@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_coeff
+from kslab import linear_solver
 from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
                           SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, field_from_callable,
                         trajectory_from_callable, trapz_qt, trapz_x)
-from kslab.linear_solver import (BoundaryData, energy_monitor,
-                                 operator_matrix, operator_residual,
-                                 solve_linear_full,
+from kslab.linear_solver import (_KA, BoundaryData, _band, _CNSystem,
+                                 energy_monitor, operator_matrix,
+                                 operator_residual, solve_linear_full,
                                  solve_principal, solve_time_derived,
                                  zero_boundary_data)
 
@@ -325,6 +326,36 @@ def test_residual_matches_step_reference_time_dependent():
         lambda t, x: np.cos(t) * x ** 2 * (1 - x) ** 2 + 0.01 * t * x, g)
     fhat = trajectory_from_callable(lambda t, x: np.sin(3 * t) * (1 + x), g)
     assert operator_residual(z, coeff, fhat) == reference_residual(z, coeff, fhat)
+
+
+@pytest.mark.parametrize("terms", ["none", "G1", "G2", "G1-G2"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), nx=st.integers(8, 24),
+       nt=st.integers(8, 12), block=st.sampled_from([1, 50, 1 << 15]))
+def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
+    # every slot's band is the band of the sparse reference, and apply is
+    # its product on every time row, both bit for bit, however many time
+    # rows apply takes per block
+    rng = np.random.default_rng(seed)
+    g = GridSpec(nx, nt, 1.0)
+
+    def traj():
+        return Trajectory(rng.standard_normal((nt + 1, nx + 1)), g)
+
+    coeff = make_coeff(g, sigma=1 + rng.random(nx + 1),
+                       gamma=rng.standard_normal(nx + 1),
+                       G1=traj() if "G1" in terms else None,
+                       G2=traj() if "G2" in terms else None)
+    system = _CNSystem(coeff)
+    band = np.broadcast_to(system.band, (nt + 1,) + system.band.shape[1:])
+    z = rng.standard_normal((nt + 1, nx + 1))
+    ops = [operator_matrix(coeff, g, n) for n in range(nt + 1)]
+    for n, A in enumerate(ops):
+        assert np.array_equal(band[n], _band(A, _KA))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear_solver, "_APPLY_BLOCK", block)
+        Az = system.apply(z)
+    assert np.array_equal(Az, np.array([A @ row for A, row in zip(ops, z)]))
 
 
 # --------------------------------------------------------- time-derived solve
