@@ -37,8 +37,10 @@ def main():
     for row in ens.rows:
         print(f"{row.lam:8.1f} {row.c_hat:12.4f} "
               f"{ens.delta_min[row.lam]:10.4f}")
-    print(f"empirical lambda0 = {ens.lambda0}, delta_hat(lambda0) = "
-          f"{ens.delta_at_lambda0:.4f}")
+    delta0 = ("none" if ens.delta_at_lambda0 is None
+              else f"{ens.delta_at_lambda0:.4f}")
+    print(f"empirical lambda0 = {ens.lambda0 or 'none'}, "
+          f"delta_hat(lambda0) = {delta0}")
     led = ens.worst_ledger
     print(f"worst-member ledger at lambda = {led.lam:g}: direct = "
           f"{led.direct:.6e}, itemized = {led.itemized:.6e}, relative "

@@ -25,7 +25,7 @@ test function's jets, and a _Lambda per lambda on it, which builds what that
 lambda adds on first use.  The ledger's coefficient fields are the plain
 numpy functions of ledger_fields, generated from a sympy derivation kept with
 the tests, so the audit and the ledger import no sympy.  ensemble_audit takes
-each member's audit row and delta_hat from one set of jets per lambda, and
+each member's audit row and delta_hat from one set of jets per member, and
 the full ledger only for the worst member at the largest lambda.
 """
 
@@ -554,13 +554,11 @@ def _audit_terms(window: _Window, jets, wt, qs):
 
 def _audit_row(lw: _Lambda, squares, terms, c_cap: float) -> AuditRow:
     """Both sides of the weighted inequality for one member and lambda."""
-    window, lam, phi = lw.window, lw.lam, lw.window.phi[0]
+    window, lam, (n7, n5, n3, n1) = lw.window, lw.lam, lw.norm
     curv, lv2 = terms
     v2, vx2, vxx2, vxxx2 = squares
-    lhs = window.quad(lw.e2 * (curv / (lam * phi) + lam ** 7 * phi ** 7 * v2
-                               + lam ** 5 * phi ** 5 * vx2
-                               + lam ** 3 * phi ** 3 * vxx2
-                               + lam * phi * vxxx2))
+    lhs = window.quad(lw.e2 * (curv / n1 + n7 * v2 + n5 * vx2 + n3 * vxx2
+                               + n1 * vxxx2))
     rhs_int = window.quad(lw.e2 * lv2)
     bnd0, bnd1 = (window.quad_t(e * (a * vxx2[:, col] + b * vxxx2[:, col]))
                   for col, (e, a, b) in zip((0, -1), lw.boundary))
@@ -625,31 +623,30 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
         raise ValueError(f"n_members must be at least 1, got {n_members}")
     window = _Window(weight, coeff, cfg.eta)
     qs = _q_arrays(q, window, cfg.m)
+    lws = [_Lambda(window, lam) for lam in cfg.lambda_grid]
     rng = np.random.default_rng(seed)
-    members = [random_clamped_bump(window.grid, rng, cfg.eta, n_modes)
-               for _ in range(n_members)]
 
-    # lambda outside the members, so one lambda's fields are alive at a time
-    rows, delta_min = [], {}
+    # members outside the lambdas, so one member's jets are alive at a time
+    # and each is built once; every lambda's fields stay for the whole pass
+    audit, deltas = [[] for _ in lws], [[] for _ in lws]
     worst_idx, worst_chat, worst_ledger = 0, -np.inf, None
-    for lam in cfg.lambda_grid:
-        lw, last = _Lambda(window, lam), lam == cfg.lambda_grid[-1]
-        audit, deltas = [], []
-        for i, v in enumerate(members):
-            jets, wt, squares = window.jets(v)
-            terms = _audit_terms(window, jets, wt, qs)
+    for i in range(n_members):
+        v = random_clamped_bump(window.grid, rng, cfg.eta, n_modes)
+        jets, wt, squares = window.jets(v)
+        terms = _audit_terms(window, jets, wt, qs)
+        for k, lw in enumerate(lws):
             row = _audit_row(lw, squares, terms, cfg.c_cap)
-            audit.append(row)
+            audit[k].append(row)
             # at the largest lambda, the full ledger of the running worst
-            # member (strict >, so the first of ties) while its jets are here
-            if last and (i == 0 or row.c_hat > worst_chat):
+            # member (strict >, so the first of ties)
+            if lw is lws[-1] and (i == 0 or row.c_hat > worst_chat):
                 worst_idx, worst_ledger = i, _ledger(lw, jets, wt, squares)
                 worst_chat = max(worst_chat, row.c_hat)  # NaN stays out
-                deltas.append(worst_ledger.delta_hat)
+                deltas[k].append(worst_ledger.delta_hat)
             else:
-                deltas.append(_margin(lw, jets, wt, squares)[-1])
-        rows.append(max(audit, key=lambda row: row.c_hat))  # first of ties
-        delta_min[lam] = min(deltas)
+                deltas[k].append(_margin(lw, jets, wt, squares)[-1])
+    rows = [max(a, key=lambda row: row.c_hat) for a in audit]  # first of ties
+    delta_min = {lw.lam: min(d) for lw, d in zip(lws, deltas)}
 
     lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
                    None)

@@ -294,6 +294,52 @@ def test_ensemble_audit_matches_per_member_calls():
     assert vars(ens.worst_ledger) == vars(ledgers[worst][-1])
 
 
+def _q_sloped(g):
+    tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+    return (Trajectory(0.5 * np.sin(np.pi * xx) * np.cos(tt), g), None,
+            Trajectory(np.full((g.nt + 1, g.nx + 1), -0.3), g))
+
+
+@pytest.mark.parametrize("lambdas, with_q, n_modes", [
+    ((2.0, 5.0, 8.0), True, 4),
+    ((5.0,), False, 4),
+    ((2.0, 5.0, 8.0), False, 0),
+], ids=["with-q", "single-lambda", "all-ties"])
+def test_ensemble_audit_parity_cases(lambdas, with_q, n_modes):
+    # the member-by-member walk against the public per-member calls, where
+    # the order of work could matter: q in the audit terms, one lambda, and
+    # an ensemble of equal (zero, so degenerate) members
+    g = GridSpec(32, 64, 2.0)
+    sigma = ScalarField1D(1 + 0.02 * g.x, g)
+    coeff = make_coeff(g, sigma=sigma.values)
+    weight = make_default_weight(g, sigma, 1.0)
+    cfg = CarlemanConfig(lambda_grid=lambdas)
+    q = _q_sloped(g) if with_q else None
+    ens = ensemble_audit(weight, coeff, cfg, n_members=4, seed=5, q=q,
+                         n_modes=n_modes)
+
+    rng = np.random.default_rng(5)
+    members = [random_clamped_bump(g, rng, cfg.eta, n_modes)
+               for _ in range(4)]
+    audits = [carleman_audit(v, weight, coeff, q, cfg) for v in members]
+    ledgers = [[inner_product_ledger(v, weight, coeff, q, lam, cfg.eta)
+                for lam in lambdas] for v in members]
+    rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
+            for k in range(len(lambdas))]
+    delta_min = {lam: min(led[k].delta_hat for led in ledgers)
+                 for k, lam in enumerate(lambdas)}
+    worst = max(range(4), key=lambda i: audits[i][-1].c_hat)
+
+    assert ens.rows == rows
+    assert ens.delta_min == delta_min
+    assert ens.worst_member == worst
+    assert vars(ens.worst_ledger) == vars(ledgers[worst][-1])
+    if n_modes == 0:
+        assert ens.worst_member == 0 and ens.lambda0 is None
+        assert all(row.degenerate for row in ens.rows)
+        assert ens.rows == audits[0]
+
+
 def reference_audit(v, weight, coeff, q, cfg):
     """carleman_audit as written before the shared window and per-lambda
     objects: full-array jets, its own D2 and the whole per-lambda
@@ -347,11 +393,7 @@ def test_audit_matches_reference(slope, with_q):
     coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(g, sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 4.0, 8.0, 16.0), eta=0.25)
-    tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
-    q = (None, None, None)
-    if with_q:
-        q = (Trajectory(0.5 * np.sin(np.pi * xx) * np.cos(tt), g), None,
-             Trajectory(np.full((g.nt + 1, g.nx + 1), -0.3), g))
+    q = _q_sloped(g) if with_q else (None, None, None)
     rng = np.random.default_rng(4)
     members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(3)]
     members.append(Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
@@ -360,8 +402,8 @@ def test_audit_matches_reference(slope, with_q):
             == reference_audit(v, weight, coeff, q, cfg)
 
 
-def test_ensemble_builds_window_once_and_jets_once_per_pair(monkeypatch):
-    # one phi_arrays per ensemble; one w_t (and one jet) per member and lambda
+def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
+    # one phi_arrays per ensemble; one w_t (and one jet) per member
     calls = {"phi": 0, "dt": 0}
     phi_arrays, diff_t = CarlemanWeight.phi_arrays, kslab.carleman.diff_t_values
 
@@ -380,7 +422,7 @@ def test_ensemble_builds_window_once_and_jets_once_per_pair(monkeypatch):
     weight = make_default_weight(g, coeff.sigma, 1.0)
     ensemble_audit(weight, coeff, CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0)),
                    n_members=5, seed=3)
-    assert calls == {"phi": 1, "dt": 15}
+    assert calls == {"phi": 1, "dt": 5}
 
 
 def test_random_clamped_bump_is_admissible():
