@@ -35,7 +35,7 @@ def main():
                          seed=args.seed)
     print(f"{'lambda':>8} {'worst c_hat':>12} {'delta_min':>10}")
     for row in ens.rows:
-        print(f"{row.lam:8.1f} {row.c_hat:12.4f} "
+        print(f"{row.lam:8g} {row.c_hat:12.4f} "
               f"{ens.delta_min[row.lam]:10.4f}")
     delta0 = ("none" if ens.delta_at_lambda0 is None
               else f"{ens.delta_at_lambda0:.4f}")

@@ -201,7 +201,7 @@ def cmd_stability_scan(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     block = cfg.inverse_block(grid)
     ncfg = cfg.nonlinear_config()
     run.seed = block["seed"]
-    pert = block["perturbation"](x=grid.x)
+    pert = block["perturbation"]
 
     rows, all_ok = [], True
     for s in block["amplitudes"]:

@@ -100,12 +100,21 @@ class RunConfig:
             raise ConfigError(
                 f"[{section}] {key} = {val!r} is not a valid integer") from exc
 
-    def _expr(self, section, key, variables, default=None):
+    def _values(self, section, key, default=None, **grid):
+        """The expression [section] key evaluated on the arrays ``grid``,
+        which name its variables; every value must be finite."""
         text = self._get(section, key, default)
         try:
-            return parse_expression(text, variables)
+            with np.errstate(all="ignore"):
+                values = parse_expression(text, tuple(grid))(**grid)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        except ZeroDivisionError:
+            values = np.nan
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[{section}] {key}: expression {text!r} is not "
+                              f"finite on the grid")
+        return values
 
     def _float_list(self, section, key, default=None):
         text = self._get(section, key, default)
@@ -133,8 +142,8 @@ class RunConfig:
 
     def coefficients(self, grid: GridSpec) -> CoefficientField:
         self.require("coefficients")
-        sigma = self._expr("coefficients", "sigma", ("x",))(x=grid.x)
-        gamma = self._expr("coefficients", "gamma", ("x",))(x=grid.x)
+        sigma = self._values("coefficients", "sigma", x=grid.x)
+        gamma = self._values("coefficients", "gamma", x=grid.x)
         sigma0 = float(np.min(sigma))
         if not (sigma0 > 0):
             raise ConfigError("[coefficients] sigma must be strictly positive "
@@ -144,10 +153,10 @@ class RunConfig:
 
     def boundary_data(self, grid: GridSpec) -> BoundaryData:
         self.require("data")
-        y0 = self._expr("data", "y0", ("x",), default="0")(x=grid.x)
+        y0 = self._values("data", "y0", "0", x=grid.x)
         tt, xx = np.meshgrid(grid.t, grid.x, indexing="ij")
-        g = self._expr("data", "g", ("x", "t"), default="0")(x=xx, t=tt)
-        hs = [self._expr("data", h, ("t",), default="0")(t=grid.t)
+        g = self._values("data", "g", "0", x=xx, t=tt)
+        hs = [self._values("data", h, "0", t=grid.t)
               for h in ("h1", "h2", "h3", "h4")]
         return BoundaryData(hs[0], hs[1], hs[2], hs[3],
                             ScalarField1D(y0, grid), Trajectory(g, grid))
@@ -204,16 +213,15 @@ class RunConfig:
                 n_modes=self._int("inverse", "modes", 8))
         except ValueError as exc:
             raise ConfigError(f"[inverse] invalid: {exc}") from exc
-        gamma_tilde = self._expr("inverse", "gamma_tilde", ("x",),
-                                 default="0")(x=grid.x)
+        gamma_tilde = self._values("inverse", "gamma_tilde", "0", x=grid.x)
         block = {
             "cfg": cfg,
             "gamma_tilde": ScalarField1D(gamma_tilde, grid),
             "T0": self._number("inverse", "t0", grid.T / 2.0),
             "noise": self._number("inverse", "noise", 0.0),
             "seed": self._int("inverse", "seed", 0),
-            "perturbation": self._expr("inverse", "perturbation", ("x",),
-                                       default="sin(pi*x)"),
+            "perturbation": self._values("inverse", "perturbation",
+                                         "sin(pi*x)", x=grid.x),
             "amplitudes": self._float_list("inverse", "amplitudes",
                                            "1e-3,2e-3,4e-3"),
             "c_cap": self._number("inverse", "c_cap", 1e3),

@@ -1,169 +1,107 @@
 """Closed-form expression strings for coefficients and data.
 
-A deliberately small arithmetic grammar so configs stay portable: binary
-+ - * / ^, unary minus, parentheses, the functions sin, cos, exp, sqrt, the
-constants pi and e, numeric literals, and the variables x and t.  Parsed
-into a tiny AST and evaluated with numpy broadcasting.
+A deliberately small grammar so configs stay portable: + - * / ^ (or **),
+unary + and -, parentheses, sin, cos, exp, sqrt, pi, e, decimal literals and
+the variables x and t.  Python's parser reads the text, each node is checked
+against this whitelist, and numpy evaluates the tree; nothing is executed.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
-
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigError(
-                f"cannot tokenize expression at position {pos}: {text[pos:]!r}")
-        num, name, op = m.groups()
-        if num is not None:
-            out.append(("num", float(num), pos))
-        elif name is not None:
-            out.append(("name", name, pos))
-        else:
-            out.append(("op", "^" if op == "**" else op, pos))
-        pos = m.end()
-    out.append(("end", None, len(text)))
-    return out
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: np.power}
+_UNARY = {ast.UAdd: lambda a: a, ast.USub: operator.neg}
+# the grammar's characters and literals, narrower than Python's (1 # c, 0x10,
+# 1_0, 1j, fullwidth x), and what the grammar reads but Python's parser does
+# not: leading zeros (007), non-ASCII digits, newlines and leading blanks
+_ALPHABET = re.compile(r"[\w.+\-*/^() ]*", re.ASCII)
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_DIGIT = re.compile(r"(?![0-9])\d")
 
 
 class Expression:
-    """Compiled expression; call with keyword arrays, e.g. f(x=..., t=...)."""
+    """Checked expression; call with keyword arrays, e.g. f(x=..., t=...)."""
 
     def __init__(self, text: str, variables: tuple = ("x", "t")):
-        self.text = text
-        self.variables = tuple(variables)
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._ast = self._parse_sum()
-        kind, _, at = self._tokens[self._pos]
-        if kind != "end":
-            raise ConfigError(f"unexpected trailing input at position {at} "
-                              f"in expression {text!r}")
+        self.text, self.variables = text, tuple(variables)
+        src = " ".join(_DIGIT.sub(lambda d: str(int(d[0])), text).split())
+        src = _LEADING_ZEROS.sub("", src)
+        end = _ALPHABET.match(src).end()
+        if end < len(src):
+            raise self._error(f"unexpected character {src[end]!r}", end)
+        self._src = src.replace("^", "**")
+        try:
+            with warnings.catch_warnings():  # Python only warns of 1if
+                warnings.simplefilter("error", SyntaxWarning)
+                self._tree = ast.parse(self._src, mode="eval").body
+        except SyntaxError as exc:
+            raise self._error("syntax error", (exc.offset or 1) - 1) from None
+        self._check(self._tree)
 
-    # -- recursive descent ---------------------------------------------
-    def _peek(self):
-        return self._tokens[self._pos]
+    def _error(self, what: str, at: int, hint: str = "") -> ConfigError:
+        return ConfigError(f"{what} at position {at} in expression "
+                           f"{self.text!r}{hint}")
 
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+    def _check(self, node):
+        """Reject any node outside the grammar; store each literal's value."""
+        children = ()
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            children = node.left, node.right
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            children = node.operand,
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCTIONS and len(node.args) == 1
+              and not node.keywords):
+            children = node.args
+        elif isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+            if node.id not in _CONSTANTS and node.id not in self.variables:
+                raise self._error(f"unknown name {node.id!r}", node.col_offset,
+                                  f" (variables here: {self.variables})")
+        elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(
+                literal := self._src[node.col_offset:node.end_col_offset]):
+            node.value = float(literal)
+        else:
+            raise self._error("unexpected token", node.col_offset)
+        for child in children:
+            self._check(child)
 
-    def _expect_op(self, op: str):
-        kind, val, at = self._next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r} at position {at} in "
-                              f"expression {self.text!r}")
-
-    def _parse_sum(self):
-        node = self._parse_term()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                node = (val, node, self._parse_term())
-            else:
-                return node
-
-    def _parse_term(self):
-        node = self._parse_unary()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "*/":
-                self._next()
-                node = (val, node, self._parse_unary())
-            else:
-                return node
-
-    def _parse_unary(self):
-        kind, val, _ = self._peek()
-        if kind == "op" and val in "+-":
-            self._next()
-            child = self._parse_unary()
-            return child if val == "+" else ("neg", child)
-        return self._parse_power()
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "^":
-            self._next()
-            return ("^", base, self._parse_unary())  # right associative
-        return base
-
-    def _parse_atom(self):
-        kind, val, at = self._next()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self._expect_op("(")
-                arg = self._parse_sum()
-                self._expect_op(")")
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("const", _CONSTANTS[val])
-            if val in self.variables:
-                return ("var", val)
-            raise ConfigError(f"unknown name {val!r} at position {at} in "
-                              f"expression {self.text!r} "
-                              f"(variables here: {self.variables})")
-        if kind == "op" and val == "(":
-            node = self._parse_sum()
-            self._expect_op(")")
-            return node
-        raise ConfigError(f"unexpected token at position {at} in "
-                          f"expression {self.text!r}")
-
-    # -- evaluation ----------------------------------------------------
     def __call__(self, **kw):
-        out = self._eval(self._ast, kw)
+        out = self._eval(self._tree, kw)
         shapes = [np.shape(v) for v in kw.values() if np.ndim(v) > 0]
         if shapes and np.ndim(out) == 0:
-            out = np.broadcast_to(np.asarray(out, dtype=float),
-                                  np.broadcast_shapes(*shapes)).copy()
+            out = np.full(np.broadcast_shapes(*shapes), out, dtype=float)
         return out
 
     def _eval(self, node, kw):
-        op = node[0]
-        if op == "const":
-            return node[1]
-        if op == "var":
-            if node[1] not in kw:
-                raise ConfigError(f"expression {self.text!r} needs variable "
-                                  f"{node[1]!r}")
-            return np.asarray(kw[node[1]], dtype=float)
-        if op == "neg":
-            return -self._eval(node[1], kw)
-        if op == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], kw))
-        a, b = self._eval(node[1], kw), self._eval(node[2], kw)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return np.power(a, b)
+        if isinstance(node, ast.BinOp):
+            return _BINARY[type(node.op)](self._eval(node.left, kw),
+                                          self._eval(node.right, kw))
+        if isinstance(node, ast.UnaryOp):
+            return _UNARY[type(node.op)](self._eval(node.operand, kw))
+        if isinstance(node, ast.Call):
+            return _FUNCTIONS[node.func.id](self._eval(node.args[0], kw))
+        if isinstance(node, ast.Constant):
+            return node.value
+        if node.id in _CONSTANTS:
+            return _CONSTANTS[node.id]
+        if node.id not in kw:
+            raise ConfigError(f"expression {self.text!r} needs variable "
+                              f"{node.id!r}")
+        return np.asarray(kw[node.id], dtype=float)
 
 
 def parse_expression(text: str, variables: tuple = ("x", "t")) -> Expression:

@@ -197,12 +197,9 @@ class _CNSystem:
     def __init__(self, coeff: CoefficientField):
         grid = self.grid = coeff.sigma.grid
         nx, nt, dt = grid.nx, grid.nt, grid.dt
-        if coeff.G1 is None and coeff.G2 is None:
-            # one slot for all times
-            a = a_now = a_next = _band(operator_matrix(coeff, grid), _KA)[None]
-        else:
-            a = np.repeat(_band(_principal_part(coeff, grid), _KA)[None],
-                          nt + 1, axis=0)
+        a = _band(_principal_part(coeff, grid), _KA)[None]
+        if coeff.G1 is not None or coeff.G2 is not None:
+            a = np.repeat(a, nt + 1, axis=0)
             if coeff.G1 is not None:
                 # entry (d, j) of D1's band sits in row j + d - _KA
                 d1 = _band(diff_matrix(grid, 1, "x"), _KA)
@@ -210,8 +207,10 @@ class _CNSystem:
                 a[:, d, j] += coeff.G1.values[:, j + d - _KA] * d1[d, j]
             if coeff.G2 is not None:
                 a[:, _KA] += coeff.G2.values
-            a_now, a_next = a[:-1], a[1:]
         self.band = a
+        # the steps from t^n read slot n and the steps to t^{n+1} slot n + 1,
+        # or one slot for all times
+        a_now, a_next = (a[:-1], a[1:]) if len(a) > 1 else (a, a)
         # the rows in which each diagonal of A (column j = i + off) has an
         # entry in some slot: the wide diagonals only in the boundary rows
         cols = (a != 0).any(axis=0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,3 +332,34 @@ def test_cli_commands_do_not_import_sympy(tmp_path, cmd, name):
 def test_carleman_import_does_not_import_sympy():
     assert run_fresh("import sys, kslab.carleman\n"
                      "print('sympy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.parametrize("cmd, section, key, value", [
+    ("simulate", "coefficients", "gamma", "sqrt(x-2)"),
+    ("simulate", "coefficients", "sigma", "1/x"),
+    ("simulate", "data", "y0", "1/x"),
+    ("simulate", "data", "g", "1/t"),
+    ("simulate", "data", "h1", "1/t"),
+    ("simulate", "data", "h1", "1/0"),
+    ("simulate", "data", "h2", "exp(1000)*0"),
+    ("invert", "inverse", "gamma_tilde", "1/x"),
+    ("stability-scan", "inverse", "perturbation", "1/x")])
+def test_non_finite_expression_is_config_error(tmp_path, capsys, cmd,
+                                               section, key, value):
+    raw = {"grid": {"nx": "16", "nt": "16", "T": "1.0"},
+           "coefficients": {"sigma": "1", "gamma": "1"},
+           "data": {"y0": "0", "g": "0"}, "inverse": {}}
+    raw[section][key] = value
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in raw.items()))
+    # a numpy warning raises, so it escapes main as a traceback would
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([cmd, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{section}] {key}" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err

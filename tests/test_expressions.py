@@ -1,8 +1,12 @@
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 
+import kslab
+from kslab.config import RunConfig
 from kslab.errors import ConfigError
 from kslab.expressions import parse_expression
 
@@ -48,6 +52,46 @@ def test_variable_whitelist():
 
 
 def test_parse_errors():
-    for bad in ("1 +* x", "sin x", "2 +", "(1+2", "1 2", "", "foo(3)", "x $ y"):
+    for bad in ("1 +* x", "sin x", "2 +", "(1+2", "1 2", "", "foo(3)", "x $ y",
+                # Python's parser reads these, the grammar does not
+                "1 # c", "0x10", "1_0", "0b1", "1j", "True", "x % 2", "x // 2",
+                "x < 1", "x @ x", "~x", "not x", "1 if x else 2", "x[0]",
+                "x.T", "sin(x, t)", "sin(x=1)", "sin + 1", "\uff58"):
         with pytest.raises(ConfigError):
             parse_expression(bad)
+
+
+def test_grammar_reads_what_python_alone_rejects():
+    assert parse_expression("007")() == 7.0
+    assert parse_expression("\u0663.5")() == 3.5  # an Arabic-Indic 3
+    # a configparser continuation line
+    f = parse_expression("1 +\n  x")
+    assert f(x=np.array([2.0]))[0] == 3.0
+    assert parse_expression("  2")() == 2.0
+    assert parse_expression("2 ^ - 1")() == 0.5
+
+
+def test_evaluation_order_matches_numpy_bit_for_bit():
+    cfg = RunConfig.from_file(os.path.join(
+        os.path.dirname(__file__), "..", "configs", "invert_closed_loop.cfg"))
+    grid = cfg.grid()
+    t, x = np.meshgrid(grid.t, grid.x, indexing="ij")
+    out = parse_expression(cfg.raw["data"]["g"])(x=x, t=t)
+    ref = (-0.01 * np.exp(-t) * (1 + np.power(x, 2.0))
+           + (1 + 0.005 * np.sin(np.pi * x)) * 0.02 * np.exp(-t)
+           + 0.0001 * np.exp(-2.0 * t) * (1 + np.power(x, 2.0)) * 2.0 * x)
+    assert np.array_equal(out, ref)
+
+
+def test_no_module_executes_text():
+    # config text is only ever parsed: no kslab module calls the builtins
+    # eval, exec or compile (ast.parse and re.compile are other functions)
+    banned = {prefix + name for prefix in ("", "builtins.", "__builtins__.")
+              for name in ("eval", "exec", "compile")}
+    src = os.path.dirname(kslab.__file__)
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        calls = {ast.unparse(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)}
+        assert not calls & banned, name

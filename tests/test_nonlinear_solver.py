@@ -141,7 +141,7 @@ def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
 
 
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
-    counts = {"operator_matrix": 0, "dgbtrf": 0, "solve_linear_full": 0}
+    counts = {"_principal_part": 0, "dgbtrf": 0, "solve_linear_full": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -151,7 +151,7 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(linear_solver, "operator_matrix")
+    counted(linear_solver, "_principal_part")
     counted(linear_solver, "dgbtrf")
     counted(nonlinear_solver, "solve_linear_full")
     g = GridSpec(16, 16, 1.0)
@@ -161,8 +161,8 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
     assert rep.iterations >= 2
     # one linear solve per sweep plus the first, on one CN system
     calls = rep.iterations + 1
-    assert counts == {"operator_matrix": 1, "dgbtrf": 1,
+    assert counts == {"_principal_part": 1, "dgbtrf": 1,
                       "solve_linear_full": calls}
     contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
-    assert counts == {"operator_matrix": 1, "dgbtrf": 1,
+    assert counts == {"_principal_part": 1, "dgbtrf": 1,
                       "solve_linear_full": calls + 2}

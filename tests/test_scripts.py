@@ -28,4 +28,11 @@ def run_script(name, *args):
 def test_carleman_scan_runs(args, lambda0_line):
     proc = run_script("carleman_scan.py", *args)
     assert proc.returncode == 0, proc.stderr
-    assert lambda0_line in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    assert lambda0_line in lines
+    # the table's rows, between its header and the lambda0 line, give each
+    # lambda as it was passed
+    header = next(i for i, line in enumerate(lines)
+                  if line.split()[:1] == ["lambda"])
+    rows = lines[header + 1:lines.index(lambda0_line)]
+    assert [row.split()[0] for row in rows] == args[-1].split(",")
