@@ -24,9 +24,14 @@ which holds the rows, phi arrays, sigma jet and trapezoid weights and takes a
 test function's jets, and a _Lambda per lambda on it, which builds what that
 lambda adds on first use.  The ledger's coefficient fields are the plain
 numpy functions of ledger_fields, generated from a sympy derivation kept with
-the tests, so the audit and the ledger import no sympy.  ensemble_audit takes
-each member's audit row and delta_hat from one set of jets per member, and
-the full ledger only for the worst member at the largest lambda.
+the tests, so the audit and the ledger import no sympy.
+
+Every ensemble member is a coefficient vector c in a span of 2*n_modes
+profiles (_Span), and each audit quantity and both parts of delta_hat are
+quadratic forms c^T M c.  ensemble_audit builds the forms of each lambda once
+and screens all members with them; it evaluates on the per-member path only
+the members whose bounds reach the reported extremes, and builds the full
+ledger once, for the worst member at the largest lambda.
 """
 
 from __future__ import annotations
@@ -34,18 +39,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import HypothesisViolation, LayerViolation
-from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
-                   diff_x_values, require_same_grid, trapz_weights)
+from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
+                   diff_t_values, diff_x_values, require_same_grid,
+                   trapz_weights)
 from .ledger_fields import FIELDS
 from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
 _BOUNDARY = [name for name in FIELDS if name.startswith("bnd_")]
 _INTERIOR = [name for name in FIELDS if name not in _BOUNDARY]
+# the derivative order k of the w_kx^2 each boundary field multiplies, and
+# the columns x = 0 and x = 1
+_SQUARES = {name: ("w2", "wx2", "wxx2", "wxxx2").index(FIELDS[name][1])
+            for name in _BOUNDARY}
+_ENDS = [0, -1]
 
 
 @dataclass(frozen=True)
@@ -199,10 +211,9 @@ class _Window:
         return np.outer(-self.weight.phi0_prime[self.rows] * inv ** 2,
                         self.weight.beta_derivs[1])
 
-    def jets(self, w: Trajectory):
-        """([w, w_x, .., w_xxxx], w_t, [w^2, .., w_xxx^2]) on the window rows;
-        GridMismatch for a w from another grid, LayerViolation for one that
-        is not negligible outside the window."""
+    def check(self, w: Trajectory) -> np.ndarray:
+        """w on the window rows; GridMismatch for a w from another grid,
+        LayerViolation for one that is not negligible outside the window."""
         require_same_grid(w, self)
         w0 = w.values[self.rows]
         inside = np.abs(w0).max()
@@ -211,6 +222,12 @@ class _Window:
             raise LayerViolation(
                 f"test function carries {outside:.2e} outside the time window "
                 f"(inside max {inside:.2e})")
+        return w0
+
+    def jets(self, w: Trajectory):
+        """([w, w_x, .., w_xxxx], w_t, [w^2, .., w_xxx^2]) on the window rows,
+        after check(w)."""
+        w0 = self.check(w)
         jets = [w0] + [diff_x_values(w0, self.grid, k) for k in range(1, 5)]
         return (jets, diff_t_values(w.values, self.grid, 1)[self.rows],
                 [j ** 2 for j in jets[:4]])
@@ -464,12 +481,14 @@ def _margin(lw: _Lambda, jets, wt, squares) -> tuple:
     window = lw.window
     P1, P2 = _p1_p2(lw, jets, wt)
     direct = window.quad(P1 * P2)
-    wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares))
     bnd0, bnd1 = 0.0, 0.0
     for name in _BOUNDARY:
-        term = lw.field(name) * wsq[FIELDS[name][1]]
+        # both columns in a C-ordered (rows, 2) array: quad_t reads each
+        # strided, as from the whole window, so it sums in the same order
+        term = np.multiply(lw.field(name)[:, _ENDS],
+                           squares[_SQUARES[name]][:, _ENDS], order="C")
         bnd0 += window.quad_t(term[:, 0])
-        bnd1 += window.quad_t(term[:, -1])
+        bnd1 += window.quad_t(term[:, 1])
     wn = window.quad(_norm_integrand(lw.norm, squares))
     delta_hat = (direct - (bnd1 - bnd0)) / wn if wn > 0 else 0.0
     return direct, bnd0, bnd1, wn, delta_hat
@@ -586,21 +605,167 @@ def carleman_audit(v: Trajectory, weight: CarlemanWeight,
             for lam in cfg.lambda_grid]
 
 
+def _bump_time_factor(grid: GridSpec, eta: float | None) -> np.ndarray:
+    """The sin^2 window bump in time of random_clamped_bump."""
+    T = grid.T
+    eta = T / 10.0 if eta is None else eta
+    t = grid.t
+    return np.where((t >= eta - 1e-12) & (t <= T - eta + 1e-12),
+                    np.sin(np.pi * np.clip((t - eta) / (T - 2 * eta), 0, 1)) ** 2,
+                    0.0)
+
+
+def _bump_coefficients(rng: np.random.Generator, n_modes: int) -> np.ndarray:
+    """(a_1, b_1, .., a_n, b_n) of one random_clamped_bump, in its draw order."""
+    return np.array([rng.uniform(-1, 1) for _ in range(2 * n_modes)])
+
+
+def _clamped_bump(grid: GridSpec, coeffs: np.ndarray,
+                  eta: float | None) -> Trajectory:
+    """tfac(t) x^2(1-x)^2 sum_k (a_k sin k pi x + b_k cos k pi x)."""
+    x = grid.x
+    prof = np.zeros_like(x)
+    for k in range(1, coeffs.size // 2 + 1):
+        prof += (coeffs[2 * k - 2] * np.sin(k * np.pi * x)
+                 + coeffs[2 * k - 1] * np.cos(k * np.pi * x))
+    return Trajectory(np.outer(_bump_time_factor(grid, eta),
+                               x ** 2 * (1 - x) ** 2 * prof), grid)
+
+
 def random_clamped_bump(grid: GridSpec, rng: np.random.Generator,
                         eta: float | None = None, n_modes: int = 4) -> Trajectory:
     """Random Fourier-in-x profile under the clamping envelope x^2(1-x)^2,
     modulated by the sin^2 window bump in time; coefficients in [-1, 1]."""
-    T = grid.T
-    eta = T / 10.0 if eta is None else eta
-    t, x = grid.t, grid.x
-    tfac = np.where((t >= eta - 1e-12) & (t <= T - eta + 1e-12),
-                    np.sin(np.pi * np.clip((t - eta) / (T - 2 * eta), 0, 1)) ** 2,
-                    0.0)
-    prof = np.zeros_like(x)
-    for k in range(1, n_modes + 1):
-        prof += (rng.uniform(-1, 1) * np.sin(k * np.pi * x)
-                 + rng.uniform(-1, 1) * np.cos(k * np.pi * x))
-    return Trajectory(np.outer(tfac, x ** 2 * (1 - x) ** 2 * prof), grid)
+    return _clamped_bump(grid, _bump_coefficients(rng, n_modes), eta)
+
+
+def _abs_diff_x(values: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
+    """|D_k| |values| row by row: bounds the k-th x-derivative of values and
+    the roundoff of its stencil sums."""
+    return (abs(diff_matrix(grid, order, "x")) @ np.abs(values).T).T
+
+
+def _pairs(left, right, weight=None):
+    """Terms (s, f, X, Y) of the product of two linear maps, each a list of
+    (s, f, X) for s(t) f(t, x) X(p), under an optional common field; each
+    field is formed as it is read, so one is alive at a time."""
+    for sa, fa, xa in left:
+        for sb, fb, xb in right:
+            field = None
+            for f in (weight, fa, fb):
+                if f is not None:
+                    field = f if field is None else field * f
+            yield sa * sb, field, xa, xb
+
+
+class _Span:
+    """The ensemble's span.  A member is tau(t) sum_a c_a p_a(x) with p_a =
+    x^2(1-x)^2 sin(k pi x) and cos(k pi x), k = 1..n_modes, in the order of
+    random_clamped_bump's coefficients, so every quantity of the audit and
+    of delta_hat is a quadratic form c^T M c.
+
+    Holds tau and tau' on the window rows, the x-jets of the p_a ([0]..[4]
+    the derivatives, "S" (sigma p_xx)_xx as in _audit_terms, "P1" the sigma
+    part of _p1_p2), their absolute values and the majorants |D_k| |p_a| of
+    their stencil sums.  A per-member quadrature and c^T M c differ by the
+    roundoff of the jets (a few eps times the majorant in an x factor, up to
+    about eps rows/pi times |tau'| in a tau' factor) and of the O(rows + nx)
+    terms each sum adds.  M_abs, the quadrature of |s f| (majorant x |jet| +
+    |jet| x majorant), times band = eps (rows + nx + 65) bounds both to first
+    order, for coefficients that keep every product clear of underflow, as
+    those rng.uniform(-1, 1) draws do."""
+
+    def __init__(self, window: _Window, eta: float | None, n_modes: int):
+        grid, (s, sx, sxx, _) = window.grid, window.sig
+        x, tfac = grid.x, _bump_time_factor(grid, eta)
+        P = np.array([x ** 2 * (1 - x) ** 2 * f(k * np.pi * x)
+                      for k in range(1, n_modes + 1) for f in (np.sin, np.cos)])
+        P = P.reshape(2 * n_modes, grid.nx + 1)
+        for p in P:  # the grid and layer checks the members' jets would make
+            window.check(Trajectory(np.outer(tfac, p), grid))
+        self.window = window
+        self.tau = tfac[window.rows]
+        self.dtau = diff_t_values(tfac, grid, 1)[window.rows]
+        self.band = np.finfo(float).eps * (window.rows.size + grid.nx + 65)
+        jets = [P] + [diff_x_values(P, grid, k) for k in range(1, 5)]
+        bounds = [np.abs(P)] + [_abs_diff_x(P, grid, k) for k in range(1, 5)]
+        jets += [diff_x_values(s * jets[2], grid, 2),
+                 sxx * jets[2] + 2 * sx * jets[3] + s * jets[4]]
+        bounds += [_abs_diff_x(s * bounds[2], grid, 2),
+                   np.abs(sxx) * bounds[2] + np.abs(2 * sx) * bounds[3]
+                   + np.abs(s) * bounds[4]]
+        names = (0, 1, 2, 3, 4, "S", "P1")
+        self.jets, self.bounds = dict(zip(names, jets)), dict(zip(names, bounds))
+        self.sizes = {name: np.abs(j) for name, j in self.jets.items()}
+
+    def _form(self, terms, col=None):
+        """(M, M_abs) of the sum over terms (s, f, X, Y) of the quadrature of
+        s(t) f(t, x) X(p_a)(x) Y(p_b)(x), f None meaning 1: one time
+        reduction per term, then the x-quadrature of two profiles.  With a
+        column col, f is that column and the quadrature is in time only."""
+        window = self.window
+        xs, wx = (slice(None), window.trapz_x) if col is None else ([col], 1.0)
+        M = M_abs = 0.0
+        for s, f, X, Y in terms:
+            f = np.ones((s.size, 1)) if f is None else f
+            k = (window.trapz_t * s) @ f * wx
+            k_abs = (window.trapz_t * np.abs(s)) @ np.abs(f) * wx
+            M = M + (self.jets[X][:, xs] * k) @ self.jets[Y][:, xs].T
+            M_abs = M_abs + (
+                (self.bounds[X][:, xs] * k_abs) @ self.sizes[Y][:, xs].T
+                + (self.sizes[X][:, xs] * k_abs) @ self.bounds[Y][:, xs].T)
+        return M, M_abs
+
+    def forms(self, lw: _Lambda, qs) -> dict:
+        """{name: (M, M_abs)} of one lambda, named after the AuditRow field
+        or the _margin value that c^T M c gives for the member c: lhs,
+        rhs_interior, rhs_boundary0/1, direct, ix0/ix1 and norm."""
+        tau, dtau, t2 = self.tau, self.dtau, self.tau ** 2
+        e2, norm = lw.e2, lw.norm
+        f_wxx, f_w, _, f_wx, g_wx, g_wxxx, g_w = lw.split
+        lv = [(dtau, None, 0), (tau, None, "S")] + [
+            (tau, qi, k) for k, qi in enumerate(qs) if np.ndim(qi)]
+        p1 = [(tau, f_wxx, 2), (tau, f_w, 0), (tau, None, "P1"), (tau, f_wx, 1)]
+        p2 = [(dtau, None, 0), (tau, g_wx, 1), (tau, g_wxxx, 3), (tau, g_w, 0)]
+        e2n1 = e2 / norm[3]
+        direct = self._form(_pairs(p1, p2))
+        curvature = [(dtau ** 2, e2n1, 0, 0), (t2, e2n1, "S", "S")]
+        out = {
+            "lhs": self._form(chain(curvature, ((t2, e2 * n, k, k)
+                                                for k, n in enumerate(norm)))),
+            "rhs_interior": self._form(_pairs(lv, lv, e2)),
+            "direct": tuple((m + m.T) / 2 for m in direct),
+            "norm": self._form([(t2, n, k, k) for k, n in enumerate(norm)]),
+        }
+        for side, col, (e, a, b) in zip("01", _ENDS, lw.boundary):
+            out["rhs_boundary" + side] = self._form(
+                [(t2, (e * a)[:, None], 2, 2), (t2, (e * b)[:, None], 3, 3)],
+                col)
+            out["ix" + side] = self._form(
+                [(t2, lw.field(name)[:, [col]], _SQUARES[name], _SQUARES[name])
+                 for name in _BOUNDARY], col)
+        return out
+
+    def values(self, coeffs: np.ndarray, forms: dict, plus, minus=()):
+        """Each member's sum(plus) - sum(minus) of forms and its roundoff
+        bound."""
+        M = sum(forms[name][0] for name in plus) \
+            - sum(forms[name][0] for name in minus)
+        M_abs = sum(forms[name][1] for name in plus + minus)
+        a = np.abs(coeffs)
+        value = ((coeffs @ M) * coeffs).sum(1)
+        return value, self.band * ((a @ M_abs) * a).sum(1)
+
+
+def _ratio_bounds(num, num_err, den, den_err):
+    """Bounds of num/den for each member; (-inf, inf) where the denominator
+    may be 0, so that a possibly degenerate member is always confirmed."""
+    with np.errstate(all="ignore"):
+        q = [(num + a) / (den + b) for a in (-num_err, num_err)
+             for b in (-den_err, den_err)]
+        lo, hi = np.minimum.reduce(q), np.maximum.reduce(q)
+        sure = (den - den_err > 0) & np.isfinite(lo) & np.isfinite(hi)
+    return np.where(sure, lo, -np.inf), np.where(sure, hi, np.inf)
 
 
 @dataclass
@@ -618,38 +783,69 @@ class EnsembleAudit:
 def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
                    cfg: CarlemanConfig, n_members: int = 50,
                    seed: int = 0, q=None, n_modes: int = 4) -> EnsembleAudit:
-    """Audit + ledger scan over seeded random clamped bumps."""
+    """Audit + ledger scan over seeded random clamped bumps.
+
+    The members are screened by the quadratic forms of the span (_Span):
+    per lambda, every member whose c_hat or delta_hat bounds reach the
+    ensemble's max c_hat or min delta_hat is rebuilt and evaluated on the
+    per-member path of carleman_audit and inner_product_ledger.  Only those
+    exact values are reported, so the result is the one of evaluating every
+    member that way.
+    """
     if n_members < 1:
         raise ValueError(f"n_members must be at least 1, got {n_members}")
     window = _Window(weight, coeff, cfg.eta)
     qs = _q_arrays(q, window, cfg.m)
     lws = [_Lambda(window, lam) for lam in cfg.lambda_grid]
     rng = np.random.default_rng(seed)
+    coeffs = np.array([_bump_coefficients(rng, n_modes)
+                       for _ in range(n_members)])
+    span = _Span(window, cfg.eta, n_modes)
 
-    # members outside the lambdas, so one member's jets are alive at a time
-    # and each is built once; every lambda's fields stay for the whole pass
-    audit, deltas = [[] for _ in lws], [[] for _ in lws]
-    worst_idx, worst_chat, worst_ledger = 0, -np.inf, None
+    chat_at, delta_at = [[] for _ in coeffs], [[] for _ in coeffs]
+    for k, lw in enumerate(lws):
+        forms = span.forms(lw, qs)
+        lo, hi = _ratio_bounds(
+            *span.values(coeffs, forms, ("lhs",)),
+            *span.values(coeffs, forms, ("rhs_interior", "rhs_boundary0")))
+        for i in np.flatnonzero(hi >= lo.max()):
+            chat_at[i].append(k)
+        lo, hi = _ratio_bounds(
+            *span.values(coeffs, forms, ("direct", "ix0"), ("ix1",)),
+            *span.values(coeffs, forms, ("norm",)))
+        for i in np.flatnonzero(lo <= hi.min()):
+            delta_at[i].append(k)
+
+    rows, deltas = [None] * len(lws), [None] * len(lws)
+
+    def confirm(i):
+        """The exact rows and delta_hats the screen asks of member i; its
+        jets if it is the worst member so far at the largest lambda."""
+        worst = None
+        jets, wt, squares = window.jets(
+            _clamped_bump(window.grid, coeffs[i], cfg.eta))
+        terms = _audit_terms(window, jets, wt, qs) if chat_at[i] else None
+        for k in chat_at[i]:
+            row = _audit_row(lws[k], squares, terms, cfg.c_cap)
+            if rows[k] is None or row.c_hat > rows[k].c_hat:  # first of ties
+                rows[k] = row
+                if k == len(lws) - 1:
+                    worst = (i, jets, wt, squares)
+        for k in delta_at[i]:
+            delta = _margin(lws[k], jets, wt, squares)[-1]
+            deltas[k] = delta if deltas[k] is None else min(deltas[k], delta)
+        return worst
+
+    # one member's jets alive at a time, besides those of the worst member
+    # so far at the largest lambda, kept for its ledger
+    worst = None
     for i in range(n_members):
-        v = random_clamped_bump(window.grid, rng, cfg.eta, n_modes)
-        jets, wt, squares = window.jets(v)
-        terms = _audit_terms(window, jets, wt, qs)
-        for k, lw in enumerate(lws):
-            row = _audit_row(lw, squares, terms, cfg.c_cap)
-            audit[k].append(row)
-            # at the largest lambda, the full ledger of the running worst
-            # member (strict >, so the first of ties)
-            if lw is lws[-1] and (i == 0 or row.c_hat > worst_chat):
-                worst_idx, worst_ledger = i, _ledger(lw, jets, wt, squares)
-                worst_chat = max(worst_chat, row.c_hat)  # NaN stays out
-                deltas[k].append(worst_ledger.delta_hat)
-            else:
-                deltas[k].append(_margin(lw, jets, wt, squares)[-1])
-    rows = [max(a, key=lambda row: row.c_hat) for a in audit]  # first of ties
-    delta_min = {lw.lam: min(d) for lw, d in zip(lws, deltas)}
+        if chat_at[i] or delta_at[i]:
+            worst = confirm(i) or worst
+    delta_min = {lw.lam: d for lw, d in zip(lws, deltas)}
 
     lambda0 = next((lam for lam in cfg.lambda_grid if delta_min[lam] > 0),
                    None)
     return EnsembleAudit(rows, delta_min, lambda0,
                          None if lambda0 is None else delta_min[lambda0],
-                         worst_idx, worst_ledger)
+                         worst[0], _ledger(lws[-1], *worst[1:]))

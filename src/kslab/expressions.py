@@ -48,13 +48,18 @@ class Expression:
             with warnings.catch_warnings():  # Python only warns of 1if
                 warnings.simplefilter("error", SyntaxWarning)
                 self._tree = ast.parse(self._src, mode="eval").body
+            self._check(self._tree)
         except SyntaxError as exc:
             raise self._error("syntax error", (exc.offset or 1) - 1) from None
-        self._check(self._tree)
+        except RecursionError:
+            raise self._too_deep() from None
 
     def _error(self, what: str, at: int, hint: str = "") -> ConfigError:
         return ConfigError(f"{what} at position {at} in expression "
                            f"{self.text!r}{hint}")
+
+    def _too_deep(self) -> ConfigError:
+        return ConfigError(f"expression {self.text!r} is nested too deeply")
 
     def _check(self, node):
         """Reject any node outside the grammar; store each literal's value."""
@@ -80,7 +85,10 @@ class Expression:
             self._check(child)
 
     def __call__(self, **kw):
-        out = self._eval(self._tree, kw)
+        try:
+            out = self._eval(self._tree, kw)
+        except RecursionError:
+            raise self._too_deep() from None
         shapes = [np.shape(v) for v in kw.values() if np.ndim(v) > 0]
         if shapes and np.ndim(out) == 0:
             out = np.full(np.broadcast_shapes(*shapes), out, dtype=float)

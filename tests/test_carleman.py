@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import layered_bump, make_coeff
 import kslab.carleman
@@ -13,6 +15,7 @@ from kslab.errors import GridMismatch, HypothesisViolation, LayerViolation
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, trapz_weights)
 
+EPS = np.finfo(float).eps
 R_ANALYTIC = 1.0 / (4.0 * 2.0 ** 1.5)  # min over [0,1] of -beta'' for sqrt(1+x)
 
 
@@ -403,26 +406,108 @@ def test_audit_matches_reference(slope, with_q):
 
 
 def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
-    # one phi_arrays per ensemble; one w_t (and one jet) per member
-    calls = {"phi": 0, "dt": 0}
-    phi_arrays, diff_t = CarlemanWeight.phi_arrays, kslab.carleman.diff_t_values
+    # one phi_arrays per ensemble; jets once for each member the forms
+    # confirm, which here are exactly the members the audit reports; one
+    # full ledger, for the final worst member
+    calls = {"phi": 0, "jets": [], "ledger": 0}
+    phi_arrays, jets = CarlemanWeight.phi_arrays, kslab.carleman._Window.jets
+    ledger = kslab.carleman._ledger
 
     def counted_phi(self, rows):
         calls["phi"] += 1
         return phi_arrays(self, rows)
 
-    def counted_dt(*args, **kwargs):
-        calls["dt"] += 1
-        return diff_t(*args, **kwargs)
+    def counted_jets(self, w):
+        calls["jets"].append(w.values)
+        return jets(self, w)
+
+    def counted_ledger(*args):
+        calls["ledger"] += 1
+        return ledger(*args)
 
     monkeypatch.setattr(CarlemanWeight, "phi_arrays", counted_phi)
-    monkeypatch.setattr(kslab.carleman, "diff_t_values", counted_dt)
+    monkeypatch.setattr(kslab.carleman._Window, "jets", counted_jets)
+    monkeypatch.setattr(kslab.carleman, "_ledger", counted_ledger)
     g = GridSpec(32, 64, 2.0)
     coeff = make_coeff(g)
     weight = make_default_weight(g, coeff.sigma, 1.0)
-    ensemble_audit(weight, coeff, CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0)),
-                   n_members=5, seed=3)
-    assert calls == {"phi": 1, "dt": 5}
+    cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
+    ens = ensemble_audit(weight, coeff, cfg, n_members=20, seed=3)
+    assert calls["phi"] == 1 and calls["ledger"] == 1
+
+    rng = np.random.default_rng(3)
+    members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(20)]
+    confirmed = [next(i for i, v in enumerate(members)
+                      if np.array_equal(v.values, w)) for w in calls["jets"]]
+    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
+    reported = {max(range(20), key=lambda i: audits[i][k].c_hat)
+                for k in range(3)}
+    reported |= {min(range(20), key=lambda i: inner_product_ledger(
+        members[i], weight, coeff, None, lam, cfg.eta).delta_hat)
+        for lam in cfg.lambda_grid}
+    assert confirmed == sorted(reported)  # each once, in member order
+    assert ens.worst_member in reported
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(16, 48), nt=st.integers(16, 64),
+       slope=st.floats(-0.03, 0.03), q_amp=st.sampled_from([0.0, 0.4, 2.0]),
+       lambdas=st.lists(st.floats(0.5, 32.0), min_size=1, max_size=3,
+                        unique=True).map(sorted),
+       eta=st.sampled_from([None, 0.3]), n_modes=st.integers(1, 4),
+       data=st.data())
+def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
+                                                 lambdas, eta, n_modes, data):
+    # each form's c^T M c is the per-member quadrature of the rebuilt member
+    # to roundoff, within the screening band, and the c_hat and delta_hat
+    # bounds the screen draws from them hold the exact values
+    g = GridSpec(nx, nt, 2.0)
+    sigma = ScalarField1D(1 + slope * g.x, g)
+    coeff = make_coeff(g, sigma=sigma.values)
+    weight = make_default_weight(g, sigma, 1.0)
+    window = kslab.carleman._Window(weight, coeff, eta)
+    q = None
+    if q_amp:
+        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+        q = (Trajectory(q_amp * np.sin(np.pi * xx) * np.cos(tt), g),
+             Trajectory(-0.5 * q_amp * xx * tt, g),
+             Trajectory(np.full((nt + 1, nx + 1), 0.3 * q_amp), g))
+    qs = kslab.carleman._q_arrays(q, window)
+    span = kslab.carleman._Span(window, eta, n_modes)
+    # coefficient vectors from the values rng.uniform(-1, 1) can return,
+    # the multiples of 2^-52 in [-1, 1]
+    coeffs = np.array(data.draw(st.lists(
+        st.lists(st.integers(-2 ** 52, 2 ** 52), min_size=2 * n_modes,
+                 max_size=2 * n_modes), min_size=1, max_size=3))) / 2.0 ** 52
+    for lam in lambdas:
+        lw = kslab.carleman._Lambda(window, lam)
+        forms = span.forms(lw, qs)
+        for c in coeffs:
+            v = kslab.carleman._clamped_bump(g, c, eta)
+            jets, wt, squares = window.jets(v)
+            terms = kslab.carleman._audit_terms(window, jets, wt, qs)
+            row = kslab.carleman._audit_row(lw, squares, terms, 1e6)
+            direct, ix0, ix1, wn, delta = kslab.carleman._margin(
+                lw, jets, wt, squares)
+            exact = {"lhs": row.lhs, "rhs_interior": row.rhs_interior,
+                     "rhs_boundary0": row.rhs_boundary0,
+                     "rhs_boundary1": row.rhs_boundary1, "direct": direct,
+                     "ix0": ix0, "ix1": ix1, "norm": wn}
+            for name, value in exact.items():
+                screened, band = span.values(c[None], forms, (name,))
+                err = abs(screened[0] - value)
+                # band / span.band is the sum of absolute contributions
+                assert err <= 16 * EPS * band[0] / span.band, name
+                assert err <= band[0], name
+            lo, hi = kslab.carleman._ratio_bounds(
+                *span.values(c[None], forms, ("lhs",)),
+                *span.values(c[None], forms,
+                             ("rhs_interior", "rhs_boundary0")))
+            assert lo[0] <= row.c_hat <= hi[0]
+            lo, hi = kslab.carleman._ratio_bounds(
+                *span.values(c[None], forms, ("direct", "ix0"), ("ix1",)),
+                *span.values(c[None], forms, ("norm",)))
+            assert lo[0] <= delta <= hi[0]
 
 
 def test_random_clamped_bump_is_admissible():

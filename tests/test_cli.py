@@ -363,3 +363,16 @@ def test_non_finite_expression_is_config_error(tmp_path, capsys, cmd,
     err = capsys.readouterr().err
     assert "config error" in err and f"[{section}] {key}" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "deep.cfg"
+    cfgfile.write_text("[grid]\nnx = 16\nnt = 16\nT = 1.0\n"
+                       "[coefficients]\nsigma = 1\ngamma = " + "1+" * 2000
+                       + "1\n[data]\ny0 = 0\ng = 0\n")
+    code = main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "nested too deeply" in err
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ def test_parse_errors():
                 "x.T", "sin(x, t)", "sin(x=1)", "sin + 1", "\uff58"):
         with pytest.raises(ConfigError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("text", ["1+" * 2000 + "1", "1+" * 100000 + "1",
+                                  "-" * 3000 + "1", "2^" * 1500 + "1"],
+                         ids=["sum-2000", "sum-100000", "signs", "powers"])
+def test_deep_nesting_is_config_error(text):
+    # Python's parser and the grammar check both recurse per level
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        parse_expression(text)
+
+
+def test_deep_evaluation_is_config_error():
+    # the tree passed the check, but the stack left at the call is shorter
+    f = parse_expression("1+" * 400 + "1")
+    assert f() == 401.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            f()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_grammar_reads_what_python_alone_rejects():
