@@ -13,18 +13,19 @@ weight inside the singular layers.
 
 The conjugated operator P = exp(-lambda*phi) L exp(lambda*phi) splits into
 P1 (self-adjoint-like), P2 (skew-like) and a remainder R.  The reference
-evaluation of P is generated symbolically from the definition by chain rule
-and shares every discrete derivative array with the itemized P1+P2+R, so the
-identity residual measures the split's algebra, not the stencils.  The
-remainder formulas carry sigma-derivative terms that matter only for
-non-constant diffusion; each was checked against the symbolic reference.
+evaluation of P, conjugated_reference, is expanded from the definition by
+the chain rule and shares every discrete derivative array with the itemized
+P1+P2+R, so the identity residual measures the split's algebra, not the
+stencils.  The remainder formulas carry sigma-derivative terms that matter
+only for non-constant diffusion; each was checked against the reference.
 
 Every entry point evaluates through a _Window per (weight, sigma, eta),
 which holds the rows, phi arrays, sigma jet and trapezoid weights and takes a
 test function's jets, and a _Lambda per lambda on it, which builds what that
-lambda adds on first use.  The ledger's coefficient fields are the plain
-numpy functions of ledger_fields, generated from a sympy derivation kept with
-the tests, so the audit and the ledger import no sympy.
+lambda adds on first use.  The ledger's coefficient fields and the
+conjugated-operator reference are the plain numpy functions of
+ledger_fields, generated from sympy derivations kept with the tests, so no
+entry point imports sympy.
 
 Every ensemble member is a coefficient vector c in a span of 2*n_modes
 profiles (_Span), and each audit quantity and both parts of delta_hat are
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import HypothesisViolation, LayerViolation
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                    diff_t_values, diff_x_values, require_same_grid,
                    trapz_weights)
-from .ledger_fields import FIELDS
+from .ledger_fields import FIELDS, conjugated_reference
 from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
@@ -79,10 +80,6 @@ class CarlemanWeight:
     r: float
     epsilon_margin: float
     lam: float
-
-    @property
-    def beta(self) -> ScalarField1D:
-        return ScalarField1D(self.beta_derivs[0], self.grid)
 
     def default_eta(self) -> float:
         return self.grid.T / 10.0
@@ -307,70 +304,11 @@ def _q_arrays(q, window: _Window, m: float = np.inf):
     return out
 
 
-@lru_cache(maxsize=None)
-def _symbolic_conjugated_operator():
-    """Chain-rule expansion of exp(-lam*phi) L (exp(lam*phi) w), lambdified.
-
-    Generated from the definition with sympy, then mapped onto plain symbols
-    for the derivative arrays, so the reference side of the identity check is
-    independent of the hand-transcribed split.
-    """
-    import sympy as sp
-
-    t, x, lam = sp.symbols("t x lam")
-    w = sp.Function("w")(t, x)
-    phi = sp.Function("phi")(t, x)
-    sig = sp.Function("sig")(x)
-    q0, q1, q2 = [sp.Function(f"q{i}")(t, x) for i in range(3)]
-
-    v = sp.exp(lam * phi) * w
-    Lv = (sp.diff(v, t) + sp.diff(sig * sp.diff(v, x, 2), x, 2)
-          + q2 * sp.diff(v, x, 2) + q1 * sp.diff(v, x) + q0 * v)
-    P = sp.expand(sp.exp(-lam * phi) * sp.expand(Lv))
-
-    syms = {}
-    subs = {}
-    for k in range(5):
-        syms[f"W{k}"] = sp.Symbol(f"W{k}")
-        subs[sp.Derivative(w, (x, k)) if k else w] = syms[f"W{k}"]
-        syms[f"P{k}"] = sp.Symbol(f"P{k}")
-        if k:
-            subs[sp.Derivative(phi, (x, k))] = syms[f"P{k}"]
-    for k in range(3):
-        syms[f"S{k}"] = sp.Symbol(f"S{k}")
-        subs[sp.Derivative(sig, (x, k)) if k else sig] = syms[f"S{k}"]
-    syms["WT"] = sp.Symbol("WT")
-    subs[sp.Derivative(w, t)] = syms["WT"]
-    syms["PT"] = sp.Symbol("PT")
-    subs[sp.Derivative(phi, t)] = syms["PT"]
-    for i, qi in enumerate((q0, q1, q2)):
-        syms[f"Q{i}"] = sp.Symbol(f"Q{i}")
-        subs[qi] = syms[f"Q{i}"]
-
-    P = P.subs(subs)
-    order = ["lam", "WT", "PT"] + [f"W{k}" for k in range(5)] \
-        + [f"P{k}" for k in range(1, 5)] + [f"S{k}" for k in range(3)] \
-        + [f"Q{i}" for i in range(3)]
-    args = [sp.Symbol("lam")] + [syms[name] for name in order[1:]]
-    return sp.lambdify(args, P, "numpy")
-
-
 def _conjugated(lw: _Lambda, jets, wt, qs) -> np.ndarray:
     """Reference Pw on the window rows from the symbolic expansion."""
     _, px, pxx, pxxx, pxxxx, pt = lw.window.phi
-    return _symbolic_conjugated_operator()(
-        lw.lam, wt, pt, *jets, px, pxx, pxxx, pxxxx, *lw.window.sig[:3], *qs)
-
-
-def conjugated_operator(w: Trajectory, weight: CarlemanWeight,
-                        coeff: CoefficientField, q=None,
-                        lam: float | None = None,
-                        eta: float | None = None) -> Trajectory:
-    """Reference Pw = exp(-lam phi) L(exp(lam phi) w) on the window rows."""
-    window = _Window(weight, coeff, eta)
-    jets, wt, _ = window.jets(w)
-    return window.full(_conjugated(_Lambda(window, lam), jets, wt,
-                                   _q_arrays(q, window)))
+    return conjugated_reference(lw.lam, wt, pt, *jets, px, pxx, pxxx, pxxxx,
+                                *lw.window.sig[:3], *qs)
 
 
 def _p1_p2(lw: _Lambda, jets, wt):

@@ -29,10 +29,6 @@ class NoConvergence(KSLabError):
     """Fixed-point iteration failed to contract within the allowed budget."""
 
 
-class ZeroDenominator(KSLabError):
-    """A ratio was requested with an identically zero denominator."""
-
-
 class HypothesisViolation(KSLabError):
     """Carleman weight hypotheses fail for the supplied coefficients.
 

@@ -183,12 +183,6 @@ def diff_matrix(grid: GridSpec, order: int, axis: str = "x") -> sparse.csr_matri
     raise ValueError(f"axis must be 'x' or 't', got {axis!r}")
 
 
-def diff_x(field: ScalarField1D, order: int) -> ScalarField1D:
-    """k-th spatial derivative of a field, k in 1..4."""
-    D = diff_matrix(field.grid, order, "x")
-    return ScalarField1D(D @ field.values, field.grid)
-
-
 def diff_x_values(values: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
     """Spatial derivative of a raw profile or trajectory array, in C order."""
     D = diff_matrix(grid, order, "x")

@@ -26,8 +26,8 @@ from .errors import GridMismatch, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
                    trapz_weights)
-from .linear_solver import (BoundaryData, CoefficientField, operator_residual,
-                            solve_linear_full, zero_boundary_data)
+from .linear_solver import (BoundaryData, CoefficientField, solve_linear_full,
+                            zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
 
 
@@ -110,60 +110,12 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
                           grid.t[n0], noise_level, seed)
 
 
-def difference_system_residual(y: Trajectory, ytilde: Trajectory,
-                               gamma: ScalarField1D, gamma_tilde: ScalarField1D,
-                               coeff: CoefficientField, grid: GridSpec) -> float:
-    """Discrete residual of the difference system, in the L2(Q) norm.
-
-    With u = y - ytilde and f = gamma_tilde - gamma, u solves the K-S system
-    with coefficient gamma, advection ytilde, reaction ytilde_x and source
-    f * ytilde_xx; on solved pairs the residual collapses to the sum of the
-    two forward-solve residuals.
-    """
-    if y.grid != grid or ytilde.grid != grid:
-        raise GridMismatch("trajectories do not live on the requested grid")
-    u = y.values - ytilde.values
-    f = gamma_tilde.values - gamma.values
-    yt_x = diff_x_values(ytilde.values, grid, 1)
-    yt_xx = diff_x_values(ytilde.values, grid, 2)
-    u_x = diff_x_values(u, grid, 1)
-    fhat = f * yt_xx - ytilde.values * u_x - yt_x * u - u * u_x
-    coeff_u = CoefficientField(coeff.sigma, gamma, coeff.sigma0)
-    _, l2 = operator_residual(Trajectory(u, grid), coeff_u,
-                              Trajectory(fhat, grid))
-    return l2
-
-
 def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField:
     """coeff with the advection G1 = y and reaction G2 = y_x of the K-S
     system linearized at y."""
     return CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
                             G2=Trajectory(diff_x_values(y.values, y.grid, 1),
                                           y.grid))
-
-
-def time_derived_difference(u: Trajectory, f: ScalarField1D,
-                            ytilde: Trajectory, y: Trajectory,
-                            coeff: CoefficientField, grid: GridSpec,
-                            lin_tol: float = 1e-10) -> Trajectory:
-    """Solve the time-derived difference system for v = u_t.
-
-    Source is f * ytilde_xxt - g with g = u y_xt + u_x y_t, initial value
-    f * ytilde_xx(0, .).  The initial data is corner-incompatible in general
-    (v must vanish at the boundary while f * ytilde_xx(0,.) need not), so
-    the compatibility gate is disabled for this solve.
-    """
-    yt_xx = diff_x_values(ytilde.values, grid, 2)
-    yt_xxt = diff_t_values(yt_xx, grid, 1)
-    y_t = diff_t_values(y.values, grid, 1)
-    y_xt = diff_t_values(diff_x_values(y.values, grid, 1), grid, 1)
-    u_x = diff_x_values(u.values, grid, 1)
-    g = u.values * y_xt + u_x * y_t
-    src = Trajectory(f.values * yt_xxt - g, grid)
-    v0 = ScalarField1D(f.values * yt_xx[0], grid)
-    bd = zero_boundary_data(grid, y0=v0, g=src)
-    return solve_linear_full(linearized_field(coeff, ytilde), bd, grid,
-                             comp_tol=np.inf, lin_tol=lin_tol)
 
 
 def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:

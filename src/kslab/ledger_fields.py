@@ -1,11 +1,13 @@
-"""Coefficient fields of the inner-product ledger, as plain numpy.
+"""Coefficient fields of the inner-product ledger and the reference
+expansion of the conjugated operator, as plain numpy.
 
 Generated by ``python tests/ledger_derivation.py`` from the sympy
-derivation in that file; do not edit by hand.  Each function is the text
-sympy.lambdify emits for one field, so its operands, their order and the
-integer powers are the derivation's.  FIELDS maps each name to (function,
-kind), where kind names the w-derivative square (or product) the field
-multiplies.
+derivations in that file; do not edit by hand.  Each function is the text
+sympy.lambdify emits for one expression, so its operands, their order and
+the integer powers are the derivation's.  FIELDS maps each ledger field's
+name to (function, kind), where kind names the w-derivative square (or
+product) the field multiplies.  conjugated_reference is
+exp(-lam*phi) L (exp(lam*phi) w) expanded by the chain rule.
 """
 
 
@@ -96,3 +98,7 @@ FIELDS = {
     "bnd_w2x_b": (bnd_w2x_b, "wxx2"),
     "bnd_w3x": (bnd_w3x, "wxxx2"),
 }
+
+
+def conjugated_reference(lam, WT, PT, W0, W1, W2, W3, W4, P1, P2, P3, P4, S0, S1, S2, Q0, Q1, Q2):
+    return P1**4*S0*W0*lam**4 + 4*P1**3*S0*W1*lam**3 + 2*P1**3*S1*W0*lam**3 + 6*P1**2*P2*S0*W0*lam**3 + P1**2*Q2*W0*lam**2 + 6*P1**2*S0*W2*lam**2 + 6*P1**2*S1*W1*lam**2 + P1**2*S2*W0*lam**2 + 12*P1*P2*S0*W1*lam**2 + 6*P1*P2*S1*W0*lam**2 + 4*P1*P3*S0*W0*lam**2 + P1*Q1*W0*lam + 2*P1*Q2*W1*lam + 4*P1*S0*W3*lam + 6*P1*S1*W2*lam + 2*P1*S2*W1*lam + 3*P2**2*S0*W0*lam**2 + P2*Q2*W0*lam + 6*P2*S0*W2*lam + 6*P2*S1*W1*lam + P2*S2*W0*lam + 4*P3*S0*W1*lam + 2*P3*S1*W0*lam + P4*S0*W0*lam + PT*W0*lam + Q0*W0 + Q1*W1 + Q2*W2 + S0*W4 + 2*S1*W3 + S2*W2 + WT

@@ -32,7 +32,7 @@ unchanged, only its roundoff, and |M|_inf keeps its interior value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,8 +42,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (CompatibilityViolation, LengthMismatch, SingularSystem)
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
-                   diff_t_values, diff_x_values, discrete_norm,
-                   require_same_grid, trapz_qt, trapz_weights, trapz_x)
+                   diff_x_values, require_same_grid, trapz_qt)
 
 DEFAULT_COMP_TOL = 1e-8
 DEFAULT_LIN_TOL = 1e-10
@@ -375,25 +374,6 @@ def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
     return Trajectory(_march(coeff._system, bd, lin_tol), grid)
 
 
-def solve_time_derived(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,
-                       grid: GridSpec, q0: ScalarField1D | None = None,
-                       comp_tol: float = DEFAULT_COMP_TOL,
-                       lin_tol: float = DEFAULT_LIN_TOL) -> Trajectory:
-    """Solve the time-derived principal system for q = z_t.
-
-    q satisfies q_t + (sigma q_xx)_xx = f_t with q(0,x) = f(0,x) -
-    (sigma z0'')''.  The initial profile is formed with diff_x unless an
-    analytic q0 is supplied; f_t uses 2nd-order time differences.
-    """
-    require_same_grid(f, z0)
-    if q0 is None:
-        z0xx = diff_x_values(z0.values, grid, 2)
-        q0 = ScalarField1D(
-            f.values[0] - diff_x_values(coeff.sigma.values * z0xx, grid, 2), grid)
-    ft = Trajectory(diff_t_values(f.values, grid, 1), grid)
-    return solve_principal(coeff, ft, q0, grid, comp_tol=comp_tol, lin_tol=lin_tol)
-
-
 def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
     """Residual of the CN scheme on the interior slots for a given trajectory.
 
@@ -416,60 +396,3 @@ def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
     max_rel = max(0.0, *(np.abs(r).max(axis=1) / scale))
     l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
     return max_rel, l2
-
-
-@dataclass
-class EnergyReport:
-    """Discrete energy functionals of a solve and their empirical constants."""
-
-    int_z2: np.ndarray            # per time node: int |z|^2 dx
-    int_sigma_zxx2: np.ndarray    # per time node: int sigma |z_xx|^2 dx
-    q_f: float                    # iint |f|^2
-    q_zxx: float                  # iint |z_xx|^2
-    int_z02: float                # int |z0|^2
-    int_z0xx2: float              # int |z0''|^2
-    c_energy1: float
-    c_energy2: float
-    c_e: float
-    violations: list = field(default_factory=list)
-
-
-def energy_monitor(z: Trajectory, f: Trajectory, coeff: CoefficientField,
-                   cap: float = 1e8) -> EnergyReport:
-    """Empirical constants for the a-priori energy estimates of the solve.
-
-    c_energy1 bounds sup_t int|z|^2, c_energy2 bounds iint|z_xx|^2 (both
-    against iint|f|^2 + int|z0|^2); c_e bounds the discrete Y2 norm against
-    iint|f|^2 + int|z0''|^2.  A constant above ``cap`` is flagged.
-    """
-    require_same_grid(z, f)
-    grid = z.grid
-    zxx = diff_x_values(z.values, grid, 2)
-    int_z2 = np.array([trapz_x(z.values[n] ** 2, grid) for n in range(grid.nt + 1)])
-    int_szxx2 = np.array([trapz_x(coeff.sigma.values * zxx[n] ** 2, grid)
-                          for n in range(grid.nt + 1)])
-    q_f = trapz_qt(f.values ** 2, grid)
-    q_zxx = trapz_qt(zxx ** 2, grid)
-    z0 = z.values[0]
-    int_z02 = trapz_x(z0 ** 2, grid)
-    int_z0xx2 = trapz_x(diff_x_values(z0, grid, 2) ** 2, grid)
-
-    def ratio(lhs, rhs):
-        if lhs == 0.0:
-            return 0.0
-        return lhs / rhs if rhs > 0 else np.inf
-
-    den1 = q_f + int_z02
-    c1 = ratio(float(int_z2.max()), den1)
-    c2 = ratio(q_zxx, den1)
-    h2_sq = np.array([discrete_norm(z.row(n), "H2x") ** 2 for n in range(grid.nt + 1)])
-    h4_sq = np.array([discrete_norm(z.row(n), "H4x") ** 2 for n in range(grid.nt + 1)])
-    y2_sq = float(h2_sq.max() + trapz_weights(grid.nt + 1, grid.dt) @ h4_sq)
-    ce = ratio(y2_sq, q_f + int_z0xx2)
-
-    report = EnergyReport(int_z2, int_szxx2, q_f, q_zxx, int_z02, int_z0xx2,
-                          c1, c2, ce)
-    for name, c in (("energy1", c1), ("energy2", c2), ("e", ce)):
-        if c > cap:
-            report.violations.append(name)
-    return report

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroDenominator
+from .errors import NoConvergence
 from .grid import (GridSpec, Trajectory, diff_t_values, diff_x_values,
                    discrete_norm)
 from .linear_solver import (BoundaryData, CoefficientField, DEFAULT_COMP_TOL,
@@ -139,19 +139,3 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
 
     report.residual_rel, report.residual_l2 = operator_residual(v, coeff, fhat)
     return v, report
-
-
-def contraction_probe(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
-                      v: Trajectory, w: Trajectory,
-                      comp_tol: float = DEFAULT_COMP_TOL,
-                      lin_tol: float = DEFAULT_LIN_TOL) -> float:
-    """Discrete contraction ratio |Lambda(v) - Lambda(w)| / |v - w| in L2(Q)."""
-    den = discrete_norm(Trajectory(v.values - w.values, grid), "L2Q")
-    if den == 0.0:
-        raise ZeroDenominator("contraction probe needs v != w")
-    lv = solve_linear_full(coeff, bd.with_source(_lagged_source(bd, v.values, grid)),
-                           grid, comp_tol, lin_tol)
-    lw = solve_linear_full(coeff, bd.with_source(_lagged_source(bd, w.values, grid)),
-                           grid, comp_tol, lin_tol)
-    num = discrete_norm(Trajectory(lv.values - lw.values, grid), "L2Q")
-    return num / den

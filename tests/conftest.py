@@ -31,8 +31,6 @@ def principal_case():
         "exact": sp.lambdify((t, x), zs, "numpy"),
         "source": sp.lambdify((t, x), f, "numpy"),
         "z0": sp.lambdify(x, zs.subs(t, 0), "numpy"),
-        "q0": sp.lambdify(x, (f - sp.diff(sp.diff(zs, x, 2), x, 2)).subs(t, 0),
-                          "numpy"),
     }
 
 

@@ -1,4 +1,6 @@
-"""Sympy derivation of the inner-product ledger's coefficient fields.
+"""Sympy derivations of the generated numpy code in ``src/kslab``: the
+inner-product ledger's coefficient fields and the reference expansion of the
+conjugated operator.
 
     python tests/ledger_derivation.py
 
@@ -14,6 +16,10 @@ inside the outer derivative; variants that pull it out do not balance the
 direct product (checked by quadrature), and the difference stays in the
 remainder class.  Each field's kind names the w-derivative square (or
 product) it multiplies.
+
+The conjugated operator's reference is the chain-rule expansion of
+exp(-lam*phi) L (exp(lam*phi) w) from the definition, so the reference side
+of the identity check is independent of the hand-transcribed split.
 """
 
 import inspect
@@ -26,14 +32,16 @@ MODULE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "src", "kslab", "ledger_fields.py")
 REGENERATE = "python tests/ledger_derivation.py"
 
-HEADER = f'''"""Coefficient fields of the inner-product ledger, as plain numpy.
+HEADER = f'''"""Coefficient fields of the inner-product ledger and the reference
+expansion of the conjugated operator, as plain numpy.
 
 Generated by ``{REGENERATE}`` from the sympy
-derivation in that file; do not edit by hand.  Each function is the text
-sympy.lambdify emits for one field, so its operands, their order and the
-integer powers are the derivation's.  FIELDS maps each name to (function,
-kind), where kind names the w-derivative square (or product) the field
-multiplies.
+derivations in that file; do not edit by hand.  Each function is the text
+sympy.lambdify emits for one expression, so its operands, their order and
+the integer powers are the derivation's.  FIELDS maps each ledger field's
+name to (function, kind), where kind names the w-derivative square (or
+product) the field multiplies.  conjugated_reference is
+exp(-lam*phi) L (exp(lam*phi) w) expanded by the chain rule.
 """
 '''
 
@@ -95,19 +103,53 @@ def ledger_exprs():
              for name, (expr, kind) in exprs.items()}, order)
 
 
+def conjugated_expr():
+    """exp(-lam*phi) L (exp(lam*phi) w), expanded, in plain symbols, and the
+    symbols in argument order (lam, WT, PT, W0..W4, P1..P4, S0..S2,
+    Q0..Q2)."""
+    t, x, lam = sp.symbols("t x lam")
+    w = sp.Function("w")(t, x)
+    phi = sp.Function("phi")(t, x)
+    sig = sp.Function("sig")(x)
+    q0, q1, q2 = [sp.Function(f"q{i}")(t, x) for i in range(3)]
+
+    v = sp.exp(lam * phi) * w
+    Lv = (sp.diff(v, t) + sp.diff(sig * sp.diff(v, x, 2), x, 2)
+          + q2 * sp.diff(v, x, 2) + q1 * sp.diff(v, x) + q0 * v)
+    Pw = sp.expand(sp.exp(-lam * phi) * sp.expand(Lv))
+
+    W, P, S, Q = (sp.symbols(names)
+                  for names in ("W0:5", "P1:5", "S0:3", "Q0:3"))
+    WT, PT = sp.symbols("WT PT")
+    subs = {w: W[0], sig: S[0], sp.Derivative(w, t): WT,
+            sp.Derivative(phi, t): PT, **dict(zip((q0, q1, q2), Q))}
+    for k in range(1, 5):
+        subs[sp.Derivative(w, (x, k))] = W[k]
+        subs[sp.Derivative(phi, (x, k))] = P[k - 1]
+    for k in range(1, 3):
+        subs[sp.Derivative(sig, (x, k))] = S[k]
+    return Pw.subs(subs), [lam, WT, PT, *W, *P, *S, *Q]
+
+
+def _function_text(name, args, expr) -> str:
+    """The source sympy.lambdify emits for expr, as a function called name."""
+    source = inspect.getsource(sp.lambdify(args, expr, "numpy"))
+    return source.replace("def _lambdifygenerated(", f"def {name}(", 1)
+
+
 def module_text() -> str:
-    """Text of ledger_fields.py: one lambdified function per field, then the
-    FIELDS table in derivation order."""
+    """Text of ledger_fields.py: one lambdified function per field, the
+    FIELDS table in derivation order, then conjugated_reference."""
     exprs, order = ledger_exprs()
     parts = [HEADER]
     for name, (expr, _) in exprs.items():
-        source = inspect.getsource(sp.lambdify(order, expr, "numpy"))
-        parts.append("\n\n" + source.replace("def _lambdifygenerated(",
-                                             f"def {name}(", 1))
+        parts.append("\n\n" + _function_text(name, order, expr))
     parts.append("\n\nFIELDS = {\n"
                  + "".join(f'    "{name}": ({name}, "{kind}"),\n'
                            for name, (_, kind) in exprs.items())
                  + "}\n")
+    expr, args = conjugated_expr()
+    parts.append("\n\n" + _function_text("conjugated_reference", args, expr))
     return "".join(parts)
 
 

@@ -7,7 +7,6 @@ from conftest import layered_bump, make_coeff
 import kslab.carleman
 from kslab.carleman import (AuditRow, CarlemanConfig, CarlemanWeight,
                             carleman_audit, conjugate_decompose,
-                            conjugated_operator,
                             conjugation_identity_residual, ensemble_audit,
                             inner_product_ledger, make_default_weight,
                             random_clamped_bump, weighted_norm)
@@ -102,9 +101,8 @@ def test_weighted_norm_layer_violation():
     lambda w, weight, coeff: inner_product_ledger(w, weight, coeff),
     lambda w, weight, coeff: weighted_norm(w, weight),
     lambda w, weight, coeff: conjugate_decompose(w, weight, coeff),
-    lambda w, weight, coeff: conjugated_operator(w, weight, coeff),
     lambda w, weight, coeff: conjugation_identity_residual(w, weight, coeff),
-], ids=["audit", "ledger", "norm", "decompose", "operator", "identity"])
+], ids=["audit", "ledger", "norm", "decompose", "identity"])
 def test_test_function_from_another_grid_is_rejected(call, other):
     g = GridSpec(32, 64, 2.0)
     coeff = make_coeff(g)
@@ -522,14 +520,19 @@ def test_random_clamped_bump_is_admissible():
 
 def test_conjugated_operator_matches_plain_L_at_lambda_zero(setup128):
     g, coeff, weight, w = setup128
-    direct = conjugated_operator(w, weight, coeff, None, 0.0)
-    rows = weight.window()
+    # the generated conjugated_reference, as conjugation_identity_residual
+    # evaluates it on the window rows
+    window = kslab.carleman._Window(weight, coeff, None)
+    jets, wt, _ = window.jets(w)
+    direct = kslab.carleman._conjugated(kslab.carleman._Lambda(window, 0.0),
+                                        jets, wt, [0.0, 0.0, 0.0])
+    rows = window.rows
     sig = coeff.sigma.values
     expanded = (diff_x_values(sig, g, 2) * diff_x_values(w.values, g, 2)
                 + 2 * diff_x_values(sig, g, 1) * diff_x_values(w.values, g, 3)
                 + sig * diff_x_values(w.values, g, 4))
     Lw = diff_t_values(w.values, g, 1) + expanded
-    assert np.abs(direct.values[rows] - Lw[rows]).max() < 1e-9
+    assert np.abs(direct - Lw[rows]).max() < 1e-9
     # nested and expanded principal terms agree on interior columns (the
     # composite centered stencils convolve exactly)
     nested = diff_x_values(sig * diff_x_values(w.values, g, 2), g, 2)

@@ -42,6 +42,14 @@ def test_simulate_zero_data(tmp_path):
     assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in traces)
 
 
+def test_simulate_writes_to_the_configs_output_dir(tmp_path, monkeypatch):
+    # without --out the run goes to [output] dir, relative to the cwd
+    config = os.path.abspath(cfg_path("simulate_zero.cfg"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", config]) == 0
+    assert (tmp_path / "out_zero" / "report.json").is_file()
+
+
 def test_simulate_manufactured_error_bound(tmp_path):
     # the config header documents the expected bound vs the analytic solution
     out = str(tmp_path / "o")

@@ -106,15 +106,30 @@ def test_evaluation_order_matches_numpy_bit_for_bit():
     assert np.array_equal(out, ref)
 
 
+def src_modules():
+    """(file name, syntax tree) of every module in src/kslab."""
+    src = os.path.dirname(kslab.__file__)
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            yield name, ast.parse(fh.read(), name)
+
+
 def test_no_module_executes_text():
     # config text is only ever parsed: no kslab module calls the builtins
     # eval, exec or compile (ast.parse and re.compile are other functions)
     banned = {prefix + name for prefix in ("", "builtins.", "__builtins__.")
               for name in ("eval", "exec", "compile")}
-    src = os.path.dirname(kslab.__file__)
-    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in src_modules():
         calls = {ast.unparse(node.func) for node in ast.walk(tree)
                  if isinstance(node, ast.Call)}
         assert not calls & banned, name
+
+
+def test_no_module_imports_sympy():
+    # sympy derivations live with the tests; src/kslab holds their output
+    for name, tree in src_modules():
+        modules = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert not {m for m in modules if m.split(".")[0] == "sympy"}, name

@@ -3,12 +3,11 @@ import pytest
 
 from conftest import make_coeff, nonlinear_bd
 from kslab.errors import InfConditionViolated
-from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
-                        diff_x_values, discrete_norm, trapz_qt)
-from kslab.inverse import (InverseConfig, MeasurementSet, difference_system_residual,
-                           gamma_basis, linearized_field, recover_gamma,
-                           snapshot_index, stability_report,
-                           synthesize_measurements, time_derived_difference)
+from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_x_values,
+                        discrete_norm)
+from kslab.inverse import (InverseConfig, MeasurementSet, gamma_basis,
+                           linearized_field, recover_gamma, snapshot_index,
+                           stability_report, synthesize_measurements)
 from kslab.linear_solver import (CoefficientField, solve_linear_full,
                                  zero_boundary_data)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -91,51 +90,12 @@ def solved_pair(loop48):
     return g, coeff, bd, gt, y, yt
 
 
-def test_difference_system_residual_small(solved_pair):
-    g, coeff, _, gt, y, yt = solved_pair
-    res = difference_system_residual(y, yt, coeff.gamma, gt, coeff, g)
-    assert res <= 1e-6
-
-
-def test_difference_system_residual_identical(solved_pair):
-    g, coeff, _, _, y, _ = solved_pair
-    assert difference_system_residual(y, y, coeff.gamma, coeff.gamma,
-                                      coeff, g) == 0.0
-
-
 def test_difference_homogeneous_boundary(solved_pair):
     g, _, _, _, y, yt = solved_pair
     u = y.values - yt.values
     assert np.abs(u[:, [0, -1]]).max() <= 1e-10
     ux = diff_x_values(u, g, 1)
     assert np.abs(ux[:, [0, -1]]).max() <= 1e-10
-
-
-def test_time_derived_difference_zero(solved_pair):
-    g, coeff, _, _, y, yt = solved_pair
-    zero_u = Trajectory(np.zeros_like(y.values), g)
-    zero_f = ScalarField1D(np.zeros(g.nx + 1), g)
-    v = time_derived_difference(zero_u, zero_f, yt, y, coeff, g)
-    assert np.all(v.values == 0)
-
-
-def test_time_derived_difference_cross_check(closedloop_case):
-    errs = []
-    for nt in (64, 128):
-        g = GridSpec(48, nt, 2.0)
-        coeff = make_coeff(g, gamma=np.ones(49))
-        bd = closedloop_case["build"](g, "1")
-        gt = ScalarField1D(1.0 + 1e-3 * np.sin(np.pi * g.x), g)
-        cfgn = NonlinearSolveConfig()
-        y, _ = solve_ks(coeff, bd, cfgn, g)
-        yt, _ = solve_ks(CoefficientField(coeff.sigma, gt, coeff.sigma0),
-                         bd, cfgn, g)
-        u = Trajectory(y.values - yt.values, g)
-        f = ScalarField1D(gt.values - coeff.gamma.values, g)
-        v = time_derived_difference(u, f, yt, y, coeff, g)
-        du = diff_t_values(u.values, g, 1)
-        errs.append(np.sqrt(trapz_qt((v.values - du) ** 2, g)))
-    assert errs[0] / errs[1] >= 1.8
 
 
 def test_stability_report_family(loop48):

@@ -9,12 +9,11 @@ from kslab import linear_solver
 from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
                           SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
-                        diff_t_values, diff_x_values, field_from_callable,
+                        diff_x_values, field_from_callable,
                         trajectory_from_callable, trapz_qt, trapz_x)
 from kslab.linear_solver import (_KA, BoundaryData, _band, _CNSystem,
-                                 energy_monitor, operator_matrix,
-                                 operator_residual, solve_linear_full,
-                                 solve_principal, solve_time_derived,
+                                 operator_matrix, operator_residual,
+                                 solve_linear_full, solve_principal,
                                  zero_boundary_data)
 
 
@@ -356,71 +355,6 @@ def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
         mp.setattr(linear_solver, "_APPLY_BLOCK", block)
         Az = system.apply(z)
     assert np.array_equal(Az, np.array([A @ row for A, row in zip(ops, z)]))
-
-
-# --------------------------------------------------------- time-derived solve
-def test_time_derived_zero():
-    g = GridSpec(16, 16, 1.0)
-    coeff = make_coeff(g)
-    q = solve_time_derived(coeff, Trajectory(np.zeros((17, 17)), g),
-                           ScalarField1D(np.zeros(17), g), g)
-    assert np.all(q.values == 0)
-
-
-def test_time_derived_initial_value_formula():
-    # time-constant f with z0 = 0: q(0,.) = f(0,.) exactly
-    g = GridSpec(32, 16, 1.0)
-    coeff = make_coeff(g)
-    f = trajectory_from_callable(lambda t, x: x ** 2 * (1 - x) ** 2 + 0 * t, g)
-    q = solve_time_derived(coeff, f, ScalarField1D(np.zeros(33), g), g)
-    assert np.abs(q.values[0] - f.values[0]).max() == 0.0
-
-
-def test_time_derived_consistency(principal_case):
-    errs = []
-    for nt in (64, 128):
-        g = GridSpec(64, nt, 2.0)
-        coeff = make_coeff(g)
-        f = trajectory_from_callable(principal_case["source"], g)
-        z0 = field_from_callable(principal_case["z0"], g)
-        q0 = field_from_callable(principal_case["q0"], g)
-        z = solve_principal(coeff, f, z0, g)
-        q = solve_time_derived(coeff, f, z0, g, q0=q0)
-        dz = diff_t_values(z.values, g, 1)
-        errs.append(np.sqrt(trapz_qt((q.values - dz) ** 2, g)))
-    assert errs[0] / errs[1] >= 2.0 ** 0.9  # order >= ~0.9 per halving
-
-
-# --------------------------------------------------------------- energy report
-def test_energy_monitor_zero():
-    g = GridSpec(16, 16, 1.0)
-    coeff = make_coeff(g)
-    zero = Trajectory(np.zeros((17, 17)), g)
-    rep = energy_monitor(zero, zero, coeff)
-    assert rep.q_f == 0 and rep.q_zxx == 0 and rep.int_z02 == 0
-    assert rep.c_energy1 == 0 and not rep.violations
-
-
-def test_energy_monitor_decay_constant():
-    g = GridSpec(64, 128, 1.0)
-    coeff = make_coeff(g)
-    z0 = field_from_callable(lambda x: 16 * (x * (1 - x)) ** 2, g)
-    zero_f = Trajectory(np.zeros((129, 65)), g)
-    z = solve_principal(coeff, zero_f, z0, g)
-    rep = energy_monitor(z, zero_f, coeff)
-    assert rep.c_energy1 <= 1 + 1e-6
-
-
-def test_energy_monitor_constant_stability(principal_case):
-    values = []
-    for nx, nt in ((64, 128), (128, 256)):
-        g = GridSpec(nx, nt, 2.0)
-        coeff = make_coeff(g)
-        f = trajectory_from_callable(principal_case["source"], g)
-        z0 = field_from_callable(principal_case["z0"], g)
-        z = solve_principal(coeff, f, z0, g)
-        values.append(energy_monitor(z, f, coeff).c_e)
-    assert values[1] == pytest.approx(values[0], rel=0.2)
 
 
 def test_coefficient_field_values_are_read_only():

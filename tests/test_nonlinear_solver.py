@@ -7,11 +7,10 @@ import kslab.linear_solver as linear_solver
 import kslab.nonlinear_solver as nonlinear_solver
 from conftest import make_coeff, nonlinear_bd
 from kslab.config import RunConfig
-from kslab.errors import NoConvergence, ZeroDenominator
-from kslab.grid import (GridSpec, Trajectory, trajectory_from_callable)
+from kslab.errors import NoConvergence
+from kslab.grid import GridSpec, trajectory_from_callable
 from kslab.linear_solver import zero_boundary_data
-from kslab.nonlinear_solver import (NonlinearSolveConfig, contraction_probe,
-                                    smallness, solve_ks)
+from kslab.nonlinear_solver import NonlinearSolveConfig, smallness, solve_ks
 
 
 def test_config_validation():
@@ -93,53 +92,6 @@ def test_epsilon_report_smallness(nonlinear_case):
     assert set(report) >= {"y0_H4x", "g_F", "h1_H2t", "h4_H2t"}
 
 
-def test_probe_zero_denominator(nonlinear_case):
-    g = GridSpec(16, 16, 1.0)
-    coeff = make_coeff(g, gamma=np.ones(17))
-    bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    v = Trajectory(np.zeros((17, 17)), g)
-    with pytest.raises(ZeroDenominator):
-        contraction_probe(coeff, bd, g, v, Trajectory(v.values.copy(), g))
-
-
-def probe_pair(grid, scale):
-    shape1 = np.outer(np.sin(np.pi * grid.t / grid.T),
-                      grid.x ** 2 * (1 - grid.x) ** 2)
-    shape2 = np.outer(np.cos(np.pi * grid.t / grid.T),
-                      grid.x ** 2 * (1 - grid.x) ** 2 * (1 + grid.x))
-    return (Trajectory(scale * shape1, grid), Trajectory(scale * shape2, grid))
-
-
-def test_probe_contraction_in_small_regime(nonlinear_case):
-    g = GridSpec(32, 32, 2.0)
-    coeff = make_coeff(g, gamma=np.ones(33))
-    bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    v, w = probe_pair(g, 1e-2)
-    assert contraction_probe(coeff, bd, g, v, w) < 1.0
-
-
-def test_probe_ratio_grows_with_amplitude(nonlinear_case):
-    g = GridSpec(32, 32, 2.0)
-    coeff = make_coeff(g, gamma=np.ones(33))
-    rhos = []
-    for delta in (1e-2, 1e-1, 1.0):
-        bd = nonlinear_bd(nonlinear_case, g, delta)
-        v, w = probe_pair(g, delta)
-        rhos.append(contraction_probe(coeff, bd, g, v, w))
-    assert rhos[0] < rhos[1] < rhos[2]
-
-
-def test_probe_ratio_shrinks_with_horizon(nonlinear_case):
-    rhos = {}
-    for T in (2.0, 1.0):
-        g = GridSpec(32, 32, T)
-        coeff = make_coeff(g, gamma=np.ones(33))
-        bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-        v, w = probe_pair(g, 1e-2)
-        rhos[T] = contraction_probe(coeff, bd, g, v, w)
-    assert rhos[1.0] < rhos[2.0]
-
-
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
     counts = {"_principal_part": 0, "dgbtrf": 0, "solve_linear_full": 0}
 
@@ -157,12 +109,14 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    y, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    _, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
     assert rep.iterations >= 2
     # one linear solve per sweep plus the first, on one CN system
     calls = rep.iterations + 1
     assert counts == {"_principal_part": 1, "dgbtrf": 1,
                       "solve_linear_full": calls}
-    contraction_probe(coeff, bd, g, y, Trajectory(0.5 * y.values, g))
+    # a second solve on the same field reuses that system
+    _, again = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    assert again.iterations == rep.iterations
     assert counts == {"_principal_part": 1, "dgbtrf": 1,
-                      "solve_linear_full": calls + 2}
+                      "solve_linear_full": 2 * calls}

@@ -36,3 +36,15 @@ def test_carleman_scan_runs(args, lambda0_line):
                   if line.split()[:1] == ["lambda"])
     rows = lines[header + 1:lines.index(lambda0_line)]
     assert [row.split()[0] for row in rows] == args[-1].split(",")
+
+
+@pytest.mark.parametrize("name, args, header", [
+    ("convergence_study.py", ("--levels", "2"),
+     "grid linear err order nonlinear err order secs"),
+    ("recovery_demo.py", ("--noises", "0"),
+     "noise rel L2 err iters solves final J"),
+], ids=["convergence_study", "recovery_demo"])
+def test_script_prints_its_table(name, args, header):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert header.split() in [line.split() for line in proc.stdout.splitlines()]
