@@ -81,16 +81,9 @@ class CarlemanWeight:
     epsilon_margin: float
     lam: float
 
-    def default_eta(self) -> float:
-        return self.grid.T / 10.0
-
     def window(self, eta: float | None = None) -> np.ndarray:
         """Time-node indices inside [eta, T-eta]."""
-        eta = self.default_eta() if eta is None else eta
-        if not (0 < eta < self.grid.T / 2):
-            raise ValueError(f"eta must lie in (0, T/2), got {eta}")
-        t = self.grid.t
-        return np.where((t >= eta - 1e-12) & (t <= self.grid.T - eta + 1e-12))[0]
+        return np.flatnonzero(_time_window(self.grid, eta)[1])
 
     def phi_arrays(self, rows: np.ndarray):
         """(phi, phi_x, phi_xx, phi_xxx, phi_xxxx, phi_t) on the given rows."""
@@ -99,6 +92,15 @@ class CarlemanWeight:
         out = [np.outer(inv, b[k]) for k in range(5)]
         phi_t = np.outer(-self.phi0_prime[rows] * inv ** 2, b[0])
         return out[0], out[1], out[2], out[3], out[4], phi_t
+
+
+def _time_window(grid: GridSpec, eta: float | None):
+    """eta (T/10 when None) and the mask of the time nodes in [eta, T-eta]."""
+    eta = grid.T / 10.0 if eta is None else eta
+    if not (0 < eta < grid.T / 2):
+        raise ValueError(f"eta must lie in (0, T/2), got {eta}")
+    t = grid.t
+    return eta, (t >= eta - 1e-12) & (t <= grid.T - eta + 1e-12)
 
 
 def _phi0_bump(t: np.ndarray, T: float, T0: float):
@@ -183,8 +185,8 @@ class _Window:
     def __init__(self, weight: CarlemanWeight, coeff: CoefficientField | None,
                  eta: float | None):
         self.weight, self.grid = weight, weight.grid
-        self.eta = weight.default_eta() if eta is None else eta
-        self.rows = rows = weight.window(self.eta)
+        self.eta, inside = _time_window(self.grid, eta)
+        self.rows = rows = np.flatnonzero(inside)
         self.phi = weight.phi_arrays(rows)
         self.sig = None
         if coeff is not None:
@@ -545,10 +547,9 @@ def carleman_audit(v: Trajectory, weight: CarlemanWeight,
 
 def _bump_time_factor(grid: GridSpec, eta: float | None) -> np.ndarray:
     """The sin^2 window bump in time of random_clamped_bump."""
-    T = grid.T
-    eta = T / 10.0 if eta is None else eta
-    t = grid.t
-    return np.where((t >= eta - 1e-12) & (t <= T - eta + 1e-12),
+    eta, inside = _time_window(grid, eta)
+    t, T = grid.t, grid.T
+    return np.where(inside,
                     np.sin(np.pi * np.clip((t - eta) / (T - 2 * eta), 0, 1)) ** 2,
                     0.0)
 

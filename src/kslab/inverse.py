@@ -64,11 +64,12 @@ class InverseConfig:
     n_modes: int = 8            # spectral modes of the gamma parameterization
 
     def __post_init__(self):
-        if min(self.M1, self.M2, self.r_floor, self.grad_tol) <= 0:
-            raise ValueError("caps, r_floor and grad_tol must be positive")
+        for name in ("M1", "M2", "r_floor", "grad_tol"):
+            if not getattr(self, name) > 0:  # NaN is not positive
+                raise ValueError(f"{name} must be positive")
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
-        if self.tikhonov_alpha < 0:
+        if not self.tikhonov_alpha >= 0:
             raise ValueError("tikhonov_alpha must be nonnegative")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")

@@ -9,7 +9,7 @@ import pytest
 
 import kslab
 from kslab.cli import main
-from kslab.config import RunConfig
+from kslab.config import _TABLE, RunConfig
 from kslab.errors import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -230,7 +230,7 @@ lambda =
 @pytest.mark.parametrize("key, value", [
     ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5"),
     ("lambda", "2,nan"), ("lambda", "2,inf"), ("m", "nan"),
-    ("c_cap", "nan"), ("c_cap", "0")])
+    ("c_cap", "nan"), ("c_cap", "0"), ("seed", "-1")])
 def test_bad_carleman_value_is_config_error(tmp_path, capsys, key, value):
     # T = 2: T0 must lie in (0, T) and eta in (0, T/2)
     carleman = {"lambda": "2", "ensemble": "2", key: value}
@@ -249,7 +249,9 @@ gamma = 0
 """ + "".join(f"{k} = {v}\n" for k, v in carleman.items()))
     assert main(["carleman-audit", "--config", str(cfgfile),
                  "--out", str(tmp_path / "o")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "[carleman]" in err and key.lower() in err.lower()
 
 
 @pytest.mark.parametrize("cmd, section, key, value", [
@@ -267,7 +269,15 @@ gamma = 0
     ("invert", "inverse", "modes", "-2"),
     ("stability-scan", "inverse", "c_cap", "nan"),
     ("stability-scan", "inverse", "c_cap", "0"),
-    ("stability-scan", "inverse", "c_cap", "-5")])
+    ("stability-scan", "inverse", "c_cap", "-5"),
+    ("invert", "inverse", "m1", "nan"),
+    ("invert", "inverse", "m2", "nan"),
+    ("invert", "inverse", "r_floor", "nan"),
+    ("invert", "inverse", "grad_tol", "nan"),
+    ("invert", "inverse", "tikhonov_alpha", "nan"),
+    ("invert", "inverse", "noise", "inf"),
+    ("stability-scan", "inverse", "amplitudes", "1e-3,nan"),
+    ("invert", "inverse", "seed", "-1")])
 def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,
                                                       section, key, value):
     cfgfile = tmp_path / "bad.cfg"
@@ -292,9 +302,69 @@ g = 0
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+    assert f"[{section}]" in err and key.lower() in err.lower()
     # fd_step is no longer a key: its row checks that an unknown key is
     # rejected, and every other row that a bad value of a known key is
     assert ("unknown key" in err) == (key == "fd_step")
+
+
+def test_nan_r_floor_is_config_error_not_ok(tmp_path, capsys):
+    # NaN compares false, so r_floor = nan once passed the inf-condition
+    # check and turned this config's exit 4 into 0
+    cfgfile = tmp_path / "nan_floor.cfg"
+    with open(cfg_path("fail_infcond.cfg")) as fh:
+        cfgfile.write_text(fh.read() + "r_floor = nan\n")    # in [inverse]
+    assert main(["invert", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "config error: [inverse] invalid: r_floor" in capsys.readouterr().err
+
+
+# the command that reads a section's keys; of [inverse], only
+# stability-scan reads SCAN_KEYS
+COMMAND_OF = {"grid": "simulate", "coefficients": "simulate",
+              "data": "simulate", "solver": "simulate",
+              "carleman": "carleman-audit", "inverse": "invert"}
+SCAN_KEYS = ("perturbation", "amplitudes", "c_cap")
+
+
+@pytest.mark.parametrize("section, key", [
+    (s, k) for s, keys in _TABLE.items() for k in keys if s != "output"])
+def test_every_key_is_parsed(tmp_path, capsys, section, key):
+    # a value the key's parser rejects is a config error naming the key, so
+    # no key is accepted and then ignored ([output] dir takes any string)
+    raw = {"grid": {"nx": "16", "nt": "16", "t": "1.0"},
+           "coefficients": {"sigma": "1", "gamma": "1"},
+           "data": {"y0": "0", "g": "0"}, "solver": {},
+           "carleman": {"lambda": "2", "ensemble": "2"}, "inverse": {}}
+    numbers = _TABLE[section][key].kind == "number list"
+    raw[section][key] = "1,abc" if numbers else "abc"
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in raw.items()))
+    cmd = COMMAND_OF[section]
+    if section == "inverse" and key in SCAN_KEYS:
+        cmd = "stability-scan"
+    assert main([cmd, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{section}] {key}" in err
+
+
+def test_readme_key_table_matches_config_table():
+    # README rows: | `[section]` | `key` | type | default | allowed |
+    with open(os.path.join(CONFIG_DIR, "..", "README.md")) as fh:
+        cells = [[c.strip(" `") for c in line.strip().strip("|").split("|")]
+                 for line in fh if line.startswith("| `[")]
+    rows = {(c[0][1:-1], c[1]): c[2:] for c in cells}
+    assert rows.keys() == {(s, k) for s, keys in _TABLE.items() for k in keys}
+    for (section, key), (kind, default, allowed) in rows.items():
+        spec = _TABLE[section][key]
+        assert kind == spec.kind
+        if spec.default:
+            assert default == spec.default
+        if spec.bounds:
+            assert allowed == spec.bounds
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -345,6 +415,7 @@ def test_carleman_import_does_not_import_sympy():
 @pytest.mark.parametrize("cmd, section, key, value", [
     ("simulate", "coefficients", "gamma", "sqrt(x-2)"),
     ("simulate", "coefficients", "sigma", "1/x"),
+    ("simulate", "coefficients", "sigma", "x - 0.5"),
     ("simulate", "data", "y0", "1/x"),
     ("simulate", "data", "g", "1/t"),
     ("simulate", "data", "h1", "1/t"),
