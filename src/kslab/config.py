@@ -24,7 +24,7 @@ from .grid import GridSpec, ScalarField1D, Trajectory
 from .linear_solver import BoundaryData, CoefficientField
 from .nonlinear_solver import NonlinearSolveConfig
 from .carleman import CarlemanConfig
-from .inverse import InverseConfig
+from .inverse import InverseConfig, snapshot_index
 
 
 def _evaluate(text: str, grid: GridSpec, names: str):
@@ -227,9 +227,14 @@ class RunConfig:
     def inverse_block(self, grid: GridSpec) -> dict:
         self.require("inverse")
         read = partial(self._read, "inverse", grid=grid)
+        T0 = read("t0")
+        try:
+            snapshot_index(grid, T0)
+        except ValueError as exc:
+            raise ConfigError(f"[inverse] t0: {exc}") from exc
         return {"cfg": self._build(InverseConfig, "inverse"),
                 "gamma_tilde": ScalarField1D(read("gamma_tilde"), grid),
-                "T0": read("t0"), "noise": read("noise"), "seed": read("seed"),
+                "T0": T0, "noise": read("noise"), "seed": read("seed"),
                 "perturbation": read("perturbation"),
                 "amplitudes": read("amplitudes"), "c_cap": read("c_cap")}
 

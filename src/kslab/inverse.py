@@ -7,8 +7,8 @@ reconstruction is regularized output least squares over a low-dimensional
 spectral parameterization of gamma (constant plus the leading sine/cosine
 modes), driven by a Levenberg-Marquardt iteration on the stacked misfit
 with the tangent-linear Jacobian (one linear solve per parameter on the
-K-S system linearized at the current iterate) and an L-infinity projection
-of each trial iterate.
+K-S system linearized at the current iterate, all marched together) and an
+L-infinity projection of each trial iterate.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, the
 trajectory norm surrogate stays below M2, and the reference snapshot
@@ -26,8 +26,8 @@ from .errors import GridMismatch, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
                    trapz_weights)
-from .linear_solver import (BoundaryData, CoefficientField, solve_linear_full,
-                            zero_boundary_data)
+from .linear_solver import (BoundaryData, CoefficientField,
+                            solve_linear_many, zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
 
 
@@ -76,10 +76,15 @@ class InverseConfig:
 
 
 def snapshot_index(grid: GridSpec, T0: float) -> int:
-    """Grid time slot nearest T0 (no interpolation)."""
+    """Grid time slot nearest T0 (no interpolation), which must be an
+    interior one: the snapshot at t = 0 or T is no interior measurement."""
     if not (0.0 < T0 < grid.T):
         raise ValueError(f"T0 must lie in (0, T), got {T0}")
-    return int(round(T0 / grid.dt))
+    n0 = int(round(T0 / grid.dt))
+    if not 0 < n0 < grid.nt:
+        raise ValueError(f"T0 = {T0} rounds to the grid time slot {n0}, "
+                         f"not one of 1..{grid.nt - 1}")
+    return n0
 
 
 def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
@@ -113,27 +118,39 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
 
 def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField:
     """coeff with the advection G1 = y and reaction G2 = y_x of the K-S
-    system linearized at y."""
-    return CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
-                            G2=Trajectory(diff_x_values(y.values, y.grid, 1),
-                                          y.grid))
+    system linearized at y, sharing coeff's sigma/gamma band."""
+    return coeff.with_lower_order(
+        y, Trajectory(diff_x_values(y.values, y.grid, 1), y.grid))
+
+
+def _row_norms(u: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
+    """discrete_norm(u[n], "H<order>x") of every time row n of u, bit for
+    bit: the same sums in the same order, each row's quadrature a batched
+    (1, nx+1) by (nx+1, 1) product, which numpy takes as the dot product a
+    single row gets (a matrix-vector product may round differently)."""
+    wx = trapz_weights(grid.nx + 1, grid.dx)[:, None]
+
+    def quad(v):
+        return (v[:, None] @ wx)[:, 0, 0]
+
+    total = quad(u ** 2)
+    for j in range(1, order + 1):
+        total += quad(diff_x_values(u, grid, j) ** 2)
+    return np.sqrt(total)
 
 
 def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete H1(0,T; H4(0,1)) norm of a trajectory array."""
-    ut = diff_t_values(u, grid, 1)
     wt = trapz_weights(grid.nt + 1, grid.dt)
     total = 0.0
-    for arr in (u, ut):
-        sq = np.array([discrete_norm(arr[n], "H4x", grid) ** 2
-                       for n in range(grid.nt + 1)])
-        total += float(wt @ sq)
+    for arr in (u, diff_t_values(u, grid, 1)):
+        total += float(wt @ _row_norms(arr, grid, 4) ** 2)
     return float(np.sqrt(total))
 
 
 def linf_h1x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete L-infinity(0,T; H1(0,1)) norm of a trajectory array."""
-    return max(discrete_norm(u[n], "H1x", grid) for n in range(grid.nt + 1))
+    return float(_row_norms(u, grid, 1).max())
 
 
 @dataclass
@@ -208,6 +225,11 @@ def stability_report(coeff: CoefficientField, gamma_tilde: ScalarField1D,
                            c_upper, degenerate)
 
 
+# bytes of the tangent sources marched at once (at least one source); the
+# march and its solutions hold a few more arrays that size
+_STACK_BYTES = 1 << 22
+
+
 def gamma_basis(grid: GridSpec, n_modes: int) -> np.ndarray:
     """Constant plus alternating sin/cos modes: rows are basis profiles."""
     x = grid.x
@@ -244,18 +266,13 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     accepted iterates have nonincreasing J.  Column m of the Jacobian at the
     iterate y is the misfit stack of dy, the solution of the K-S system
     linearized at y with zero data and source -b_m y_xx: the exact
-    derivative of the discrete map, one linear solve per basis profile b_m.
+    derivative of the discrete map, one linear solve per basis profile b_m,
+    all of them one march.  The first iterate is gamma_tilde itself, so its
+    solve is ytilde, on which the snapshot curvature is checked.
     """
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
-    ytilde, _ = solve_ks(coeff_tilde, bd, solve_cfg, grid)
     n0 = snapshot_index(grid, meas.snapshot_time)
-    curvature = np.abs(diff_x_values(ytilde.values[n0], grid, 2)).min()
-    if curvature < cfg.r_floor:
-        raise InfConditionViolated(
-            f"inf |ytilde_xx(T0,.)| = {curvature:.3e} < r_floor={cfg.r_floor:g}: "
-            "measurements carry no gamma information")
-
     basis = gamma_basis(grid, cfg.n_modes)
     n_par = basis.shape[0]
     zero_bd = zero_boundary_data(grid)
@@ -279,15 +296,17 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         return theta * min(1.0, 0.999 * scale)
 
     def stack(t2, t3, ds, dg) -> np.ndarray:
-        """Misfit stack of trace, snapshot and gamma gaps (linear in each)."""
+        """Misfit stack of trace, snapshot and gamma gaps (linear in each),
+        along the last axis: of one set of gaps, or of each row of (k, .)
+        arrays of them."""
         parts = []
         for d in (t2, t3):
-            parts += [swt * d, swt * diff_t_values(d, grid, 1)]
+            parts += [swt * d, swt * diff_t_values(d.T, grid, 1).T]
         parts += [swx * ds] + [swx * diff_x_values(ds, grid, k)
                                for k in range(1, 5)]
         parts += [sqrt_alpha * swx * dg] + [
             sqrt_alpha * swx * diff_x_values(dg, grid, k) for k in (1, 2)]
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
     def residual(theta: np.ndarray):
         """Stacked misfit whose squared norm is exactly the objective J, and
@@ -304,14 +323,16 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
                      gv - gamma_tilde.values), linearized_field(coeff_g, y)
 
     def jacobian(lin: CoefficientField) -> np.ndarray:
-        """The exact derivative of the stack at the iterate y = lin.G1."""
+        """The exact derivative of the stack at the iterate y = lin.G1, its
+        columns marched in groups of about _STACK_BYTES of sources."""
         y_xx = diff_x_values(lin.G1.values, grid, 2)
+        group = max(1, _STACK_BYTES // y_xx.nbytes)
         cols = []
-        for b in basis:
-            dy = solve_linear_full(lin, zero_bd.with_source(
-                Trajectory(-b * y_xx, grid)), grid, lin_tol=solve_cfg.lin_tol)
-            cols.append(stack(*extract_traces(dy), dy.values[n0], b))
-        return np.array(cols).T
+        for b in np.split(basis, range(group, n_par, group)):
+            dy = solve_linear_many(lin, zero_bd, -b[:, None] * y_xx, grid,
+                                   lin_tol=solve_cfg.lin_tol)
+            cols.append(stack(*extract_traces(dy, grid), dy[:, n0], b))
+        return np.concatenate(cols).T
 
     def l2err(theta: np.ndarray):
         if gamma_true is None:
@@ -321,6 +342,11 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     report = RecoveryReport(final_j=np.inf, grad_norm=np.inf)
     theta = np.zeros(n_par)
     r, lin = residual(theta)
+    curvature = np.abs(diff_x_values(lin.G1.values[n0], grid, 2)).min()
+    if curvature < cfg.r_floor:
+        raise InfConditionViolated(
+            f"inf |ytilde_xx(T0,.)| = {curvature:.3e} < r_floor={cfg.r_floor:g}: "
+            "measurements carry no gamma information")
     j_cur = float(r @ r)
     mu = 0.0  # Marquardt damping, raised only on rejected steps
     grad_norm = np.inf

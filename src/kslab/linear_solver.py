@@ -19,8 +19,11 @@ coefficient field holds one array of A's LAPACK bands, one slot for all times
 or, with G1/G2, one per time slot, built for all slots in one numpy pass; the
 explicit half and the band LU of M are sliced from it once and shared by the
 steps, the Picard sweeps and the residual.  A z over a whole trajectory is
-one band product.  A step is one banded product and one banded solve; the
-finite-value and residual checks run once per march.
+one band product.  A step is one banded product and one banded solve; a
+stack of sources with the same field and data (``solve_linear_many``, the
+tangent solves of the inverse problem) marches as one, one banded product
+per source and one banded solve for all of them per step.  The finite-value
+and residual checks run once per march.
 
 The solver marches z itself from y0, with h1..h4 at t^{n+1} on the
 constraint slots.  The constraint rows of M are O(1) and O(dx^-1) while the
@@ -74,8 +77,24 @@ class CoefficientField:
             p.values.flags.writeable = False
 
     @cached_property
+    def principal_band(self) -> np.ndarray:
+        """The band of the sigma/gamma part D2 sigma D2 + gamma D2 of A, in
+        LAPACK band storage with _KA sub- and super-diagonals."""
+        band = _band(_principal_part(self, self.sigma.grid), _KA)
+        band.flags.writeable = False
+        return band
+
+    @cached_property
     def _system(self) -> "_CNSystem":
         return _CNSystem(self)
+
+    def with_lower_order(self, G1: Trajectory | None,
+                         G2: Trajectory | None) -> "CoefficientField":
+        """The same sigma and gamma with G1 and G2, sharing this principal
+        band."""
+        coeff = replace(self, G1=G1, G2=G2)
+        coeff.__dict__["principal_band"] = self.principal_band
+        return coeff
 
 
 @dataclass(frozen=True)
@@ -196,7 +215,7 @@ class _CNSystem:
     def __init__(self, coeff: CoefficientField):
         grid = self.grid = coeff.sigma.grid
         nx, nt, dt = grid.nx, grid.nt, grid.dt
-        a = _band(_principal_part(coeff, grid), _KA)[None]
+        a = coeff.principal_band[None]
         if coeff.G1 is not None or coeff.G2 is not None:
             a = np.repeat(a, nt + 1, axis=0)
             if coeff.G1 is not None:
@@ -239,20 +258,23 @@ class _CNSystem:
         self.steps = steps * (nt // len(steps))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """A z on every time row of a trajectory array, as one band product.
+        """A z on every time row of a trajectory array, or of each
+        trajectory of a stack (..., nt + 1, nx + 1), as one band product.
         Each row is summed in ascending column order, as the product of the
         sorted ``operator_matrix`` sums it, so the two agree bit for bit (the
         zeros skipped outside ``spans`` add nothing to such a sum).  The time
         rows go in blocks of about _APPLY_BLOCK entries, so that each block's
         temporaries stay in cache."""
         Az = np.zeros(z.shape)
-        band = np.broadcast_to(self.band, (len(z),) + self.band.shape[1:])
-        step = max(1, _APPLY_BLOCK // z.shape[-1])
-        for s in range(0, len(z), step):
-            a, x, y = band[s:s + step], z[s:s + step], Az[s:s + step]
+        rows = z.shape[-2]
+        band = np.broadcast_to(self.band, (rows,) + self.band.shape[1:])
+        step = max(1, _APPLY_BLOCK // z[..., 0, :].size)
+        for s in range(0, rows, step):
+            a, x = band[s:s + step], z[..., s:s + step, :]
+            y = Az[..., s:s + step, :]
             for off, lo, hi in self.spans:
-                y[:, lo:hi] += (a[:, _KA - off, lo + off:hi + off]
-                                * x[:, lo + off:hi + off])
+                y[..., lo:hi] += (a[:, _KA - off, lo + off:hi + off]
+                                  * x[..., lo + off:hi + off])
         return Az
 
 
@@ -299,51 +321,60 @@ def _factor(m_bands: np.ndarray):
     return steps, row_sums.max(axis=1)
 
 
-def _march(system: _CNSystem, bd: BoundaryData, lin_tol: float) -> np.ndarray:
-    """CN march of z from y0.
+def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
+           lin_tol: float) -> np.ndarray:
+    """CN march z[j] from y0 with the source sources[j], for each j of a
+    (k, nt + 1, nx + 1) stack.
 
     The interior slots hold the averaged source and the constraint slots the
     weighted h1, h3, h4, h2 at t^{n+1}.  The constant part of every step's
-    right-hand side is built at once, so a step is one banded product
-    (rhs = B z^n + c^n) and one banded solve; the checks run once, on the
-    whole march, and name the first failing step.
+    right-hand side is built at once, so a step is one banded product per
+    source (rhs = B z^n + c^n) and one banded solve with k right-hand sides;
+    the checks run once, on the whole stack, and name the first failing step.
     """
     grid = system.grid
-    nx, nt = grid.nx, grid.nt
+    nx, nt, k = grid.nx, grid.nt, len(sources)
     interior, constrained = slice(2, nx - 1), [0, 1, nx - 1, nx]
 
-    g = bd.g.values
-    rhs = np.zeros((nt, nx + 1))
-    rhs[:, interior] = 0.5 * (g[1:, interior] + g[:-1, interior])
-    rhs[:, constrained] = system.weights * np.transpose(
-        [bd.h1, bd.h3, bd.h4, bd.h2])[1:]
-    z = np.empty((nt + 1, nx + 1))
-    z[0] = bd.y0.values
+    # rhs[n] holds the k right-hand sides of step n, rhs[n].T in the
+    # Fortran order dgbtrs reads
+    rhs = np.zeros((nt, k, nx + 1))
+    rhs[..., interior] = 0.5 * (sources[:, 1:, interior]
+                                + sources[:, :-1, interior]).transpose(1, 0, 2)
+    rhs[..., constrained] = (system.weights * np.transpose(
+        [bd.h1, bd.h3, bd.h4, bd.h2])[1:])[:, None]
+    z = np.empty(sources.shape)
+    z[:, 0] = bd.y0.values
     for n, (B, (lu, piv)) in enumerate(zip(system.explicit, system.steps)):
-        rhs[n] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[n], beta=1.0,
-                       y=rhs[n], overwrite_y=1)
-        z[n + 1] = dgbtrs(lu, _KM, _KM, rhs[n], piv)[0]
+        for j in range(k):
+            # rhs[n, j] + B z^n: beta = 1, y = rhs[n, j] and overwrite_y,
+            # passed by position, which f2py parses in half the time
+            rhs[n, j] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[j, n],
+                              1, 0, 1.0, rhs[n, j], 1, 0, 0, 1)
+        z[:, n + 1] = dgbtrs(lu, _KM, _KM, rhs[n].T, piv)[0].T
     z += 0.0  # the solve leaves -0.0 below negative pivots; make it +0.0
 
     # the finite and residual checks of every step at once; M z^{n+1} is
     # formed from A's band and the constraint rows, independently of B, M and
     # the LU factors
-    znew = z[1:]
-    finite = np.isfinite(znew).all(axis=1)
+    znew, rhs = z[:, 1:], rhs.transpose(1, 0, 2)
+    finite = np.isfinite(znew).all(axis=-1)
     with np.errstate(invalid="ignore"):
-        Mz = znew / grid.dt + 0.5 * system.apply(z)[1:]
-        Mz[:, constrained] = system.weights * (znew @ _constraint_rows(grid).T)
-        res = np.abs(Mz - rhs).max(axis=1)
-        scale = (system.m_norm * np.abs(znew).max(axis=1)
-                 + np.abs(rhs).max(axis=1))
+        Mz = znew / grid.dt + 0.5 * system.apply(z)[:, 1:]
+        Mz[..., constrained] = system.weights * (
+            znew @ _constraint_rows(grid).T)
+        res = np.abs(Mz - rhs).max(axis=-1)
+        scale = (system.m_norm * np.abs(znew).max(axis=-1)
+                 + np.abs(rhs).max(axis=-1))
         bad = ~finite | (res > lin_tol * np.maximum(scale, 1e-300))
     if bad.any():
-        n = int(np.argmax(bad))
-        if not finite[n]:
+        n = int(np.argmax(bad.any(axis=0)))
+        j = int(np.argmax(bad[:, n]))
+        if not finite[j, n]:
             raise SingularSystem("one-step solve produced non-finite values")
         raise SingularSystem(
-            f"step {n}: relative residual {res[n] / scale[n]:.2e} exceeds "
-            f"lin_tol={lin_tol:g} (ill-conditioned one-step system)")
+            f"step {n}: relative residual {res[j, n] / scale[j, n]:.2e} "
+            f"exceeds lin_tol={lin_tol:g} (ill-conditioned one-step system)")
     return z
 
 
@@ -367,11 +398,30 @@ def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
     t^{n+1}, so the discrete traces of z land on h1..h4 to solver precision;
     the interior rows are the CN scheme with the averaged source g.
     """
+    return Trajectory(solve_linear_many(coeff, bd, bd.g.values[None], grid,
+                                        comp_tol, lin_tol)[0], grid)
+
+
+def solve_linear_many(coeff: CoefficientField, bd: BoundaryData,
+                      sources: np.ndarray, grid: GridSpec,
+                      comp_tol: float = DEFAULT_COMP_TOL,
+                      lin_tol: float = DEFAULT_LIN_TOL) -> np.ndarray:
+    """``solve_linear_full`` for each source of a (k, nt + 1, nx + 1) stack,
+    with bd's y0 and h1..h4 (bd.g is not read): the (k, nt + 1, nx + 1)
+    stack of solutions, each equal bit for bit to its own solve.
+
+    The sources share one march, which holds a few more arrays the size of
+    the stack; a caller bounds its memory by the stacks it passes.
+    """
     if bd.grid != grid:
         raise LengthMismatch("boundary data lives on a different grid")
     require_same_grid(coeff.sigma, bd.y0)
+    if sources.ndim != 3 or sources.shape[1:] != (grid.nt + 1, grid.nx + 1):
+        raise LengthMismatch(
+            f"sources have shape {sources.shape}, grid wants "
+            f"(k, {grid.nt + 1}, {grid.nx + 1})")
     bd.check_compatibility(comp_tol)
-    return Trajectory(_march(coeff._system, bd, lin_tol), grid)
+    return _march(coeff._system, bd, sources, lin_tol)
 
 
 def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):

@@ -264,6 +264,10 @@ gamma = 0
     ("invert", "inverse", "fd_step", "0"),
     ("invert", "inverse", "t0", "5.0"),
     ("stability-scan", "inverse", "t0", "0"),
+    # inside (0, T), but nearest to the grid times 0 and T (dt = 1/16)
+    ("invert", "inverse", "t0", "0.01"),
+    ("invert", "inverse", "t0", "0.99"),
+    ("stability-scan", "inverse", "t0", "0.03"),
     ("invert", "inverse", "noise", "-1"),
     ("invert", "inverse", "noise", "nan"),
     ("invert", "inverse", "modes", "-2"),

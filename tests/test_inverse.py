@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_coeff, nonlinear_bd
+from kslab import inverse, linear_solver
 from kslab.errors import InfConditionViolated
-from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_x_values,
-                        discrete_norm)
+from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
+                        diff_x_values, discrete_norm, trapz_weights)
 from kslab.inverse import (InverseConfig, MeasurementSet, gamma_basis,
-                           linearized_field, recover_gamma, snapshot_index,
-                           stability_report, synthesize_measurements)
+                           h1t_h4x_norm, linearized_field, linf_h1x_norm,
+                           recover_gamma, snapshot_index, stability_report,
+                           synthesize_measurements)
 from kslab.linear_solver import (CoefficientField, solve_linear_full,
-                                 zero_boundary_data)
+                                 solve_linear_many, zero_boundary_data)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
 
 T0 = 1.0
@@ -38,8 +40,24 @@ def test_snapshot_index_nearest():
     g = GridSpec(16, 10, 1.0)
     assert snapshot_index(g, 0.5) == 5
     assert snapshot_index(g, 0.52) == 5
-    with pytest.raises(ValueError):
-        snapshot_index(g, 1.5)
+    assert snapshot_index(g, 0.06) == 1 and snapshot_index(g, 0.94) == 9
+    # inside (0, T) but nearest to t = 0 or t = T: no interior snapshot
+    for T0 in (1.5, 0.04, 0.96):
+        with pytest.raises(ValueError):
+            snapshot_index(g, T0)
+
+
+def test_trajectory_norms_match_their_row_by_row_definitions():
+    # the whole-array sums are the per-row discrete norms, bit for bit
+    g = GridSpec(48, 64, 2.0)
+    u = np.random.default_rng(3).standard_normal((g.nt + 1, g.nx + 1))
+    wt = trapz_weights(g.nt + 1, g.dt)
+    h4 = sum(float(wt @ np.array([discrete_norm(arr[n], "H4x", g) ** 2
+                                  for n in range(g.nt + 1)]))
+             for arr in (u, diff_t_values(u, g, 1)))
+    assert h1t_h4x_norm(u, g) == float(np.sqrt(h4))
+    assert linf_h1x_norm(u, g) == max(discrete_norm(u[n], "H1x", g)
+                                      for n in range(g.nt + 1))
 
 
 def test_measurements_zero_data():
@@ -196,6 +214,76 @@ def test_tangent_matches_central_difference(tangent_case, row):
     cd = (_solve_at(coeff, bd, g, coeff.gamma.values + h * b)
           - _solve_at(coeff, bd, g, coeff.gamma.values - h * b)) / (2 * h)
     assert np.abs(dy - cd).max() <= 1e-3 * np.abs(cd).max()
+
+
+def test_stacked_tangent_columns_equal_their_own_solves(tangent_case):
+    # the stacked march of every basis direction on the linearized field
+    # (which shares its sigma/gamma band) gives each column's own solve on a
+    # field built afresh, bit for bit
+    g, coeff, bd = tangent_case
+    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    basis = gamma_basis(g, 8)
+    sources = -basis[:, None] * diff_x_values(y.values, g, 2)
+    lin = linearized_field(coeff, y)
+    assert lin.principal_band is coeff.principal_band
+    dy = solve_linear_many(lin, zero_boundary_data(g), sources, g)
+    fresh = CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
+                             G2=Trajectory(diff_x_values(y.values, g, 1), g))
+    for src, col in zip(sources, dy):
+        single = solve_linear_full(
+            fresh, zero_boundary_data(g, g=Trajectory(src, g)), g)
+        assert np.array_equal(single.values, col)
+
+
+def _closed_loop_problem(closedloop_case, loop48):
+    g, coeff, _ = loop48
+    bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
+    gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
+    coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
+    return g, coeff, bd, synthesize_measurements(coeff_true, bd, g, T0)
+
+
+def test_recover_solves_once_per_forward_solve_and_field(
+        monkeypatch, closedloop_case, loop48):
+    # the anchor gamma_tilde is the first iterate, so it has no solve of its
+    # own, and a linearized field shares its iterate's sigma/gamma band
+    g, coeff, bd, meas = _closed_loop_problem(closedloop_case, loop48)
+    solved, banded = [], []
+    solve, principal = inverse.solve_ks, linear_solver._principal_part
+
+    def counted_solve(c, *args):
+        solved.append(c)
+        return solve(c, *args)
+
+    def counted_principal(c, grid):
+        banded.append(c.gamma.values.tobytes())
+        return principal(c, grid)
+
+    monkeypatch.setattr(inverse, "solve_ks", counted_solve)
+    monkeypatch.setattr(linear_solver, "_principal_part", counted_principal)
+    _, rep = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    assert rep.forward_solves >= 2 and len(rep.iterations) >= 2
+    assert len(solved) == rep.forward_solves
+    assert len(banded) == len(set(banded)) == rep.forward_solves
+
+
+def test_recover_in_groups_of_one_column_is_bit_identical(
+        monkeypatch, closedloop_case, loop48):
+    g, coeff, bd, meas = _closed_loop_problem(closedloop_case, loop48)
+    whole = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    monkeypatch.setattr(inverse, "_STACK_BYTES", 1)
+    marched = []
+    many = inverse.solve_linear_many
+
+    def counted(coeff, bd, sources, *args, **kwargs):
+        marched.append(len(sources))
+        return many(coeff, bd, sources, *args, **kwargs)
+
+    monkeypatch.setattr(inverse, "solve_linear_many", counted)
+    single = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    assert set(marched) == {1}
+    assert np.array_equal(single[0].values, whole[0].values)
+    assert single[1].iterations == whole[1].iterations
 
 
 def test_recover_zero_perturbation(loop48):

@@ -13,8 +13,8 @@ from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         trajectory_from_callable, trapz_qt, trapz_x)
 from kslab.linear_solver import (_KA, BoundaryData, _band, _CNSystem,
                                  operator_matrix, operator_residual,
-                                 solve_linear_full, solve_principal,
-                                 zero_boundary_data)
+                                 solve_linear_full, solve_linear_many,
+                                 solve_principal, zero_boundary_data)
 
 
 def full_case_bd(case, grid):
@@ -257,6 +257,58 @@ def test_march_non_finite_source_raises(full_linear_case, kind):
         solve_linear_full(coeff, bd, g, comp_tol=1.0)
 
 
+def stacked_sources(g, k, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((k, g.nt + 1, g.nx + 1))
+
+
+@pytest.mark.parametrize("kind", ["constant", "G1-G2"])
+def test_many_non_finite_source_in_one_column_raises(full_linear_case, kind):
+    g = GridSpec(16, 16, 1.0)
+    coeff = (time_dependent_coeff(g) if kind == "G1-G2"
+             else make_coeff(g, gamma=np.ones(17)))
+    sources = stacked_sources(g, 4)
+    sources[2, 3, 5] = np.inf
+    with pytest.raises(SingularSystem, match="non-finite"):
+        solve_linear_many(coeff, zero_boundary_data(g), sources, g)
+
+
+def test_many_residual_check_reports_first_step(full_linear_case):
+    g = GridSpec(16, 16, 1.0)
+    coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
+                       gamma=np.ones(17))
+    bd = full_case_bd(full_linear_case, g)
+    with pytest.raises(SingularSystem, match="step 0: relative residual"):
+        solve_linear_many(coeff, bd, stacked_sources(g, 3), g, comp_tol=1.0,
+                          lin_tol=1e-30)
+
+
+def test_many_in_groups_equals_one_stack(full_linear_case):
+    # a stack marched whole, in groups and one source at a time gives the
+    # same bits, and each solution is its own solve_linear_full
+    g = GridSpec(24, 20, 1.0)
+    coeff = time_dependent_coeff(g)
+    bd = full_case_bd(full_linear_case, g)
+    sources = stacked_sources(g, 5)
+    whole = solve_linear_many(coeff, bd, sources, g, comp_tol=1.0)
+    groups = np.concatenate([
+        solve_linear_many(coeff, bd, part, g, comp_tol=1.0)
+        for part in np.split(sources, [2, 3])])
+    assert np.array_equal(whole, groups)
+    for src, z in zip(sources, whole):
+        single = solve_linear_full(
+            coeff, bd.with_source(Trajectory(src, g)), g, comp_tol=1.0)
+        assert np.array_equal(single.values, z)
+
+
+def test_many_rejects_a_stack_of_the_wrong_shape():
+    g = GridSpec(16, 16, 1.0)
+    coeff = make_coeff(g, gamma=np.ones(17))
+    for shape in [(17, 17), (2, 16, 17), (2, 17, 18)]:
+        with pytest.raises(LengthMismatch):
+            solve_linear_many(coeff, zero_boundary_data(g), np.zeros(shape), g)
+
+
 @pytest.mark.parametrize("other", [GridSpec(16, 32, 1.0), GridSpec(32, 16, 1.0)],
                          ids=["nt", "nx"])
 def test_coefficient_field_from_another_grid_is_rejected(other):
@@ -354,7 +406,10 @@ def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linear_solver, "_APPLY_BLOCK", block)
         Az = system.apply(z)
+        pair = system.apply(np.stack([z, -z]))
     assert np.array_equal(Az, np.array([A @ row for A, row in zip(ops, z)]))
+    # a stack of trajectories is each trajectory's product
+    assert np.array_equal(pair, np.stack([Az, -Az]))
 
 
 def test_coefficient_field_values_are_read_only():
