@@ -53,7 +53,7 @@ def main():
                                  ScalarField1D(np.zeros(nx + 1), g), 1.0)
         f = trajectory_from_callable(cases["lin_source"], g)
         z0 = field_from_callable(lambda x: x ** 2 * (1 - x) ** 2, g)
-        z = solve_principal(coeff, f, z0, g)
+        z = solve_principal(coeff, f, z0)
         lin_err = np.abs(z.values
                          - trajectory_from_callable(cases["lin_exact"],
                                                     g).values).max()
@@ -66,7 +66,7 @@ def main():
                           field_from_callable(
                               lambda x: args.delta * x ** 2 * (1 - x) ** 2, g),
                           trajectory_from_callable(cases["nl_source"], g))
-        y, _ = solve_ks(coeff_nl, bd, NonlinearSolveConfig(), g)
+        y, _ = solve_ks(coeff_nl, bd, NonlinearSolveConfig())
         nl_err = np.abs(y.values
                         - trajectory_from_callable(cases["nl_exact"],
                                                    g).values).max()

@@ -53,9 +53,9 @@ def main():
     print(f"{'noise':>8} {'rel L2 err':>11} {'iters':>6} {'solves':>7} "
           f"{'final J':>10}")
     for noise in (float(s) for s in args.noises.split(",")):
-        meas = synthesize_measurements(coeff_true, bd, g, 1.0,
+        meas = synthesize_measurements(coeff_true, bd, 1.0,
                                        noise_level=noise, seed=args.seed)
-        _, rep = recover_gamma(meas, coeff_tilde, bd, g, cfg,
+        _, rep = recover_gamma(meas, coeff_tilde, bd, cfg,
                                gamma_true=gamma_true)
         print(f"{noise:8.0e} {rep.l2_error / pert:11.2%} "
               f"{len(rep.iterations) - 1:6d} {rep.forward_solves:7d} "

@@ -139,18 +139,17 @@ def _epsilon_margin(beta_derivs, sigma, sigma_x):
     return float(min((-e / b0).min() for e in exprs))
 
 
-def make_default_weight(grid: GridSpec, sigma: ScalarField1D, T0: float,
+def make_default_weight(sigma: ScalarField1D, T0: float,
                         lam: float = 8.0) -> CarlemanWeight:
     """Weight with beta = sqrt(1+x) and the quadratic time bump peaking at T0.
 
     Raises HypothesisViolation naming the failing hypotheses when the
     supplied sigma is incompatible with this beta (large sigma_x breaks the
-    hip4B smallness condition).
+    hip4B smallness condition).  The weight lives on sigma's grid.
     """
+    grid = sigma.grid
     if not (0.0 < T0 < grid.T):
         raise ValueError(f"T0 must lie in (0, T), got {T0}")
-    if sigma.grid != grid:
-        raise ValueError("sigma lives on a different grid")
     x = grid.x
     beta_derivs = (
         np.sqrt(1 + x),
@@ -614,9 +613,9 @@ class _Span:
     order, for coefficients that keep every product clear of underflow, as
     those rng.uniform(-1, 1) draws do."""
 
-    def __init__(self, window: _Window, eta: float | None, n_modes: int):
+    def __init__(self, window: _Window, n_modes: int):
         grid, (s, sx, sxx, _) = window.grid, window.sig
-        x, tfac = grid.x, _bump_time_factor(grid, eta)
+        x, tfac = grid.x, _bump_time_factor(grid, window.eta)
         P = np.array([x ** 2 * (1 - x) ** 2 * f(k * np.pi * x)
                       for k in range(1, n_modes + 1) for f in (np.sin, np.cos)])
         P = P.reshape(2 * n_modes, grid.nx + 1)
@@ -739,7 +738,7 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     rng = np.random.default_rng(seed)
     coeffs = np.array([_bump_coefficients(rng, n_modes)
                        for _ in range(n_members)])
-    span = _Span(window, cfg.eta, n_modes)
+    span = _Span(window, n_modes)
 
     chat_at, delta_at = [[] for _ in coeffs], [[] for _ in coeffs]
     for k, lw in enumerate(lws):

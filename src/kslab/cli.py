@@ -6,11 +6,13 @@
     kslab stability-scan --config run.cfg [--out DIR]
 
 Exit codes: 0 success, 1 configuration or usage error, 2 fixed-point
-non-convergence, 3 Carleman hypothesis/audit failure, 4 snapshot-curvature
-(inf-condition) failure.  Floats are written with 17 significant digits and
-files are written atomically (temp file + rename), so a rerun with the same
-config and seed produces byte-identical CSVs; report.json carries wall-clock
-timings and is reproducible up to its "timings" entry.
+non-convergence, 3 hypothesis or audit failure (a Carleman weight
+hypothesis, the empirical Carleman inequality, the stability scan's
+trajectory norm bound M2 or its c_cap), 4 snapshot-curvature
+(inf-condition) failure.  Floats are written with 17 significant digits
+and files are written atomically (temp file + rename), so a rerun with the
+same config and seed produces byte-identical CSVs; report.json carries
+wall-clock timings and is reproducible up to its "timings" entry.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def cmd_simulate(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     bd = cfg.boundary_data(grid)
     ncfg = cfg.nonlinear_config()
     try:
-        y, report = solve_ks(coeff, bd, ncfg, grid)
+        y, report = solve_ks(coeff, bd, ncfg)
     except NoConvergence as exc:
         if getattr(exc, "report", None) is not None:
             _write_picard(run.path("picard.csv"), exc.report)
@@ -130,7 +132,7 @@ def cmd_carleman_audit(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
                        run: Run) -> int:
     block = cfg.carleman_block(grid)
     run.seed = block["seed"]
-    weight = make_default_weight(grid, coeff.sigma, block["T0"])
+    weight = make_default_weight(coeff.sigma, block["T0"])
     audit = ensemble_audit(weight, coeff, block["cfg"],
                            n_members=block["ensemble"],
                            seed=block["seed"], n_modes=block["modes"])
@@ -173,11 +175,10 @@ def cmd_invert(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     run.seed = block["seed"]
     coeff_tilde = CoefficientField(coeff.sigma, block["gamma_tilde"],
                                    coeff.sigma0)
-    meas = synthesize_measurements(coeff, bd, grid, block["T0"],
-                                   block["noise"], block["seed"], ncfg)
-    gamma_hat, report = recover_gamma(meas, coeff_tilde, bd, grid,
-                                      block["cfg"], gamma_true=coeff.gamma,
-                                      solve_cfg=ncfg)
+    meas = synthesize_measurements(coeff, bd, block["T0"], block["noise"],
+                                   block["seed"], ncfg)
+    gamma_hat, report = recover_gamma(meas, coeff_tilde, bd, block["cfg"],
+                                      gamma_true=coeff.gamma, solve_cfg=ncfg)
 
     write_csv(run.path("gamma_hat.csv"),
               ["x", "gamma_true_if_known", "gamma_tilde", "gamma_hat"],
@@ -202,12 +203,13 @@ def cmd_stability_scan(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     ncfg = cfg.nonlinear_config()
     run.seed = block["seed"]
     pert = block["perturbation"]
+    gamma_tildes = [ScalarField1D(coeff.gamma.values + s * pert, grid)
+                    for s in block["amplitudes"]]
+    reports = stability_report(coeff, gamma_tildes, bd, block["T0"],
+                               block["cfg"], ncfg)
 
     rows, all_ok = [], True
-    for s in block["amplitudes"]:
-        gt = ScalarField1D(coeff.gamma.values + s * pert, grid)
-        rep = stability_report(coeff, gt, bd, grid, block["T0"],
-                               block["cfg"], ncfg)
+    for s, rep in zip(block["amplitudes"], reports):
         rows.append((s, rep.lhs, rep.middle, rep.far_rhs,
                      rep.c_lower, rep.c_upper))
         if not rep.degenerate:

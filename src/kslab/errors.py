@@ -30,7 +30,9 @@ class NoConvergence(KSLabError):
 
 
 class HypothesisViolation(KSLabError):
-    """Carleman weight hypotheses fail for the supplied coefficients.
+    """A hypothesis of a theorem fails for the supplied data: a Carleman
+    weight hypothesis for the coefficients, or the stability theorem's
+    admissibility bound M2 on the reference trajectory's norm surrogate.
 
     ``failed`` lists the names of the violated hypotheses.
     """

@@ -11,9 +11,15 @@ K-S system linearized at the current iterate, all marched together) and an
 L-infinity projection of each trial iterate.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, the
-trajectory norm surrogate stays below M2, and the reference snapshot
-curvature must be bounded away from zero (InfConditionViolated otherwise;
-without it the measurements carry no information about gamma).
+trajectory norm surrogate stays below M2 (HypothesisViolation otherwise),
+and the reference snapshot curvature must be bounded away from zero
+(InfConditionViolated otherwise; without it the measurements carry no
+information about gamma).
+
+Everything lives on the one space-time grid of the data: no entry point
+takes a grid beside its data.  Each reads it from its boundary data and
+checks once that the other data (coefficients, measurements, gamma fields)
+share it, GridMismatch otherwise.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InfConditionViolated
+from .errors import GridMismatch, HypothesisViolation, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
-                   trapz_weights)
+                   require_same_grid, trapz_weights)
 from .linear_solver import (BoundaryData, CoefficientField,
                             solve_linear_many, zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -88,8 +94,7 @@ def snapshot_index(grid: GridSpec, T0: float) -> int:
 
 
 def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
-                            grid: GridSpec, T0: float,
-                            noise_level: float = 0.0, seed: int = 0,
+                            T0: float, noise_level: float = 0.0, seed: int = 0,
                             solve_cfg: NonlinearSolveConfig | None = None
                             ) -> MeasurementSet:
     """Forward-solve and read off the measurement operator.
@@ -103,7 +108,8 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
     would be amplified by dt^-1 and dx^-4 and carry no recoverable signal.
     """
     solve_cfg = solve_cfg or NonlinearSolveConfig()
-    y, _ = solve_ks(coeff, bd, solve_cfg, grid)
+    y, _ = solve_ks(coeff, bd, solve_cfg)
+    grid = y.grid
     trace2, trace3 = extract_traces(y)
     n0 = snapshot_index(grid, T0)
     snapshot = y.values[n0].copy()
@@ -176,53 +182,64 @@ class StabilityReport:
         return self.reg_h1t_h4x_sq + self.reg_linf_h1x_quart
 
 
-def stability_report(coeff: CoefficientField, gamma_tilde: ScalarField1D,
-                     bd: BoundaryData, grid: GridSpec, T0: float,
-                     cfg: InverseConfig,
+def stability_report(coeff: CoefficientField,
+                     gamma_tildes: list[ScalarField1D], bd: BoundaryData,
+                     T0: float, cfg: InverseConfig,
                      solve_cfg: NonlinearSolveConfig | None = None
-                     ) -> StabilityReport:
-    """Evaluate both sides of the two-sided stability estimate.
+                     ) -> list[StabilityReport]:
+    """Evaluate both sides of the two-sided stability estimate, one report
+    per gamma_tilde of the list, against one solve of the reference y.
 
     Left: the squared L2 coefficient gap.  Middle: the squared H1-in-time
     trace gaps, the squared H4 snapshot gap and the fourth power of the H1
     snapshot gap.  Far right: the H1(0,T;H4) and L-infinity(0,T;H1) norms of
     the trajectory difference.  The empirical constants are the exact ratios
-    middle/lhs and middle/far.
+    middle/lhs and middle/far.  The admissibility of y, its norm surrogate
+    at most M2 (HypothesisViolation otherwise), is checked once, before any
+    ytilde is solved; each ytilde's snapshot curvature after its solve.
     """
+    require_same_grid(coeff.sigma, bd.y0, *gamma_tildes)
+    grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
-    y, _ = solve_ks(coeff, bd, solve_cfg, grid)
-    coeff_t = CoefficientField(coeff.sigma, gamma_tilde, coeff.sigma0)
-    ytilde, _ = solve_ks(coeff_t, bd, solve_cfg, grid)
-
-    n0 = snapshot_index(grid, T0)
-    curvature = np.abs(diff_x_values(ytilde.values[n0], grid, 2)).min()
-    if curvature < cfg.r_floor:
-        raise InfConditionViolated(
-            f"inf |ytilde_xx(T0,.)| = {curvature:.3e} < r_floor={cfg.r_floor:g}")
+    y, _ = solve_ks(coeff, bd, solve_cfg)
     surrogate = h1t_h4x_norm(y.values, grid)
     if surrogate > cfg.M2:
-        raise ValueError(
-            f"trajectory norm surrogate {surrogate:.3e} exceeds M2={cfg.M2:g}")
-
-    u = y.values - ytilde.values
+        raise HypothesisViolation(
+            f"trajectory norm surrogate {surrogate:.3e} exceeds M2={cfg.M2:g}",
+            failed=["M2"])
+    n0 = snapshot_index(grid, T0)
     d2 = extract_traces(y)
-    d2t = extract_traces(ytilde)
-    tr2 = discrete_norm(d2[0] - d2t[0], "H1t", grid) ** 2
-    tr3 = discrete_norm(d2[1] - d2t[1], "H1t", grid) ** 2
-    snap = u[n0]
-    s4 = discrete_norm(snap, "H4x", grid) ** 2
-    s1 = discrete_norm(snap, "H1x", grid) ** 4
-    lhs = discrete_norm(coeff.gamma.values - gamma_tilde.values, "L2x", grid) ** 2
-    far1 = h1t_h4x_norm(u, grid) ** 2
-    far2 = linf_h1x_norm(u, grid) ** 4
 
-    middle = tr2 + tr3 + s4 + s1
-    degenerate = lhs == 0.0 or middle == 0.0
-    c_lower = middle / lhs if lhs > 0 else np.nan
-    far = far1 + far2
-    c_upper = middle / far if far > 0 else np.nan
-    return StabilityReport(lhs, tr2, tr3, s4, s1, far1, far2, c_lower,
-                           c_upper, degenerate)
+    reports = []
+    for gamma_tilde in gamma_tildes:
+        coeff_t = CoefficientField(coeff.sigma, gamma_tilde, coeff.sigma0)
+        ytilde, _ = solve_ks(coeff_t, bd, solve_cfg)
+        curvature = np.abs(diff_x_values(ytilde.values[n0], grid, 2)).min()
+        if curvature < cfg.r_floor:
+            raise InfConditionViolated(
+                f"inf |ytilde_xx(T0,.)| = {curvature:.3e} "
+                f"< r_floor={cfg.r_floor:g}")
+
+        u = y.values - ytilde.values
+        d2t = extract_traces(ytilde)
+        tr2 = discrete_norm(d2[0] - d2t[0], "H1t", grid) ** 2
+        tr3 = discrete_norm(d2[1] - d2t[1], "H1t", grid) ** 2
+        snap = u[n0]
+        s4 = discrete_norm(snap, "H4x", grid) ** 2
+        s1 = discrete_norm(snap, "H1x", grid) ** 4
+        lhs = discrete_norm(coeff.gamma.values - gamma_tilde.values, "L2x",
+                            grid) ** 2
+        far1 = h1t_h4x_norm(u, grid) ** 2
+        far2 = linf_h1x_norm(u, grid) ** 4
+
+        middle = tr2 + tr3 + s4 + s1
+        degenerate = lhs == 0.0 or middle == 0.0
+        c_lower = middle / lhs if lhs > 0 else np.nan
+        far = far1 + far2
+        c_upper = middle / far if far > 0 else np.nan
+        reports.append(StabilityReport(lhs, tr2, tr3, s4, s1, far1, far2,
+                                       c_lower, c_upper, degenerate))
+    return reports
 
 
 # bytes of the tangent sources marched at once (at least one source); the
@@ -252,7 +269,7 @@ class RecoveryReport:
 
 
 def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
-                  bd: BoundaryData, grid: GridSpec, cfg: InverseConfig,
+                  bd: BoundaryData, cfg: InverseConfig,
                   gamma_true: ScalarField1D | None = None,
                   solve_cfg: NonlinearSolveConfig | None = None
                   ) -> tuple[ScalarField1D, RecoveryReport]:
@@ -269,7 +286,13 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     derivative of the discrete map, one linear solve per basis profile b_m,
     all of them one march.  The first iterate is gamma_tilde itself, so its
     solve is ytilde, on which the snapshot curvature is checked.
+
+    The grid is the data's: the measurements, coeff_tilde, bd and gamma_true
+    (when given) must share it, GridMismatch otherwise.
     """
+    require_same_grid(meas.snapshot, coeff_tilde.sigma, bd.y0,
+                      *[f for f in (gamma_true,) if f is not None])
+    grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
     n0 = snapshot_index(grid, meas.snapshot_time)
@@ -315,7 +338,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         gv = gamma_of(theta)
         coeff_g = CoefficientField(coeff_tilde.sigma,
                                    ScalarField1D(gv, grid), coeff_tilde.sigma0)
-        y, _ = solve_ks(coeff_g, bd, solve_cfg, grid)
+        y, _ = solve_ks(coeff_g, bd, solve_cfg)
         solves += 1
         t2, t3 = extract_traces(y)
         return stack(t2 - meas.trace2, t3 - meas.trace3,
@@ -329,7 +352,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         group = max(1, _STACK_BYTES // y_xx.nbytes)
         cols = []
         for b in np.split(basis, range(group, n_par, group)):
-            dy = solve_linear_many(lin, zero_bd, -b[:, None] * y_xx, grid,
+            dy = solve_linear_many(lin, zero_bd, -b[:, None] * y_xx,
                                    lin_tol=solve_cfg.lin_tol)
             cols.append(stack(*extract_traces(dy, grid), dy[:, n0], b))
         return np.concatenate(cols).T

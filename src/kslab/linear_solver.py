@@ -25,6 +25,10 @@ tangent solves of the inverse problem) marches as one, one banded product
 per source and one banded solve for all of them per step.  The finite-value
 and residual checks run once per march.
 
+No solver takes a grid beside its data: the grid is the coefficient
+field's and the boundary data's, and each solve checks once that the two
+share it (GridMismatch otherwise).
+
 The solver marches z itself from y0, with h1..h4 at t^{n+1} on the
 constraint slots.  The constraint rows of M are O(1) and O(dx^-1) while the
 interior rows are O(dx^-4), so partial pivoting would swamp them: each
@@ -80,7 +84,7 @@ class CoefficientField:
     def principal_band(self) -> np.ndarray:
         """The band of the sigma/gamma part D2 sigma D2 + gamma D2 of A, in
         LAPACK band storage with _KA sub- and super-diagonals."""
-        band = _band(_principal_part(self, self.sigma.grid), _KA)
+        band = _band(_principal_part(self), _KA)
         band.flags.writeable = False
         return band
 
@@ -174,15 +178,16 @@ def _constraint_rows(grid: GridSpec) -> np.ndarray:
     return rows
 
 
-def operator_matrix(coeff: CoefficientField, grid: GridSpec,
+def operator_matrix(coeff: CoefficientField,
                     n: int | None = None) -> sparse.csr_matrix:
     """Spatial operator A (optionally at time slot n for G1/G2 terms), the
     terms added in the order of its formula.  Its column indices are sorted,
     so its product sums each row in ascending column order, as
     ``_CNSystem.apply`` does."""
-    A = _principal_part(coeff, grid)
+    A = _principal_part(coeff)
     if coeff.G1 is not None:
-        A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(grid, 1, "x")
+        A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(
+            coeff.sigma.grid, 1, "x")
     if coeff.G2 is not None:
         A = A + sparse.diags(coeff.G2.values[n])
     A = A.tocsr()
@@ -190,9 +195,9 @@ def operator_matrix(coeff: CoefficientField, grid: GridSpec,
     return A
 
 
-def _principal_part(coeff: CoefficientField, grid: GridSpec):
+def _principal_part(coeff: CoefficientField):
     """The time-independent part D2 sigma D2 + gamma D2 of A."""
-    D2 = diff_matrix(grid, 2, "x")
+    D2 = diff_matrix(coeff.sigma.grid, 2, "x")
     return D2 @ sparse.diags(coeff.sigma.values) @ D2 \
         + sparse.diags(coeff.gamma.values) @ D2
 
@@ -379,16 +384,17 @@ def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
 
 
 def solve_principal(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,
-                    grid: GridSpec, comp_tol: float = DEFAULT_COMP_TOL,
+                    comp_tol: float = DEFAULT_COMP_TOL,
                     lin_tol: float = DEFAULT_LIN_TOL) -> Trajectory:
     """Solve z_t + (sigma z_xx)_xx = f with homogeneous clamped boundary."""
+    grid = z0.grid
     principal = CoefficientField(
         coeff.sigma, ScalarField1D(np.zeros(grid.nx + 1), grid), coeff.sigma0)
     return solve_linear_full(principal, zero_boundary_data(grid, y0=z0, g=f),
-                             grid, comp_tol, lin_tol)
+                             comp_tol, lin_tol)
 
 
-def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
+def solve_linear_full(coeff: CoefficientField, bd: BoundaryData,
                       comp_tol: float = DEFAULT_COMP_TOL,
                       lin_tol: float = DEFAULT_LIN_TOL) -> Trajectory:
     """Solve the full linear system with clamped boundary data.
@@ -398,12 +404,12 @@ def solve_linear_full(coeff: CoefficientField, bd: BoundaryData, grid: GridSpec,
     t^{n+1}, so the discrete traces of z land on h1..h4 to solver precision;
     the interior rows are the CN scheme with the averaged source g.
     """
-    return Trajectory(solve_linear_many(coeff, bd, bd.g.values[None], grid,
-                                        comp_tol, lin_tol)[0], grid)
+    return Trajectory(solve_linear_many(coeff, bd, bd.g.values[None],
+                                        comp_tol, lin_tol)[0], bd.grid)
 
 
 def solve_linear_many(coeff: CoefficientField, bd: BoundaryData,
-                      sources: np.ndarray, grid: GridSpec,
+                      sources: np.ndarray,
                       comp_tol: float = DEFAULT_COMP_TOL,
                       lin_tol: float = DEFAULT_LIN_TOL) -> np.ndarray:
     """``solve_linear_full`` for each source of a (k, nt + 1, nx + 1) stack,
@@ -413,9 +419,8 @@ def solve_linear_many(coeff: CoefficientField, bd: BoundaryData,
     The sources share one march, which holds a few more arrays the size of
     the stack; a caller bounds its memory by the stacks it passes.
     """
-    if bd.grid != grid:
-        raise LengthMismatch("boundary data lives on a different grid")
     require_same_grid(coeff.sigma, bd.y0)
+    grid = bd.grid
     if sources.ndim != 3 or sources.shape[1:] != (grid.nt + 1, grid.nx + 1):
         raise LengthMismatch(
             f"sources have shape {sources.shape}, grid wants "

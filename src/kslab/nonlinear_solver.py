@@ -10,6 +10,9 @@ constraint rows.  The sweep history (update norms and contraction ratios) is
 part of the result, because the contraction behavior itself is a test target:
 ratios approach a limit proportional to the data size, and the iteration is
 expected to break down once the data leaves the small-data regime.
+
+The grid is the boundary data's; the first linear solve checks once that
+the coefficient field shares it (GridMismatch otherwise).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .grid import (GridSpec, Trajectory, diff_t_values, diff_x_values,
-                   discrete_norm)
+from .grid import Trajectory, diff_t_values, diff_x_values, discrete_norm
 from .linear_solver import (BoundaryData, CoefficientField, DEFAULT_COMP_TOL,
                             DEFAULT_LIN_TOL, operator_residual,
                             solve_linear_full)
@@ -52,16 +54,17 @@ class PicardReport:
     converged: bool = False
 
 
-def _lagged_source(bd: BoundaryData, v: np.ndarray, grid: GridSpec) -> Trajectory:
+def _lagged_source(bd: BoundaryData, v: np.ndarray) -> Trajectory:
     """The lagged source g - v v_x."""
-    vvx = v * diff_x_values(v, grid, 1)
+    vvx = v * diff_x_values(v, bd.grid, 1)
     if not np.all(np.isfinite(vvx)):
         raise NoConvergence("fixed-point iterate overflowed")
-    return Trajectory(bd.g.values - vvx, grid)
+    return Trajectory(bd.g.values - vvx, bd.grid)
 
 
-def smallness(bd: BoundaryData, grid: GridSpec) -> dict:
+def smallness(bd: BoundaryData) -> dict:
     """Discrete surrogates for the small-data hypothesis norms."""
+    grid = bd.grid
     out = {"y0_H4x": discrete_norm(bd.y0, "H4x")}
     g_t = diff_t_values(bd.g.values, grid, 1)
     g_sq = sum(discrete_norm(bd.g.row(n), "H4x") ** 2 * grid.dt
@@ -80,8 +83,7 @@ def smallness(bd: BoundaryData, grid: GridSpec) -> dict:
 
 
 def solve_ks(coeff: CoefficientField, bd: BoundaryData,
-             cfg: NonlinearSolveConfig, grid: GridSpec
-             ) -> tuple[Trajectory, PicardReport]:
+             cfg: NonlinearSolveConfig) -> tuple[Trajectory, PicardReport]:
     """Iterate v -> solution of the linear system with source g - v v_x.
 
     Starts from the linear solve with the nonlinearity off and stops when the
@@ -91,7 +93,7 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
     the exception.
     """
     report = PicardReport(iterations=0)
-    v = solve_linear_full(coeff, bd, grid, cfg.comp_tol, cfg.lin_tol)
+    v = solve_linear_full(coeff, bd, cfg.comp_tol, cfg.lin_tol)
     # relative updates below this are linear-solver roundoff; a sweep that
     # stops contracting down there has converged to the achievable floor and
     # its update ratio measures noise, so it is not recorded
@@ -99,10 +101,10 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
     try:
         prev_update = None
         for k in range(1, cfg.max_picard + 1):
-            bd_k = bd.with_source(_lagged_source(bd, v.values, grid))
-            v_new = solve_linear_full(coeff, bd_k, grid, cfg.comp_tol, cfg.lin_tol)
+            bd_k = bd.with_source(_lagged_source(bd, v.values))
+            v_new = solve_linear_full(coeff, bd_k, cfg.comp_tol, cfg.lin_tol)
             update = discrete_norm(
-                Trajectory(v_new.values - v.values, grid), "L2Q")
+                Trajectory(v_new.values - v.values, bd.grid), "L2Q")
             if not np.isfinite(update):
                 raise NoConvergence("fixed-point update is not finite")
             report.iterations = k
@@ -132,7 +134,7 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
             raise NoConvergence(
                 f"no convergence in {cfg.max_picard} sweeps "
                 f"(last update {report.update_norms[-1]:.3e})")
-        fhat = _lagged_source(bd, v.values, grid)
+        fhat = _lagged_source(bd, v.values)
     except NoConvergence as exc:
         exc.report = report
         raise

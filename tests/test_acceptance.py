@@ -47,13 +47,13 @@ def test_criterion_1_manufactured_convergence(principal_case, nonlinear_case):
         coeff = make_coeff(g)
         f = trajectory_from_callable(principal_case["source"], g)
         z0 = field_from_callable(principal_case["z0"], g)
-        z = solve_principal(coeff, f, z0, g)
+        z = solve_principal(coeff, f, z0)
         exact = trajectory_from_callable(principal_case["exact"], g)
         lin_errs.append(np.abs(z.values - exact.values).max())
 
         coeff_nl = make_coeff(g, gamma=np.ones(nx + 1))
         bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-        y, _ = solve_ks(coeff_nl, bd, NonlinearSolveConfig(), g)
+        y, _ = solve_ks(coeff_nl, bd, NonlinearSolveConfig())
         exact_nl = trajectory_from_callable(
             lambda t, x: nonlinear_case["exact"](t, x, 1e-2), g)
         nl_errs.append(np.abs(y.values - exact_nl.values).max())
@@ -71,7 +71,7 @@ def test_criterion_2_fixed_point_behavior(nonlinear_case):
     g = GridSpec(64, 128, 2.0)
     coeff = make_coeff(g, gamma=np.ones(65))
     _, rep = solve_ks(coeff, nonlinear_bd(nonlinear_case, g, 1e-2),
-                      NonlinearSolveConfig(), g)
+                      NonlinearSolveConfig())
     small_ok = rep.converged and all(r < 1 for r in rep.ratios)
 
     g = GridSpec(32, 32, 2.0)
@@ -80,7 +80,7 @@ def test_criterion_2_fixed_point_behavior(nonlinear_case):
     finals = []
     for delta in (1e-2, 1e-1, 1.0):
         _, rep_d = solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta),
-                            cfg, g)
+                            cfg)
         finals.append(rep_d.ratios[-1])
     grow_ok = finals[0] < finals[1] < finals[2]
 
@@ -88,7 +88,7 @@ def test_criterion_2_fixed_point_behavior(nonlinear_case):
     while delta <= 1e8 and threshold is None:
         delta *= 10
         try:
-            solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg, g)
+            solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg)
         except NoConvergence:
             threshold = delta
     ok = small_ok and grow_ok and threshold is not None
@@ -104,7 +104,7 @@ def test_criterion_3_lifting_exactness():
     bd = BoundaryData(np.cos(tt), 3 * np.cos(tt), np.cos(tt), 3 * np.cos(tt),
                       field_from_callable(lambda x: 1 + x + x ** 2, g),
                       Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
-    z = solve_linear_full(coeff, bd, g)
+    z = solve_linear_full(coeff, bd)
     D1 = diff_matrix(g, 1, "x")
     d0 = D1[0].toarray().ravel()
     d1 = D1[g.nx].toarray().ravel()
@@ -122,7 +122,7 @@ def test_criterion_4_conjugation_identity():
     for nx, nt in ((128, 256), (256, 512)):
         g = GridSpec(nx, nt, 2.0)
         coeff = make_coeff(g)
-        weight = make_default_weight(g, coeff.sigma, 1.0)
+        weight = make_default_weight(coeff.sigma, 1.0)
         w = layered_bump(g)
         residuals[(nx, nt)] = [
             conjugation_identity_residual(w, weight, coeff, None, lam)
@@ -140,7 +140,7 @@ def test_criterion_4_conjugation_identity():
 def test_criterion_5_inner_product_ledger():
     g = GridSpec(1024, 256, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
     mismatches = [inner_product_ledger(w, weight, coeff, None, lam).mismatch_rel
                   for lam in (2.0, 5.0, 8.0)]
@@ -151,7 +151,7 @@ def test_criterion_5_inner_product_ledger():
     for nx, nt in ((128, 256), (256, 512)):
         gg = GridSpec(nx, nt, 2.0)
         cc = make_coeff(gg)
-        ww = make_default_weight(gg, cc.sigma, 1.0)
+        ww = make_default_weight(cc.sigma, 1.0)
         scans[(nx, nt)] = ensemble_audit(ww, cc, cfg, n_members=50, seed=1234)
     e1, e2 = scans[(128, 256)], scans[(256, 512)]
     lower_ok = (e1.lambda0 is not None
@@ -173,7 +173,7 @@ def test_criterion_6_carleman_audit():
     for nx, nt in ((128, 256), (256, 512)):
         g = GridSpec(nx, nt, 2.0)
         coeff = make_coeff(g)
-        weight = make_default_weight(g, coeff.sigma, 1.0)
+        weight = make_default_weight(coeff.sigma, 1.0)
         rng = np.random.default_rng(1234)
         worst = {lam: 0.0 for lam in cfg.lambda_grid}
         for _ in range(50):
@@ -186,7 +186,7 @@ def test_criterion_6_carleman_audit():
                                                     rel=0.3)
     g = GridSpec(64, 64, 2.0)
     try:
-        make_default_weight(g, ScalarField1D(1 + 10 * g.x, g), 1.0)
+        make_default_weight(ScalarField1D(1 + 10 * g.x, g), 1.0)
         hyp_ok = False
     except HypothesisViolation as exc:
         hyp_ok = "hip4B" in exc.failed
@@ -202,10 +202,9 @@ def test_criterion_7_stability_two_sidedness(closedloop_case):
     coeff = make_coeff(g, gamma=np.ones(49))
     bd = closedloop_case["build"](g, "1")
     cfg = InverseConfig()
-    reports = []
-    for s in (1e-3, 2e-3, 4e-3):
-        gt = ScalarField1D(1.0 + s * np.sin(np.pi * g.x), g)
-        reports.append(stability_report(coeff, gt, bd, g, 1.0, cfg))
+    gts = [ScalarField1D(1.0 + s * np.sin(np.pi * g.x), g)
+           for s in (1e-3, 2e-3, 4e-3)]
+    reports = stability_report(coeff, gts, bd, 1.0, cfg)
     slope = np.polyfit(np.log([r.middle for r in reports]),
                        np.log([r.lhs for r in reports]), 1)[0]
     c_low = [r.c_lower for r in reports]
@@ -231,22 +230,22 @@ def test_criterion_8_closed_loop_recovery(closedloop_case, tmp_path):
         gamma_true.values - coeff_tilde.gamma.values, g), "L2x")
     cfg = InverseConfig()
 
-    meas = synthesize_measurements(coeff_true, bd, g, 1.0)
-    _, rep0 = recover_gamma(meas, coeff_tilde, bd, g, cfg,
+    meas = synthesize_measurements(coeff_true, bd, 1.0)
+    _, rep0 = recover_gamma(meas, coeff_tilde, bd, cfg,
                             gamma_true=gamma_true)
     noiseless_rel = rep0.l2_error / pert
 
-    meas_n = synthesize_measurements(coeff_true, bd, g, 1.0,
+    meas_n = synthesize_measurements(coeff_true, bd, 1.0,
                                      noise_level=1e-3, seed=42)
-    _, rep1 = recover_gamma(meas_n, coeff_tilde, bd, g, cfg,
+    _, rep1 = recover_gamma(meas_n, coeff_tilde, bd, cfg,
                             gamma_true=gamma_true)
     noisy_rel = rep1.l2_error / pert
 
     degenerate_ok = False
     try:
         bd0 = zero_boundary_data(g)
-        meas_z = synthesize_measurements(coeff_true, bd0, g, 1.0)
-        recover_gamma(meas_z, coeff_tilde, bd0, g, cfg)
+        meas_z = synthesize_measurements(coeff_true, bd0, 1.0)
+        recover_gamma(meas_z, coeff_tilde, bd0, cfg)
     except InfConditionViolated:
         degenerate_ok = True
     exit4 = main(["invert", "--config",

@@ -22,7 +22,7 @@ R_ANALYTIC = 1.0 / (4.0 * 2.0 ** 1.5)  # min over [0,1] of -beta'' for sqrt(1+x)
 def setup128():
     g = GridSpec(128, 256, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     return g, coeff, weight, layered_bump(g)
 
 
@@ -36,7 +36,7 @@ def test_phi0_endpoints_and_peak():
     g = GridSpec(16, 32, 2.0)
     coeff = make_coeff(g)
     for T0 in (1.0, 0.75):
-        w = make_default_weight(g, coeff.sigma, T0)
+        w = make_default_weight(coeff.sigma, T0)
         assert w.phi0[0] == 0.0 and w.phi0[-1] == 0.0
         assert w.phi0.max() == pytest.approx(1.0, abs=1e-12)
         interior = w.phi0[1:-1]
@@ -52,7 +52,7 @@ def test_weight_rejects_large_sigma_slope():
     g = GridSpec(64, 64, 2.0)
     sigma = ScalarField1D(1 + 10 * g.x, g)
     with pytest.raises(HypothesisViolation) as err:
-        make_default_weight(g, sigma, 1.0)
+        make_default_weight(sigma, 1.0)
     assert "hip4B" in err.value.failed
 
 
@@ -60,7 +60,7 @@ def test_weight_rejects_bad_T0():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g)
     with pytest.raises(ValueError):
-        make_default_weight(g, coeff.sigma, 1.5)
+        make_default_weight(coeff.sigma, 1.5)
 
 
 def test_sign_structure_pointwise(setup128):
@@ -79,7 +79,7 @@ def test_sign_structure_pointwise(setup128):
 def test_layer_violation():
     g = GridSpec(32, 32, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     bad = Trajectory(np.ones((33, 33)), g)  # supported everywhere
     with pytest.raises(LayerViolation):
         conjugate_decompose(bad, weight, coeff)
@@ -88,7 +88,7 @@ def test_layer_violation():
 def test_weighted_norm_layer_violation():
     # constant in time, so it does not vanish in the layers the window cuts
     g = GridSpec(64, 128, 2.0)
-    weight = make_default_weight(g, make_coeff(g).sigma, 1.0)
+    weight = make_default_weight(make_coeff(g).sigma, 1.0)
     w = Trajectory(np.outer(np.ones(g.nt + 1), g.x ** 2 * (1 - g.x) ** 2), g)
     with pytest.raises(LayerViolation):
         weighted_norm(w, weight)
@@ -106,7 +106,7 @@ def test_weighted_norm_layer_violation():
 def test_test_function_from_another_grid_is_rejected(call, other):
     g = GridSpec(32, 64, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     with pytest.raises(GridMismatch):
         call(layered_bump(other), weight, coeff)
 
@@ -153,7 +153,7 @@ def test_identity_residual_nonconstant_sigma_and_q():
     g = GridSpec(96, 128, 2.0)
     sigma = ScalarField1D(1 + g.x / 30, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    weight = make_default_weight(g, sigma, 1.0)
+    weight = make_default_weight(sigma, 1.0)
     w = layered_bump(g)
     q = (Trajectory(np.full((g.nt + 1, g.nx + 1), 0.5), g),
          Trajectory(np.full((g.nt + 1, g.nx + 1), -0.25), g),
@@ -190,7 +190,7 @@ def test_ledger_balance_and_signs():
     # mismatch and sit below 1e-4 there
     g = GridSpec(1024, 256, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
     for lam in (2.0, 5.0, 8.0):
         led = inner_product_ledger(w, weight, coeff, None, lam)
@@ -225,7 +225,7 @@ def test_audit_bump_finite_and_stable(setup128):
     # refinement stability of the largest-lambda constant
     g2 = GridSpec(256, 512, 2.0)
     coeff2 = make_coeff(g2)
-    weight2 = make_default_weight(g2, coeff2.sigma, 1.0)
+    weight2 = make_default_weight(coeff2.sigma, 1.0)
     rows2 = carleman_audit(layered_bump(g2), weight2, coeff2, None, cfg)
     assert rows2[-1].c_hat == pytest.approx(chats[-1], rel=0.3)
 
@@ -255,7 +255,7 @@ def test_carleman_config_validation():
 def test_ensemble_audit_lambda0_and_worst_ledger():
     g = GridSpec(64, 128, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 8.0))
     ens = ensemble_audit(weight, coeff, cfg, n_members=6, seed=7)
     assert ens.lambda0 == 2.0
@@ -270,7 +270,7 @@ def test_ensemble_audit_matches_per_member_calls():
     g = GridSpec(32, 64, 2.0)
     sigma = ScalarField1D(1 + 0.02 * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    weight = make_default_weight(g, sigma, 1.0)
+    weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
     ens = ensemble_audit(weight, coeff, cfg, n_members=5, seed=11)
 
@@ -313,7 +313,7 @@ def test_ensemble_audit_parity_cases(lambdas, with_q, n_modes):
     g = GridSpec(32, 64, 2.0)
     sigma = ScalarField1D(1 + 0.02 * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    weight = make_default_weight(g, sigma, 1.0)
+    weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=lambdas)
     q = _q_sloped(g) if with_q else None
     ens = ensemble_audit(weight, coeff, cfg, n_members=4, seed=5, q=q,
@@ -392,7 +392,7 @@ def test_audit_matches_reference(slope, with_q):
     g = GridSpec(48, 96, 2.0)
     sigma = ScalarField1D(1 + slope * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    weight = make_default_weight(g, sigma, 1.0)
+    weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 4.0, 8.0, 16.0), eta=0.25)
     q = _q_sloped(g) if with_q else (None, None, None)
     rng = np.random.default_rng(4)
@@ -428,7 +428,7 @@ def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
     monkeypatch.setattr(kslab.carleman, "_ledger", counted_ledger)
     g = GridSpec(32, 64, 2.0)
     coeff = make_coeff(g)
-    weight = make_default_weight(g, coeff.sigma, 1.0)
+    weight = make_default_weight(coeff.sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
     ens = ensemble_audit(weight, coeff, cfg, n_members=20, seed=3)
     assert calls["phi"] == 1 and calls["ledger"] == 1
@@ -462,7 +462,7 @@ def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
     g = GridSpec(nx, nt, 2.0)
     sigma = ScalarField1D(1 + slope * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    weight = make_default_weight(g, sigma, 1.0)
+    weight = make_default_weight(sigma, 1.0)
     window = kslab.carleman._Window(weight, coeff, eta)
     q = None
     if q_amp:
@@ -471,7 +471,7 @@ def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
              Trajectory(-0.5 * q_amp * xx * tt, g),
              Trajectory(np.full((nt + 1, nx + 1), 0.3 * q_amp), g))
     qs = kslab.carleman._q_arrays(q, window)
-    span = kslab.carleman._Span(window, eta, n_modes)
+    span = kslab.carleman._Span(window, n_modes)
     # coefficient vectors from the values rng.uniform(-1, 1) can return,
     # the multiples of 2^-52 in [-1, 1]
     coeffs = np.array(data.draw(st.lists(
@@ -514,7 +514,7 @@ def test_random_clamped_bump_is_admissible():
     v = random_clamped_bump(g, rng)
     assert np.all(v.values[:, 0] == 0) and np.all(v.values[:, -1] == 0)
     assert np.all(v.values[0] == 0) and np.all(v.values[-1] == 0)
-    weight = make_default_weight(g, make_coeff(g).sigma, 1.0)
+    weight = make_default_weight(make_coeff(g).sigma, 1.0)
     conjugate_decompose(v, weight, make_coeff(g))  # no LayerViolation
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kslab
+from kslab import inverse
 from kslab.cli import main
 from kslab.config import _TABLE, RunConfig
 from kslab.errors import ConfigError
@@ -152,6 +153,39 @@ def test_failure_report(tmp_path, capsys, cmd, name, code, status, seed):
         expected.add("failed")
     assert set(results) == expected
     assert set(payload["timings"]) == {"total_s"}
+
+
+def test_stability_scan_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
+    # M2 bounds the reference trajectory's norm surrogate, an admissibility
+    # hypothesis of the stability theorem: a report and exit 3, no traceback
+    cfgfile = tmp_path / "small_m2.cfg"
+    with open(cfg_path("stability_scan.cfg")) as fh:
+        cfgfile.write_text(fh.read().replace("[inverse]\n",
+                                             "[inverse]\nm2 = 1e-9\n"))
+    out = tmp_path / "o"
+    assert main(["stability-scan", "--config", str(cfgfile),
+                 "--out", str(out)]) == 3
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["status"] == "hypothesis-violation"
+    assert results["failed"] == ["M2"]
+    assert "exceeds M2=1e-09" in capsys.readouterr().err
+
+
+def test_stability_scan_solves_the_reference_once(tmp_path, monkeypatch):
+    # one solve of the reference y, then one of each perturbed gamma_tilde
+    solved = []
+    solve = inverse.solve_ks
+
+    def counted_solve(c, *args):
+        solved.append(c.gamma.values.tobytes())
+        return solve(c, *args)
+
+    monkeypatch.setattr(inverse, "solve_ks", counted_solve)
+    cfg = RunConfig.from_file(cfg_path("stability_scan.cfg"))
+    amplitudes = cfg.inverse_block(cfg.grid())["amplitudes"]
+    assert main(["stability-scan", "--config", cfg_path("stability_scan.cfg"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(solved) == len(set(solved)) == 1 + len(amplitudes)
 
 
 def test_missing_config_file(tmp_path):

@@ -63,26 +63,26 @@ def test_trajectory_norms_match_their_row_by_row_definitions():
 def test_measurements_zero_data():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
-    meas = synthesize_measurements(coeff, zero_boundary_data(g), g, 0.5)
+    meas = synthesize_measurements(coeff, zero_boundary_data(g), 0.5)
     assert np.all(meas.trace2 == 0) and np.all(meas.trace3 == 0)
     assert np.all(meas.snapshot.values == 0)
 
 
 def test_measurements_deterministic(loop48):
     g, coeff, bd = loop48
-    a = synthesize_measurements(coeff, bd, g, T0, noise_level=1e-3, seed=11)
-    b = synthesize_measurements(coeff, bd, g, T0, noise_level=1e-3, seed=11)
+    a = synthesize_measurements(coeff, bd, T0, noise_level=1e-3, seed=11)
+    b = synthesize_measurements(coeff, bd, T0, noise_level=1e-3, seed=11)
     assert np.array_equal(a.trace2, b.trace2)
     assert np.array_equal(a.trace3, b.trace3)
     assert np.array_equal(a.snapshot.values, b.snapshot.values)
-    c = synthesize_measurements(coeff, bd, g, T0, noise_level=1e-3, seed=12)
+    c = synthesize_measurements(coeff, bd, T0, noise_level=1e-3, seed=12)
     assert not np.array_equal(a.trace2, c.trace2)
 
 
 def test_measurements_match_analytic_trace(closedloop_case, loop48):
     # oracle: the manufactured solution's second derivative at x=0
     g, coeff, bd = loop48
-    meas = synthesize_measurements(coeff, bd, g, T0)
+    meas = synthesize_measurements(coeff, bd, T0)
     analytic = closedloop_case["trace2"](g.t)
     assert np.abs(meas.trace2 - analytic).max() <= 1e-2 * np.abs(analytic).max()
     assert meas.snapshot_time == pytest.approx(T0)
@@ -102,9 +102,9 @@ def solved_pair(loop48):
     g, coeff, bd = loop48
     gt = ScalarField1D(1.0 + 1e-3 * np.sin(np.pi * g.x), g)
     cfgn = NonlinearSolveConfig()
-    y, _ = solve_ks(coeff, bd, cfgn, g)
+    y, _ = solve_ks(coeff, bd, cfgn)
     yt, _ = solve_ks(CoefficientField(coeff.sigma, gt, coeff.sigma0), bd,
-                     cfgn, g)
+                     cfgn)
     return g, coeff, bd, gt, y, yt
 
 
@@ -119,10 +119,9 @@ def test_difference_homogeneous_boundary(solved_pair):
 def test_stability_report_family(loop48):
     g, coeff, bd = loop48
     cfg = InverseConfig()
-    reports = []
-    for s in (1e-3, 2e-3, 4e-3):
-        gt = ScalarField1D(1.0 + s * np.sin(np.pi * g.x), g)
-        reports.append(stability_report(coeff, gt, bd, g, T0, cfg))
+    gts = [ScalarField1D(1.0 + s * np.sin(np.pi * g.x), g)
+           for s in (1e-3, 2e-3, 4e-3)]
+    reports = stability_report(coeff, gts, bd, T0, cfg)
     lhs = np.log([r.lhs for r in reports])
     mid = np.log([r.middle for r in reports])
     slope = np.polyfit(mid, lhs, 1)[0]
@@ -137,7 +136,7 @@ def test_stability_report_family(loop48):
 
 def test_stability_report_degenerate(loop48):
     g, coeff, bd = loop48
-    rep = stability_report(coeff, coeff.gamma, bd, g, T0, InverseConfig())
+    rep, = stability_report(coeff, [coeff.gamma], bd, T0, InverseConfig())
     assert rep.degenerate and rep.lhs == 0.0 and rep.middle == 0.0
 
 
@@ -145,7 +144,7 @@ def test_stability_report_inf_condition(loop48):
     g, coeff, _ = loop48
     bd0 = zero_boundary_data(g)
     with pytest.raises(InfConditionViolated):
-        stability_report(coeff, coeff.gamma, bd0, g, T0, InverseConfig())
+        stability_report(coeff, [coeff.gamma], bd0, T0, InverseConfig())
 
 
 def test_snapshot_time_robustness(loop48):
@@ -153,8 +152,8 @@ def test_snapshot_time_robustness(loop48):
     g, coeff, bd = loop48
     cfg = InverseConfig()
     gt = ScalarField1D(1.0 + 2e-3 * np.sin(np.pi * g.x), g)
-    r0 = stability_report(coeff, gt, bd, g, T0, cfg)
-    r1 = stability_report(coeff, gt, bd, g, T0 + g.dt, cfg)
+    r0, = stability_report(coeff, [gt], bd, T0, cfg)
+    r1, = stability_report(coeff, [gt], bd, T0 + g.dt, cfg)
     assert r1.middle == pytest.approx(r0.middle, rel=10 * g.dt)
 
 
@@ -170,15 +169,15 @@ def test_gamma_basis_layout():
 
 def _solve_at(coeff, bd, g, gamma):
     shifted = CoefficientField(coeff.sigma, ScalarField1D(gamma, g), coeff.sigma0)
-    return solve_ks(shifted, bd, NonlinearSolveConfig(), g)[0].values
+    return solve_ks(shifted, bd, NonlinearSolveConfig())[0].values
 
 
 def _tangent(coeff, bd, g, b):
     """dy for the gamma direction b: the linearized solve recover_gamma uses."""
-    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig())
     src = Trajectory(-b * diff_x_values(y.values, g, 2), g)
     dy = solve_linear_full(linearized_field(coeff, y),
-                           zero_boundary_data(g, g=src), g)
+                           zero_boundary_data(g, g=src))
     return y.values, dy.values
 
 
@@ -221,17 +220,17 @@ def test_stacked_tangent_columns_equal_their_own_solves(tangent_case):
     # (which shares its sigma/gamma band) gives each column's own solve on a
     # field built afresh, bit for bit
     g, coeff, bd = tangent_case
-    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    y, _ = solve_ks(coeff, bd, NonlinearSolveConfig())
     basis = gamma_basis(g, 8)
     sources = -basis[:, None] * diff_x_values(y.values, g, 2)
     lin = linearized_field(coeff, y)
     assert lin.principal_band is coeff.principal_band
-    dy = solve_linear_many(lin, zero_boundary_data(g), sources, g)
+    dy = solve_linear_many(lin, zero_boundary_data(g), sources)
     fresh = CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
                              G2=Trajectory(diff_x_values(y.values, g, 1), g))
     for src, col in zip(sources, dy):
         single = solve_linear_full(
-            fresh, zero_boundary_data(g, g=Trajectory(src, g)), g)
+            fresh, zero_boundary_data(g, g=Trajectory(src, g)))
         assert np.array_equal(single.values, col)
 
 
@@ -240,7 +239,7 @@ def _closed_loop_problem(closedloop_case, loop48):
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
     coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
-    return g, coeff, bd, synthesize_measurements(coeff_true, bd, g, T0)
+    return g, coeff, bd, synthesize_measurements(coeff_true, bd, T0)
 
 
 def test_recover_solves_once_per_forward_solve_and_field(
@@ -255,13 +254,13 @@ def test_recover_solves_once_per_forward_solve_and_field(
         solved.append(c)
         return solve(c, *args)
 
-    def counted_principal(c, grid):
+    def counted_principal(c):
         banded.append(c.gamma.values.tobytes())
-        return principal(c, grid)
+        return principal(c)
 
     monkeypatch.setattr(inverse, "solve_ks", counted_solve)
     monkeypatch.setattr(linear_solver, "_principal_part", counted_principal)
-    _, rep = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    _, rep = recover_gamma(meas, coeff, bd, InverseConfig())
     assert rep.forward_solves >= 2 and len(rep.iterations) >= 2
     assert len(solved) == rep.forward_solves
     assert len(banded) == len(set(banded)) == rep.forward_solves
@@ -270,7 +269,7 @@ def test_recover_solves_once_per_forward_solve_and_field(
 def test_recover_in_groups_of_one_column_is_bit_identical(
         monkeypatch, closedloop_case, loop48):
     g, coeff, bd, meas = _closed_loop_problem(closedloop_case, loop48)
-    whole = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    whole = recover_gamma(meas, coeff, bd, InverseConfig())
     monkeypatch.setattr(inverse, "_STACK_BYTES", 1)
     marched = []
     many = inverse.solve_linear_many
@@ -280,7 +279,7 @@ def test_recover_in_groups_of_one_column_is_bit_identical(
         return many(coeff, bd, sources, *args, **kwargs)
 
     monkeypatch.setattr(inverse, "solve_linear_many", counted)
-    single = recover_gamma(meas, coeff, bd, g, InverseConfig())
+    single = recover_gamma(meas, coeff, bd, InverseConfig())
     assert set(marched) == {1}
     assert np.array_equal(single[0].values, whole[0].values)
     assert single[1].iterations == whole[1].iterations
@@ -288,8 +287,8 @@ def test_recover_in_groups_of_one_column_is_bit_identical(
 
 def test_recover_zero_perturbation(loop48):
     g, coeff, bd = loop48
-    meas = synthesize_measurements(coeff, bd, g, T0)
-    gamma_hat, rep = recover_gamma(meas, coeff, bd, g, InverseConfig(),
+    meas = synthesize_measurements(coeff, bd, T0)
+    gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(),
                                    gamma_true=coeff.gamma)
     assert rep.l2_error <= 1e-8
     assert rep.final_j == 0.0 and rep.converged
@@ -300,8 +299,8 @@ def test_recover_closed_loop(closedloop_case, loop48):
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
     coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
-    meas = synthesize_measurements(coeff_true, bd, g, T0)
-    gamma_hat, rep = recover_gamma(meas, coeff, bd, g, InverseConfig(),
+    meas = synthesize_measurements(coeff_true, bd, T0)
+    gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(),
                                    gamma_true=gamma_true)
     pert = discrete_norm(ScalarField1D(gamma_true.values - coeff.gamma.values,
                                        g), "L2x")
@@ -315,9 +314,9 @@ def test_recover_noisy_closed_loop(closedloop_case, loop48):
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
     coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
-    meas = synthesize_measurements(coeff_true, bd, g, T0, noise_level=1e-3,
+    meas = synthesize_measurements(coeff_true, bd, T0, noise_level=1e-3,
                                    seed=42)
-    gamma_hat, rep = recover_gamma(meas, coeff, bd, g, InverseConfig(),
+    gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(),
                                    gamma_true=gamma_true)
     pert = discrete_norm(ScalarField1D(gamma_true.values - coeff.gamma.values,
                                        g), "L2x")
@@ -330,9 +329,9 @@ def test_recover_degenerate_zero_data():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
     bd = zero_boundary_data(g)
-    meas = synthesize_measurements(coeff, bd, g, 0.5)
+    meas = synthesize_measurements(coeff, bd, 0.5)
     with pytest.raises(InfConditionViolated):
-        recover_gamma(meas, coeff, bd, g, InverseConfig())
+        recover_gamma(meas, coeff, bd, InverseConfig())
 
 
 def test_recover_max_outer_flag(closedloop_case, loop48):
@@ -340,7 +339,7 @@ def test_recover_max_outer_flag(closedloop_case, loop48):
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
     coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
-    meas = synthesize_measurements(coeff_true, bd, g, T0)
-    _, rep = recover_gamma(meas, coeff, bd, g, InverseConfig(max_outer=1),
+    meas = synthesize_measurements(coeff_true, bd, T0)
+    _, rep = recover_gamma(meas, coeff, bd, InverseConfig(max_outer=1),
                            gamma_true=gamma_true)
     assert rep.max_outer_reached and not rep.converged

@@ -32,8 +32,8 @@ def full_case_bd(case, grid):
 def test_lifting_length_mismatch():
     g = GridSpec(16, 8, 1.0)
     other = GridSpec(16, 16, 1.0)
-    with pytest.raises(LengthMismatch):
-        solve_linear_full(make_coeff(g), zero_boundary_data(other), g)
+    with pytest.raises(GridMismatch):
+        solve_linear_full(make_coeff(g), zero_boundary_data(other))
 
 
 def test_boundary_series_and_initial_profile_are_read_only(full_linear_case):
@@ -52,8 +52,8 @@ def test_with_source_shares_lifting_and_matches_fresh_data(full_linear_case):
     bd2 = bd.with_source(g2)
     assert bd2.g is g2 and bd2.corner_gaps is bd.corner_gaps
     fresh = BoundaryData(bd.h1, bd.h2, bd.h3, bd.h4, bd.y0, g2)
-    assert np.array_equal(solve_linear_full(coeff, bd2, g, comp_tol=1.0).values,
-                          solve_linear_full(coeff, fresh, g, comp_tol=1.0).values)
+    assert np.array_equal(solve_linear_full(coeff, bd2, comp_tol=1.0).values,
+                          solve_linear_full(coeff, fresh, comp_tol=1.0).values)
 
 
 # ---------------------------------------------------------- principal solve
@@ -61,7 +61,7 @@ def test_principal_zero_solution():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g)
     z = solve_principal(coeff, Trajectory(np.zeros((17, 17)), g),
-                        ScalarField1D(np.zeros(17), g), g)
+                        ScalarField1D(np.zeros(17), g))
     assert np.all(z.values == 0)
 
 
@@ -70,7 +70,7 @@ def test_principal_rejects_incompatible_initial_profile():
     coeff = make_coeff(g)
     bad = field_from_callable(lambda x: 1 + x, g)
     with pytest.raises(CompatibilityViolation):
-        solve_principal(coeff, Trajectory(np.zeros((17, 17)), g), bad, g)
+        solve_principal(coeff, Trajectory(np.zeros((17, 17)), g), bad)
 
 
 def test_principal_manufactured_convergence(principal_case):
@@ -80,7 +80,7 @@ def test_principal_manufactured_convergence(principal_case):
         coeff = make_coeff(g)
         f = trajectory_from_callable(principal_case["source"], g)
         z0 = field_from_callable(principal_case["z0"], g)
-        z = solve_principal(coeff, f, z0, g)
+        z = solve_principal(coeff, f, z0)
         exact = trajectory_from_callable(principal_case["exact"], g)
         errs.append(np.abs(z.values - exact.values).max())
     assert np.log2(errs[0] / errs[1]) >= 1.7
@@ -91,7 +91,7 @@ def test_principal_energy_decay_stepwise():
     g = GridSpec(64, 128, 1.0)
     coeff = make_coeff(g)
     z0 = field_from_callable(lambda x: 16 * (x * (1 - x)) ** 2, g)
-    z = solve_principal(coeff, Trajectory(np.zeros((129, 65)), g), z0, g)
+    z = solve_principal(coeff, Trajectory(np.zeros((129, 65)), g), z0)
     I = np.array([trapz_x(z.values[n] ** 2, g) for n in range(g.nt + 1)])
     assert np.all(np.diff(I) <= 1e-14)
     zmid_xx = diff_x_values(0.5 * (z.values[1:] + z.values[:-1]), g, 2)
@@ -104,7 +104,7 @@ def test_principal_energy_decay_stepwise():
 def test_full_zero_data():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
-    z = solve_linear_full(coeff, zero_boundary_data(g), g)
+    z = solve_linear_full(coeff, zero_boundary_data(g))
     assert np.all(z.values == 0)
 
 
@@ -113,8 +113,8 @@ def test_full_reduces_to_principal(principal_case):
     coeff = make_coeff(g)
     f = trajectory_from_callable(principal_case["source"], g)
     z0 = field_from_callable(principal_case["z0"], g)
-    z_p = solve_principal(coeff, f, z0, g)
-    z_f = solve_linear_full(coeff, zero_boundary_data(g, y0=z0, g=f), g)
+    z_p = solve_principal(coeff, f, z0)
+    z_f = solve_linear_full(coeff, zero_boundary_data(g, y0=z0, g=f))
     scale = np.abs(z_p.values).max()
     assert np.abs(z_f.values - z_p.values).max() <= 1e-12 * max(scale, 1.0)
 
@@ -126,7 +126,7 @@ def test_full_manufactured_convergence_and_residual(full_linear_case):
         coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
                            gamma=np.ones(nx + 1))
         bd = full_case_bd(full_linear_case, g)
-        z = solve_linear_full(coeff, bd, g, comp_tol=1.0)
+        z = solve_linear_full(coeff, bd, comp_tol=1.0)
         exact = trajectory_from_callable(full_linear_case["exact"], g)
         errs.append(np.abs(z.values - exact.values).max())
         max_rel, _ = operator_residual(z, coeff, bd.g)
@@ -141,7 +141,7 @@ def test_full_compatibility_gate(full_linear_case):
                        gamma=np.ones(65))
     bd = full_case_bd(full_linear_case, g)
     with pytest.raises(CompatibilityViolation):
-        solve_linear_full(coeff, bd, g)
+        solve_linear_full(coeff, bd)
 
 
 @pytest.mark.parametrize("nx,nt", [(48, 64), (1024, 256), (2048, 512)])
@@ -154,7 +154,7 @@ def test_lifting_exactness_of_solution(nx, nt):
     y0 = field_from_callable(lambda x: 1 + x + x ** 2, g)
     bd = BoundaryData(np.cos(tt), 3 * np.cos(tt), np.cos(tt), 3 * np.cos(tt),
                       y0, Trajectory(np.zeros((nt + 1, nx + 1)), g))
-    z = solve_linear_full(coeff, bd, g)
+    z = solve_linear_full(coeff, bd)
     D1 = diff_matrix(g, 1, "x")
     d0 = D1[0].toarray().ravel()
     d1 = D1[g.nx].toarray().ravel()
@@ -181,7 +181,7 @@ def test_full_solver_linearity(seed, a, b):
 
     def solve(hs, y0, src):
         bd = BoundaryData(hs[0], hs[1], hs[2], hs[3], ScalarField1D(y0, g), src)
-        return solve_linear_full(coeff, bd, g, comp_tol=np.inf)
+        return solve_linear_full(coeff, bd, comp_tol=np.inf)
 
     za = solve(h_a, y0_a, g_a)
     zb = solve(h_b, y0_b, g_b)
@@ -199,7 +199,7 @@ def dense_march_reference(coeff, bd, grid):
     np.linalg.solve."""
     nx, nt, dt = grid.nx, grid.nt, grid.dt
     D1 = diff_matrix(grid, 1, "x").toarray()
-    ops = [operator_matrix(coeff, grid, n).toarray() for n in range(nt + 1)]
+    ops = [operator_matrix(coeff, n).toarray() for n in range(nt + 1)]
     f = bd.g.values
     z = np.empty_like(f)
     z[0] = bd.y0.values
@@ -232,7 +232,7 @@ def test_march_matches_dense_step_reference(full_linear_case, kind):
         coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
                            gamma=np.ones(33))
     bd = full_case_bd(full_linear_case, g)
-    z = solve_linear_full(coeff, bd, g, comp_tol=1.0)
+    z = solve_linear_full(coeff, bd, comp_tol=1.0)
     ref = dense_march_reference(coeff, bd, g)
     assert np.abs(z.values - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -243,7 +243,7 @@ def test_march_residual_check_reports_first_step(full_linear_case):
                        gamma=np.ones(17))
     bd = full_case_bd(full_linear_case, g)
     with pytest.raises(SingularSystem, match="step 0: relative residual"):
-        solve_linear_full(coeff, bd, g, comp_tol=1.0, lin_tol=1e-30)
+        solve_linear_full(coeff, bd, comp_tol=1.0, lin_tol=1e-30)
 
 
 @pytest.mark.parametrize("kind", ["constant", "G1-G2"])
@@ -254,7 +254,7 @@ def test_march_non_finite_source_raises(full_linear_case, kind):
     bd = full_case_bd(full_linear_case, g)
     bd.g.values[3, 5] = np.inf  # a Trajectory checks finiteness when built
     with pytest.raises(SingularSystem, match="non-finite"):
-        solve_linear_full(coeff, bd, g, comp_tol=1.0)
+        solve_linear_full(coeff, bd, comp_tol=1.0)
 
 
 def stacked_sources(g, k, seed=0):
@@ -270,7 +270,7 @@ def test_many_non_finite_source_in_one_column_raises(full_linear_case, kind):
     sources = stacked_sources(g, 4)
     sources[2, 3, 5] = np.inf
     with pytest.raises(SingularSystem, match="non-finite"):
-        solve_linear_many(coeff, zero_boundary_data(g), sources, g)
+        solve_linear_many(coeff, zero_boundary_data(g), sources)
 
 
 def test_many_residual_check_reports_first_step(full_linear_case):
@@ -279,7 +279,7 @@ def test_many_residual_check_reports_first_step(full_linear_case):
                        gamma=np.ones(17))
     bd = full_case_bd(full_linear_case, g)
     with pytest.raises(SingularSystem, match="step 0: relative residual"):
-        solve_linear_many(coeff, bd, stacked_sources(g, 3), g, comp_tol=1.0,
+        solve_linear_many(coeff, bd, stacked_sources(g, 3), comp_tol=1.0,
                           lin_tol=1e-30)
 
 
@@ -290,14 +290,14 @@ def test_many_in_groups_equals_one_stack(full_linear_case):
     coeff = time_dependent_coeff(g)
     bd = full_case_bd(full_linear_case, g)
     sources = stacked_sources(g, 5)
-    whole = solve_linear_many(coeff, bd, sources, g, comp_tol=1.0)
+    whole = solve_linear_many(coeff, bd, sources, comp_tol=1.0)
     groups = np.concatenate([
-        solve_linear_many(coeff, bd, part, g, comp_tol=1.0)
+        solve_linear_many(coeff, bd, part, comp_tol=1.0)
         for part in np.split(sources, [2, 3])])
     assert np.array_equal(whole, groups)
     for src, z in zip(sources, whole):
         single = solve_linear_full(
-            coeff, bd.with_source(Trajectory(src, g)), g, comp_tol=1.0)
+            coeff, bd.with_source(Trajectory(src, g)), comp_tol=1.0)
         assert np.array_equal(single.values, z)
 
 
@@ -306,7 +306,7 @@ def test_many_rejects_a_stack_of_the_wrong_shape():
     coeff = make_coeff(g, gamma=np.ones(17))
     for shape in [(17, 17), (2, 16, 17), (2, 17, 18)]:
         with pytest.raises(LengthMismatch):
-            solve_linear_many(coeff, zero_boundary_data(g), np.zeros(shape), g)
+            solve_linear_many(coeff, zero_boundary_data(g), np.zeros(shape))
 
 
 @pytest.mark.parametrize("other", [GridSpec(16, 32, 1.0), GridSpec(32, 16, 1.0)],
@@ -315,7 +315,7 @@ def test_coefficient_field_from_another_grid_is_rejected(other):
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(other, gamma=np.ones(other.nx + 1))
     with pytest.raises(GridMismatch):
-        solve_linear_full(coeff, zero_boundary_data(g), g)
+        solve_linear_full(coeff, zero_boundary_data(g))
     z = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
     with pytest.raises(GridMismatch):
         operator_residual(z, coeff, z)
@@ -340,11 +340,11 @@ def reference_residual(z, coeff, fhat):
         M[nx, nx] = 1.0
         return abs(M.tocsc()).sum(axis=1).max()
 
-    A_n = operator_matrix(coeff, grid, 0)
+    A_n = operator_matrix(coeff, 0)
     res_field = np.zeros_like(z.values)
     max_rel = 0.0
     for n in range(grid.nt):
-        A_np1 = operator_matrix(coeff, grid, n + 1)
+        A_np1 = operator_matrix(coeff, n + 1)
         m_norm = one_step_norm(A_np1)
         r = ((z.values[n + 1] - z.values[n]) / dt
              + 0.5 * (A_np1 @ z.values[n + 1] + A_n @ z.values[n])
@@ -363,7 +363,7 @@ def test_residual_matches_step_reference_variable_sigma(full_linear_case):
     coeff = make_coeff(g, sigma=full_linear_case["sigma"](g.x),
                        gamma=np.ones(33))
     bd = full_case_bd(full_linear_case, g)
-    z = solve_linear_full(coeff, bd, g, comp_tol=1.0)
+    z = solve_linear_full(coeff, bd, comp_tol=1.0)
     off = Trajectory(z.values + 1e-3 * np.outer(np.cos(g.t), np.sin(3 * g.x)), g)
     for traj in (z, off):
         assert operator_residual(traj, coeff, bd.g) == \
@@ -400,7 +400,7 @@ def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
     system = _CNSystem(coeff)
     band = np.broadcast_to(system.band, (nt + 1,) + system.band.shape[1:])
     z = rng.standard_normal((nt + 1, nx + 1))
-    ops = [operator_matrix(coeff, g, n) for n in range(nt + 1)]
+    ops = [operator_matrix(coeff, n) for n in range(nt + 1)]
     for n, A in enumerate(ops):
         assert np.array_equal(band[n], _band(A, _KA))
     with pytest.MonkeyPatch.context() as mp:

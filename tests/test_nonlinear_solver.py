@@ -23,7 +23,7 @@ def test_config_validation():
 def test_zero_data_single_sweep():
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
-    y, rep = solve_ks(coeff, zero_boundary_data(g), NonlinearSolveConfig(), g)
+    y, rep = solve_ks(coeff, zero_boundary_data(g), NonlinearSolveConfig())
     assert np.all(y.values == 0)
     assert rep.iterations == 1
     assert rep.converged
@@ -35,7 +35,7 @@ def test_manufactured_convergence_and_ratios(nonlinear_case):
         g = GridSpec(nx, nt, 2.0)
         coeff = make_coeff(g, gamma=np.ones(nx + 1))
         bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-        y, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+        y, rep = solve_ks(coeff, bd, NonlinearSolveConfig())
         assert rep.converged
         assert all(r < 1 for r in rep.ratios)
         assert rep.residual_rel <= 10 * 1e-10
@@ -51,7 +51,7 @@ def test_delta_sweep_monotone_ratios_and_threshold(nonlinear_case):
     cfg = NonlinearSolveConfig(max_picard=30)
     last = []
     for delta in (1e-2, 1e-1, 1.0):
-        _, rep = solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg, g)
+        _, rep = solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg)
         last.append(rep.ratios[-1])
     assert last[0] < last[1] < last[2]
 
@@ -60,7 +60,7 @@ def test_delta_sweep_monotone_ratios_and_threshold(nonlinear_case):
     while delta <= 1e8:
         delta *= 10
         try:
-            solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg, g)
+            solve_ks(coeff, nonlinear_bd(nonlinear_case, g, delta), cfg)
         except NoConvergence as exc:
             threshold = delta
             assert getattr(exc, "report", None) is not None
@@ -76,7 +76,7 @@ def test_manufactured_config_converges_on_fine_grids(nx, nt):
         os.path.dirname(__file__), "..", "configs", "simulate_manufactured.cfg"))
     g = GridSpec(nx, nt, 2.0)
     y, rep = solve_ks(cfg.coefficients(g), cfg.boundary_data(g),
-                      cfg.nonlinear_config(), g)
+                      cfg.nonlinear_config())
     assert rep.converged
     exact = trajectory_from_callable(
         lambda t, x: 0.01 * np.exp(-t) * x ** 2 * (1 - x) ** 2, g)
@@ -86,7 +86,7 @@ def test_manufactured_config_converges_on_fine_grids(nx, nt):
 def test_epsilon_report_smallness(nonlinear_case):
     g = GridSpec(32, 16, 1.0)
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    report = smallness(bd, g)
+    report = smallness(bd)
     assert report is not None
     assert report["y0_H4x"] > 0
     assert set(report) >= {"y0_H4x", "g_F", "h1_H2t", "h4_H2t"}
@@ -109,14 +109,14 @@ def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
     g = GridSpec(16, 16, 1.0)
     coeff = make_coeff(g, gamma=np.ones(17))
     bd = nonlinear_bd(nonlinear_case, g, 1e-2)
-    _, rep = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    _, rep = solve_ks(coeff, bd, NonlinearSolveConfig())
     assert rep.iterations >= 2
     # one linear solve per sweep plus the first, on one CN system
     calls = rep.iterations + 1
     assert counts == {"_principal_part": 1, "dgbtrf": 1,
                       "solve_linear_full": calls}
     # a second solve on the same field reuses that system
-    _, again = solve_ks(coeff, bd, NonlinearSolveConfig(), g)
+    _, again = solve_ks(coeff, bd, NonlinearSolveConfig())
     assert again.iterations == rep.iterations
     assert counts == {"_principal_part": 1, "dgbtrf": 1,
                       "solve_linear_full": 2 * calls}
