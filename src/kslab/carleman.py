@@ -25,7 +25,11 @@ test function's jets, and a _Lambda per lambda on it, which builds what that
 lambda adds on first use.  The ledger's coefficient fields and the
 conjugated-operator reference are the plain numpy functions of
 ledger_fields, generated from sympy derivations kept with the tests, so no
-entry point imports sympy.
+entry point imports sympy.  Since phi = beta(x)/phi0(t), each ledger field
+is a time factor u^a v^b (u = 1/phi0, v = -phi0'/phi0^2) on the window rows
+times an x factor on the nodes, and the ledger contracts the two factors
+with a w-derivative square one after the other: no field is ever formed on
+the whole window.
 
 Every ensemble member is a coefficient vector c in a span of 2*n_modes
 profiles (_Span), and each audit quantity and both parts of delta_hat are
@@ -178,8 +182,10 @@ def make_default_weight(sigma: ScalarField1D, T0: float,
 
 class _Window:
     """What every quantity needs of one weight, sigma and window [eta, T-eta]:
-    the rows, the phi arrays, the sigma jet up to sigma_xxx and the trapezoid
-    weights.  coeff is None for the weighted norm, which needs no sigma."""
+    the rows, the phi arrays, the time factors u = 1/phi0 and v =
+    -phi0'/phi0^2 of the ledger fields, the sigma jet up to sigma_xxx and the
+    trapezoid weights.  coeff is None for the weighted norm, which needs no
+    sigma."""
 
     def __init__(self, weight: CarlemanWeight, coeff: CoefficientField | None,
                  eta: float | None):
@@ -187,6 +193,8 @@ class _Window:
         self.eta, inside = _time_window(self.grid, eta)
         self.rows = rows = np.flatnonzero(inside)
         self.phi = weight.phi_arrays(rows)
+        self.u = 1.0 / weight.phi0[rows]
+        self.v = -weight.phi0_prime[rows] * self.u ** 2
         self.sig = None
         if coeff is not None:
             require_same_grid(weight, coeff.sigma)
@@ -201,13 +209,6 @@ class _Window:
 
     def quad_t(self, series: np.ndarray) -> float:
         return float(self.trapz_t @ series)
-
-    @cached_property
-    def phi_xt(self) -> np.ndarray:
-        """-beta' phi0'/phi0^2, analytic like the other phi derivatives."""
-        inv = 1.0 / self.weight.phi0[self.rows]
-        return np.outer(-self.weight.phi0_prime[self.rows] * inv ** 2,
-                        self.weight.beta_derivs[1])
 
     def check(self, w: Trajectory) -> np.ndarray:
         """w on the window rows; GridMismatch for a w from another grid,
@@ -238,13 +239,14 @@ class _Window:
 
 
 class _Lambda:
-    """What one lambda adds on a window.  Each part, and each ledger field,
-    is built on first use, so an entry point pays only for what it reads."""
+    """What one lambda adds on a window.  Each part, and the two factors of
+    each ledger field, is built on first use, so an entry point pays only for
+    what it reads."""
 
     def __init__(self, window: _Window, lam: float | None):
         self.window = window
         self.lam = window.weight.lam if lam is None else lam
-        self._fields = {}
+        self._factors = {}
 
     @cached_property
     def e2(self) -> np.ndarray:
@@ -277,14 +279,21 @@ class _Lambda:
                 6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
                 4 * lam3 * px * pxs_x)
 
-    def field(self, name: str) -> np.ndarray:
-        """The ledger field FIELDS[name] on the window rows."""
-        if name not in self._fields:
-            _, px, pxx, pxxx, pxxxx, pt = self.window.phi
-            values = FIELDS[name][0](self.lam, px, pxx, pxxx, pxxxx, pt,
-                                     self.window.phi_xt, *self.window.sig)
-            self._fields[name] = np.broadcast_to(values, px.shape)
-        return self._fields[name]
+    def factors(self, name: str) -> tuple:
+        """(tf, xf): the ledger field FIELDS[name] is tf on the window rows
+        times xf on the nodes."""
+        if name not in self._factors:
+            x_factor, _, a, b = FIELDS[name]
+            window = self.window
+            xf = x_factor(self.lam, *window.weight.beta_derivs, *window.sig)
+            self._factors[name] = (window.u ** a * window.v ** b,
+                                   np.broadcast_to(xf, window.grid.x.shape))
+        return self._factors[name]
+
+    def column(self, name: str, col: int) -> np.ndarray:
+        """The ledger field FIELDS[name] at node col, on the window rows."""
+        tf, xf = self.factors(name)
+        return tf * xf[col]
 
 
 def _q_arrays(q, window: _Window, m: float = np.inf):
@@ -422,24 +431,26 @@ def _margin(lw: _Lambda, jets, wt, squares) -> tuple:
     direct = window.quad(P1 * P2)
     bnd0, bnd1 = 0.0, 0.0
     for name in _BOUNDARY:
-        # both columns in a C-ordered (rows, 2) array: quad_t reads each
-        # strided, as from the whole window, so it sums in the same order
-        term = np.multiply(lw.field(name)[:, _ENDS],
-                           squares[_SQUARES[name]][:, _ENDS], order="C")
-        bnd0 += window.quad_t(term[:, 0])
-        bnd1 += window.quad_t(term[:, 1])
+        square = squares[_SQUARES[name]]
+        bnd0 += window.quad_t(lw.column(name, 0) * square[:, 0])
+        bnd1 += window.quad_t(lw.column(name, -1) * square[:, -1])
     wn = window.quad(_norm_integrand(lw.norm, squares))
     delta_hat = (direct - (bnd1 - bnd0)) / wn if wn > 0 else 0.0
     return direct, bnd0, bnd1, wn, delta_hat
 
 
 def _ledger(lw: _Lambda, jets, wt, squares) -> Ledger:
-    """Contract one member's jets with the fields of one lambda."""
+    """Contract one member's jets with the fields of one lambda: each
+    interior item is (trapz_t tf) @ square @ (xf trapz_x)."""
     direct, bnd0, bnd1, wn, delta_hat = _margin(lw, jets, wt, squares)
     wsq = dict(zip(("w2", "wx2", "wxx2", "wxxx2"), squares),
                w_wxx=jets[0] * jets[2])
-    items = {name: lw.window.quad(lw.field(name) * wsq[FIELDS[name][1]])
-             for name in _INTERIOR}
+    trapz_t, trapz_x = lw.window.trapz_t, lw.window.trapz_x
+    items = {}
+    for name in _INTERIOR:
+        tf, xf = lw.factors(name)
+        items[name] = float((trapz_t * tf) @ wsq[FIELDS[name][1]]
+                            @ (xf * trapz_x))
     itemized = sum(items.values()) + (bnd1 - bnd0)
     scale = max(abs(direct), abs(itemized), 1e-300)
     mismatch = abs(direct - itemized) / scale
@@ -680,8 +691,8 @@ class _Span:
                 [(t2, (e * a)[:, None], 2, 2), (t2, (e * b)[:, None], 3, 3)],
                 col)
             out["ix" + side] = self._form(
-                [(t2, lw.field(name)[:, [col]], _SQUARES[name], _SQUARES[name])
-                 for name in _BOUNDARY], col)
+                [(t2, lw.column(name, col)[:, None], _SQUARES[name],
+                  _SQUARES[name]) for name in _BOUNDARY], col)
         return out
 
     def values(self, coeffs: np.ndarray, forms: dict, plus, minus=()):

@@ -31,8 +31,9 @@ class NoConvergence(KSLabError):
 
 class HypothesisViolation(KSLabError):
     """A hypothesis of a theorem fails for the supplied data: a Carleman
-    weight hypothesis for the coefficients, or the stability theorem's
-    admissibility bound M2 on the reference trajectory's norm surrogate.
+    weight hypothesis for the coefficients, or the admissibility bound M2 on
+    the norm surrogate of the stability scan's reference trajectory or of
+    the recovery's anchor solve.
 
     ``failed`` lists the names of the violated hypotheses.
     """

@@ -154,6 +154,15 @@ def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(total))
 
 
+def _check_m2(y: Trajectory, cfg: InverseConfig) -> None:
+    """HypothesisViolation naming M2 when the norm surrogate of y exceeds it."""
+    surrogate = h1t_h4x_norm(y.values, y.grid)
+    if surrogate > cfg.M2:
+        raise HypothesisViolation(
+            f"trajectory norm surrogate {surrogate:.3e} exceeds M2={cfg.M2:g}",
+            failed=["M2"])
+
+
 def linf_h1x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete L-infinity(0,T; H1(0,1)) norm of a trajectory array."""
     return float(_row_norms(u, grid, 1).max())
@@ -202,11 +211,7 @@ def stability_report(coeff: CoefficientField,
     grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     y, _ = solve_ks(coeff, bd, solve_cfg)
-    surrogate = h1t_h4x_norm(y.values, grid)
-    if surrogate > cfg.M2:
-        raise HypothesisViolation(
-            f"trajectory norm surrogate {surrogate:.3e} exceeds M2={cfg.M2:g}",
-            failed=["M2"])
+    _check_m2(y, cfg)
     n0 = snapshot_index(grid, T0)
     d2 = extract_traces(y)
 
@@ -285,7 +290,8 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     linearized at y with zero data and source -b_m y_xx: the exact
     derivative of the discrete map, one linear solve per basis profile b_m,
     all of them one march.  The first iterate is gamma_tilde itself, so its
-    solve is ytilde, on which the snapshot curvature is checked.
+    solve is ytilde, on which the norm surrogate is checked against M2
+    (HypothesisViolation otherwise) and then the snapshot curvature.
 
     The grid is the data's: the measurements, coeff_tilde, bd and gamma_true
     (when given) must share it, GridMismatch otherwise.
@@ -365,6 +371,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     report = RecoveryReport(final_j=np.inf, grad_norm=np.inf)
     theta = np.zeros(n_par)
     r, lin = residual(theta)
+    _check_m2(lin.G1, cfg)
     curvature = np.abs(diff_x_values(lin.G1.values[n0], grid, 2)).min()
     if curvature < cfg.r_floor:
         raise InfConditionViolated(

@@ -2,12 +2,14 @@
 inner-product ledger's coefficient fields and the reference expansion of the
 conjugated operator.
 
-    python tests/ledger_derivation.py
+    python tests/ledger_derivation.py           # regenerate
+    python tests/ledger_derivation.py --check   # exit 1 if it is stale
 
-regenerates ``src/kslab/ledger_fields.py`` from the expressions below.  The
-checked-in module is this script's output, byte for byte:
-``tests/test_ledger_fields.py`` regenerates the text and compares.  The
-runtime imports the module, so no kslab command needs sympy.
+regenerates ``src/kslab/ledger_fields.py`` from the expressions below, or
+checks it: the checked-in module is this script's output, byte for byte,
+and ``--check`` names the first line that differs.
+``tests/test_ledger_fields.py`` runs the same comparison.  The runtime
+imports the module, so no kslab command needs sympy.
 
 Each field is one integration-by-parts result for a pairwise product of P1
 and P2 terms: the four leading blocks I(w_kx), the remainder block R0, and
@@ -17,11 +19,19 @@ direct product (checked by quadrature), and the difference stays in the
 remainder class.  Each field's kind names the w-derivative square (or
 product) it multiplies.
 
+The weight is phi = beta(x) u(t) with u = 1/phi0, so d^k phi/dx^k =
+B_k u, phi_t = B0 v and phi_xt = B1 v with B_k = d^k beta/dx^k and v =
+-phi0'/phi0^2.  Every field is then one monomial u^a v^b times a function of
+x alone; factor_field finds it, and the generated module evaluates the x
+factor on the nodes and leaves u^a v^b to the caller, which never forms the
+(rows x nodes) field.
+
 The conjugated operator's reference is the chain-rule expansion of
 exp(-lam*phi) L (exp(lam*phi) w) from the definition, so the reference side
 of the identity check is independent of the hand-transcribed split.
 """
 
+import functools
 import inspect
 import os
 import sys
@@ -38,10 +48,14 @@ expansion of the conjugated operator, as plain numpy.
 Generated by ``{REGENERATE}`` from the sympy
 derivations in that file; do not edit by hand.  Each function is the text
 sympy.lambdify emits for one expression, so its operands, their order and
-the integer powers are the derivation's.  FIELDS maps each ledger field's
-name to (function, kind), where kind names the w-derivative square (or
-product) the field multiplies.  conjugated_reference is
-exp(-lam*phi) L (exp(lam*phi) w) expanded by the chain rule.
+the integer powers are the derivation's.  The weight phi = beta(x)/phi0(t)
+makes every ledger field u^a v^b times a function of x alone, where u =
+1/phi0 and v = -phi0'/phi0^2.  FIELDS maps each field's name to
+(x_factor, kind, a, b).  x_factor(lam, B0..B4, S0..S3) is the x factor on
+the nodes, from the beta derivatives B_k and the sigma jet S_k; kind names
+the w-derivative square (or product) the field multiplies.
+conjugated_reference is exp(-lam*phi) L (exp(lam*phi) w) expanded by the
+chain rule.
 """
 '''
 
@@ -131,29 +145,90 @@ def conjugated_expr():
     return Pw.subs(subs), [lam, WT, PT, *W, *P, *S, *Q]
 
 
+def factor_field(expr):
+    """(x factor, a, b) of a field expr in the symbols of ledger_exprs, with
+    expr = x factor * u^a * v^b after P_k = B_k u, PT = B0 v, PXT = B1 v;
+    ValueError when expr is not one such monomial."""
+    u, v = sp.symbols("u v")
+    B = sp.symbols("B0:5")
+    subs = {sp.Symbol(f"P{k}"): B[k] * u for k in range(1, 5)}
+    subs[sp.Symbol("PT")], subs[sp.Symbol("PXT")] = B[0] * v, B[1] * v
+    terms = sp.Poly(sp.expand(expr.subs(subs)), u, v).terms()
+    if len(terms) != 1:
+        raise ValueError(f"{expr} is not one monomial in u and v: it has the "
+                         f"powers {[m for m, _ in terms]}")
+    (a, b), x_factor = terms[0]
+    return x_factor, a, b
+
+
+def factored_exprs():
+    """{name: (x factor, kind, a, b)} of the ledger fields and the x
+    factor's symbols in argument order (lam, B0..B4, S0..S3)."""
+    fields = {}
+    for name, (expr, kind) in ledger_exprs()[0].items():
+        x_factor, a, b = factor_field(expr)
+        fields[name] = (x_factor, kind, a, b)
+    return fields, list(sp.symbols("lam B0:5 S0:4"))
+
+
 def _function_text(name, args, expr) -> str:
     """The source sympy.lambdify emits for expr, as a function called name."""
     source = inspect.getsource(sp.lambdify(args, expr, "numpy"))
     return source.replace("def _lambdifygenerated(", f"def {name}(", 1)
 
 
+@functools.cache
 def module_text() -> str:
-    """Text of ledger_fields.py: one lambdified function per field, the
+    """Text of ledger_fields.py: one lambdified x factor per field, the
     FIELDS table in derivation order, then conjugated_reference."""
-    exprs, order = ledger_exprs()
+    exprs, args = factored_exprs()
     parts = [HEADER]
-    for name, (expr, _) in exprs.items():
-        parts.append("\n\n" + _function_text(name, order, expr))
+    for name, (expr, *_) in exprs.items():
+        parts.append("\n\n" + _function_text(name, args, expr))
     parts.append("\n\nFIELDS = {\n"
-                 + "".join(f'    "{name}": ({name}, "{kind}"),\n'
-                           for name, (_, kind) in exprs.items())
+                 + "".join(f'    "{name}": ({name}, "{kind}", {a}, {b}),\n'
+                           for name, (_, kind, a, b) in exprs.items())
                  + "}\n")
     expr, args = conjugated_expr()
     parts.append("\n\n" + _function_text("conjugated_reference", args, expr))
     return "".join(parts)
 
 
-if __name__ == "__main__":
+def stale_line(path: str) -> str | None:
+    """None when the file at path is module_text(), else a message naming
+    its first line that differs from the derivation's."""
+    with open(path) as fh:
+        checked_in = fh.read()
+    derived = module_text()
+    if checked_in == derived:
+        return None
+    old_lines, new_lines = (text.splitlines(True)
+                            for text in (checked_in, derived))
+    number = next((n for n, (old, new)
+                   in enumerate(zip(old_lines, new_lines), 1) if old != new),
+                  min(len(old_lines), len(new_lines)) + 1)
+    old, new = (lines[number - 1] if number <= len(lines) else "end of file"
+                for lines in (old_lines, new_lines))
+    return (f"{os.path.normpath(path)}:{number}: {old!r} differs from the "
+            f"derivation's {new!r}")
+
+
+def main(argv) -> int:
+    if argv == ["--check"]:
+        message = stale_line(MODULE_PATH)
+        if message is not None:
+            print(f"{message}; regenerate it with `{REGENERATE}`",
+                  file=sys.stderr)
+            return 1
+        return 0
+    if argv:
+        print(f"usage: {REGENERATE} [--check]", file=sys.stderr)
+        return 2
     with open(MODULE_PATH, "w") as fh:
         fh.write(module_text())
     print(f"wrote {os.path.normpath(MODULE_PATH)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

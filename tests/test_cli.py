@@ -171,6 +171,21 @@ def test_stability_scan_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
     assert "exceeds M2=1e-09" in capsys.readouterr().err
 
 
+def test_invert_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
+    # recover_gamma checks M2 on its anchor solve, as stability-scan does on
+    # its reference: a report and exit 3
+    cfgfile = tmp_path / "small_m2.cfg"
+    with open(cfg_path("invert_closed_loop.cfg")) as fh:
+        cfgfile.write_text(fh.read().replace("[inverse]\n",
+                                             "[inverse]\nm2 = 1e-9\n"))
+    out = tmp_path / "o"
+    assert main(["invert", "--config", str(cfgfile), "--out", str(out)]) == 3
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["status"] == "hypothesis-violation"
+    assert results["failed"] == ["M2"]
+    assert "exceeds M2=1e-09" in capsys.readouterr().err
+
+
 def test_stability_scan_solves_the_reference_once(tmp_path, monkeypatch):
     # one solve of the reference y, then one of each perturbed gamma_tilde
     solved = []
