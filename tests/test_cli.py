@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -463,6 +464,25 @@ def test_cli_commands_do_not_import_sympy(tmp_path, cmd, name):
 def test_carleman_import_does_not_import_sympy():
     assert run_fresh("import sys, kslab.carleman\n"
                      "print('sympy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's malloc thresholds")
+def test_warm_carleman_audit_takes_no_page_faults(tmp_path):
+    # with glibc's moving thresholds a warm run took 4.4k-6.6k faults
+    out = run_fresh("import resource, sys\n"
+                    "from kslab.cli import main\n"
+                    "faults = []\n"
+                    "for _ in range(3):\n"
+                    "    before = resource.getrusage(resource.RUSAGE_SELF)\n"
+                    "    assert main(sys.argv[1:]) == 0\n"
+                    "    after = resource.getrusage(resource.RUSAGE_SELF)\n"
+                    "    faults.append(after.ru_minflt - before.ru_minflt)\n"
+                    "print(*faults[1:])",
+                    "carleman-audit", "--config",
+                    cfg_path("carleman_default.cfg"),
+                    "--out", str(tmp_path / "o"))
+    assert all(int(n) < 500 for n in out), out
 
 
 @pytest.mark.parametrize("cmd, section, key, value", [
