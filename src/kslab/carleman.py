@@ -33,10 +33,14 @@ the whole window.
 
 Every ensemble member is a coefficient vector c in a span of 2*n_modes
 profiles (_Span), and each audit quantity and both parts of delta_hat are
-quadratic forms c^T M c.  ensemble_audit builds the forms of each lambda once
-and screens all members with them; it evaluates on the per-member path only
-the members whose bounds reach the reported extremes, and builds the full
-ledger once, for the worst member at the largest lambda.
+quadratic forms c^T M c.  The forms use the ledger's split too: each term is
+lam^p times a time factor, at most one field and an x factor.  So
+<P1 w, P2 w> and the weighted norm are sums of lam^p M_p, each M_p built once
+per span, and per lambda the terms under exp(-2 lambda phi) are reduced in
+time by one product with that field.  ensemble_audit builds the forms of each
+lambda once and screens all members with them; it evaluates on the
+per-member path only the members whose bounds reach the reported extremes,
+and builds the full ledger once, for the worst member at the largest lambda.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import product
 
 import numpy as np
 
@@ -184,7 +188,8 @@ class _Window:
     """What every quantity needs of one weight, sigma and window [eta, T-eta]:
     the rows, the phi arrays, the time factors u = 1/phi0 and v =
     -phi0'/phi0^2 of the ledger fields, the sigma jet up to sigma_xxx and the
-    trapezoid weights.  coeff is None for the weighted norm, which needs no
+    trapezoid weights, and from first use the powers of phi and phi_x that
+    each _Lambda scales.  coeff is None for the weighted norm, which needs no
     sigma."""
 
     def __init__(self, weight: CarlemanWeight, coeff: CoefficientField | None,
@@ -237,6 +242,21 @@ class _Window:
         out[self.rows] = values
         return Trajectory(out, self.grid)
 
+    @cached_property
+    def phi_powers(self) -> tuple:
+        """phi^7, phi^5 and phi^3: the weighted norm's factors but for lam."""
+        phi = self.phi[0]
+        return phi ** 7, phi ** 5, phi ** 3
+
+    @cached_property
+    def px_powers(self) -> tuple:
+        """phi_x^2, phi_x^3, phi_x^4 and (phi_x^2 sigma)_x, of which the P1
+        and P2 factors are lam-multiples."""
+        _, px, pxx = self.phi[:3]
+        s, sx = self.sig[:2]
+        px2 = px ** 2
+        return px2, px ** 3, px ** 4, 2 * px * pxx * s + px2 * sx
+
 
 class _Lambda:
     """What one lambda adds on a window.  Each part, and the two factors of
@@ -263,20 +283,19 @@ class _Lambda:
     @cached_property
     def norm(self) -> tuple:
         """Weights of w^2, w_x^2, w_xx^2 and w_xxx^2 in the weighted norm."""
-        lam, phi = self.lam, self.window.phi[0]
-        return (lam ** 7 * phi ** 7, lam ** 5 * phi ** 5, lam ** 3 * phi ** 3,
-                lam * phi)
+        lam, (p7, p5, p3) = self.lam, self.window.phi_powers
+        return (lam ** 7 * p7, lam ** 5 * p5, lam ** 3 * p3,
+                lam * self.window.phi[0])
 
     @cached_property
     def split(self) -> tuple:
         """The w-independent factor of each P1 and P2 term, in the order in
         which _p1_p2 multiplies them into the w derivatives."""
-        _, px, pxx = self.window.phi[:3]
+        px, (px2, px3, px4, pxs_x) = self.window.phi[1], self.window.px_powers
         (s, sx), lam = self.window.sig[:2], self.lam
         lam2, lam3, lam4 = lam ** 2, lam ** 3, lam ** 4
-        pxs_x = 2 * px * pxx * s + px ** 2 * sx  # (phi_x^2 sigma)_x
-        return (6 * lam2 * px ** 2 * s, lam4 * px ** 4 * s, 2 * sx,
-                6 * lam2 * pxs_x, 4 * lam3 * px ** 3 * s, 4 * lam * px * s,
+        return (6 * lam2 * px2 * s, lam4 * px4 * s, 2 * sx,
+                6 * lam2 * pxs_x, 4 * lam3 * px3 * s, 4 * lam * px * s,
                 4 * lam3 * px * pxs_x)
 
     def factors(self, name: str) -> tuple:
@@ -287,7 +306,7 @@ class _Lambda:
             window = self.window
             xf = x_factor(self.lam, *window.weight.beta_derivs, *window.sig)
             self._factors[name] = (window.u ** a * window.v ** b,
-                                   np.broadcast_to(xf, window.grid.x.shape))
+                                   np.broadcast_to(xf, (window.grid.nx + 1,)))
         return self._factors[name]
 
     def column(self, name: str, col: int) -> np.ndarray:
@@ -566,7 +585,7 @@ def _bump_time_factor(grid: GridSpec, eta: float | None) -> np.ndarray:
 
 def _bump_coefficients(rng: np.random.Generator, n_modes: int) -> np.ndarray:
     """(a_1, b_1, .., a_n, b_n) of one random_clamped_bump, in its draw order."""
-    return np.array([rng.uniform(-1, 1) for _ in range(2 * n_modes)])
+    return rng.uniform(-1, 1, 2 * n_modes)
 
 
 def _clamped_bump(grid: GridSpec, coeffs: np.ndarray,
@@ -594,17 +613,10 @@ def _abs_diff_x(values: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
     return (abs(diff_matrix(grid, order, "x")) @ np.abs(values).T).T
 
 
-def _pairs(left, right, weight=None):
-    """Terms (s, f, X, Y) of the product of two linear maps, each a list of
-    (s, f, X) for s(t) f(t, x) X(p), under an optional common field; each
-    field is formed as it is read, so one is alive at a time."""
-    for sa, fa, xa in left:
-        for sb, fb, xb in right:
-            field = None
-            for f in (weight, fa, fb):
-                if f is not None:
-                    field = f if field is None else field * f
-            yield sa * sb, field, xa, xb
+def _sum_powers(poly: dict, lam: float) -> tuple:
+    """sum over p of lam^p (M_p, M_abs_p)."""
+    return tuple(sum(lam ** p * pair[i] for p, pair in poly.items())
+                 for i in (0, 1))
 
 
 class _Span:
@@ -616,13 +628,30 @@ class _Span:
     Holds tau and tau' on the window rows, the x-jets of the p_a ([0]..[4]
     the derivatives, "S" (sigma p_xx)_xx as in _audit_terms, "P1" the sigma
     part of _p1_p2), their absolute values and the majorants |D_k| |p_a| of
-    their stencil sums.  A per-member quadrature and c^T M c differ by the
-    roundoff of the jets (a few eps times the majorant in an x factor, up to
-    about eps rows/pi times |tau'| in a tau' factor) and of the O(rows + nx)
-    terms each sum adds.  M_abs, the quadrature of |s f| (majorant x |jet| +
-    |jet| x majorant), times band = eps (rows + nx + 65) bounds both to first
-    order, for coefficients that keep every product clear of underflow, as
-    those rng.uniform(-1, 1) draws do."""
+    their stencil sums.  Since phi = beta(x) u(t), each term of a form is
+    lam^p times a time factor on the rows (tau^2, tau tau' or tau'^2 times a
+    power of u), at most one field (exp(-2 lam phi), times q where q is
+    given) and an x factor, and a form is the sum over its terms of the
+    time reduction times the x-quadrature of two profile jets.  A column
+    form reads one node, weighed by 1 instead of trapz_x.  The field-free
+    forms, <P1 w, P2 w> and the weighted norm, are sum_p lam^p M_p with
+    each M_p built once per span, as are the time factors of the terms
+    under exp(-2 lam phi) alone.
+
+    A per-member quadrature and c^T M c differ by the roundoff of the jets
+    (a few eps times the majorant in an x factor, up to about eps rows/pi
+    times |tau'| in a tau' factor) and by that of the sums on either side:
+    the member's sums over the rows and the nodes, and the form's time
+    reduction over the rows, x-quadrature over the nodes and sum of at most
+    25 terms and lam powers.  A sum of n terms errs by at most about n eps
+    times the sum of their absolute values, and the two sides' factors
+    differ by at most a few dozen roundings (u^7 beta^7 lam^7 against
+    (u beta)^7 lam^7; 6 lam^2 phi_x^2 sigma split into a time and an x
+    part).  M_abs, the quadrature of |s f| (majorant x |jet| + |jet| x
+    majorant), majorizes every term's absolute value, so band = eps (rows +
+    nx + 65) times M_abs bounds the gap to first order, for coefficients
+    that keep every product clear of underflow, as those rng.uniform(-1, 1)
+    draws do."""
 
     def __init__(self, window: _Window, n_modes: int):
         grid, (s, sx, sxx, _) = window.grid, window.sig
@@ -633,8 +662,8 @@ class _Span:
         for p in P:  # the grid and layer checks the members' jets would make
             window.check(Trajectory(np.outer(tfac, p), grid))
         self.window = window
-        self.tau = tfac[window.rows]
-        self.dtau = diff_t_values(tfac, grid, 1)[window.rows]
+        self.tau = tau = tfac[window.rows]
+        self.dtau = dtau = diff_t_values(tfac, grid, 1)[window.rows]
         self.band = np.finfo(float).eps * (window.rows.size + grid.nx + 65)
         jets = [P] + [diff_x_values(P, grid, k) for k in range(1, 5)]
         bounds = [np.abs(P)] + [_abs_diff_x(P, grid, k) for k in range(1, 5)]
@@ -647,52 +676,106 @@ class _Span:
         self.jets, self.bounds = dict(zip(names, jets)), dict(zip(names, bounds))
         self.sizes = {name: np.abs(j) for name, j in self.jets.items()}
 
-    def _form(self, terms, col=None):
-        """(M, M_abs) of the sum over terms (s, f, X, Y) of the quadrature of
-        s(t) f(t, x) X(p_a)(x) Y(p_b)(x), f None meaning 1: one time
-        reduction per term, then the x-quadrature of two profiles.  With a
-        column col, f is that column and the quadrature is in time only."""
-        window = self.window
-        xs, wx = (slice(None), window.trapz_x) if col is None else ([col], 1.0)
+        u, b, t2 = window.u, window.weight.beta_derivs, tau ** 2
+        pxs_x = 2 * b[1] * b[2] * s + b[1] ** 2 * sx  # (phi_x^2 sigma)_x / u^2
+        # (p, time factor, x factor, jet) of each term of P1 and of P2, as
+        # _p1_p2 and _Lambda.split have them
+        p1 = [(2, tau * u ** 2, 6 * b[1] ** 2 * s, 2),
+              (4, tau * u ** 4, b[1] ** 4 * s, 0), (0, tau, 1.0, "P1"),
+              (2, tau * u ** 2, 6 * pxs_x, 1)]
+        p2 = [(0, dtau, 1.0, 0), (3, tau * u ** 3, 4 * b[1] ** 3 * s, 1),
+              (1, tau * u, 4 * b[1] * s, 3),
+              (3, tau * u ** 3, 4 * b[1] * pxs_x, 0)]
+        norm = [(p, t2 * u ** p, b[0] ** p, k, k)
+                for k, p in enumerate((7, 5, 3, 1))]
+        self._direct = self._polynomial(
+            (pa + pb, sa * sb, fa * fb, X, Y)
+            for (pa, sa, fa, X), (pb, sb, fb, Y) in product(p1, p2))
+        self._norm = self._polynomial(norm)
+        # the terms under exp(-2 lam phi) alone: those of the audit's lhs
+        # (the curvature over lam phi, then the norm's) and the q-free ones of
+        # rhs_interior, the square of the member's L v
+        lv = [(dtau, 0), (tau, "S")]
+        terms = [("lhs", -1, dtau ** 2 / u, 1 / b[0], 0, 0),
+                 ("lhs", -1, t2 / u, 1 / b[0], "S", "S")]
+        terms += [("lhs",) + term for term in norm]
+        terms += [("rhs_interior", 0, sa * sb, 1.0, X, Y)
+                  for (sa, X), (sb, Y) in product(lv, lv)]
+        self._e2_terms = [(name, p, f * window.trapz_x, X, Y)
+                          for name, p, _, f, X, Y in terms]
+        # their time reductions' weights, then those of the majorants
+        times = window.trapz_t * np.array([term[2] for term in terms])
+        self._e2_times = np.vstack([times, np.abs(times)])
+
+    def _contract(self, terms) -> tuple:
+        """(M, M_abs) of terms (X, Y, k, k_abs): M sums the x-quadratures
+        of k X(p_a) Y(p_b), M_abs those of k_abs (majorant |Y| + |X|
+        majorant); k is a term's time reduction times its x factor and
+        quadrature weight."""
+        J, B, S = self.jets, self.bounds, self.sizes
         M = M_abs = 0.0
-        for s, f, X, Y in terms:
-            f = np.ones((s.size, 1)) if f is None else f
-            k = (window.trapz_t * s) @ f * wx
-            k_abs = (window.trapz_t * np.abs(s)) @ np.abs(f) * wx
-            M = M + (self.jets[X][:, xs] * k) @ self.jets[Y][:, xs].T
-            M_abs = M_abs + (
-                (self.bounds[X][:, xs] * k_abs) @ self.sizes[Y][:, xs].T
-                + (self.sizes[X][:, xs] * k_abs) @ self.bounds[Y][:, xs].T)
+        for X, Y, k, k_abs in terms:
+            M = M + (J[X] * k) @ J[Y].T
+            M_abs = M_abs + (B[X] * k_abs) @ S[Y].T + (S[X] * k_abs) @ B[Y].T
         return M, M_abs
+
+    def _polynomial(self, terms) -> dict:
+        """{p: (M_p, M_abs_p)} of field-free terms (p, s, f, X, Y), lam^p
+        s(t) f(x) X(p_a) Y(p_b): the form at lam is sum_p lam^p M_p."""
+        trapz_t, trapz_x = self.window.trapz_t, self.window.trapz_x
+        powers = {}
+        for p, s, f, X, Y in terms:
+            fw = f * trapz_x
+            powers.setdefault(p, []).append(
+                (X, Y, (trapz_t @ s) * fw, (trapz_t @ np.abs(s)) * np.abs(fw)))
+        return {p: self._contract(ts) for p, ts in powers.items()}
+
+    def _column(self, k: int, col: int, series: np.ndarray) -> tuple:
+        """The term of a column form: the time quadrature of series times
+        the squares of the k-th x-derivatives at the node col."""
+        weight = np.zeros((2, self.window.grid.nx + 1))
+        trapz_t = self.window.trapz_t
+        weight[:, col] = trapz_t @ series, trapz_t @ np.abs(series)
+        return k, k, weight[0], weight[1]
 
     def forms(self, lw: _Lambda, qs) -> dict:
         """{name: (M, M_abs)} of one lambda, named after the AuditRow field
         or the _margin value that c^T M c gives for the member c: lhs,
-        rhs_interior, rhs_boundary0/1, direct, ix0/ix1 and norm."""
-        tau, dtau, t2 = self.tau, self.dtau, self.tau ** 2
-        e2, norm = lw.e2, lw.norm
-        f_wxx, f_w, _, f_wx, g_wx, g_wxxx, g_w = lw.split
-        lv = [(dtau, None, 0), (tau, None, "S")] + [
-            (tau, qi, k) for k, qi in enumerate(qs) if np.ndim(qi)]
-        p1 = [(tau, f_wxx, 2), (tau, f_w, 0), (tau, None, "P1"), (tau, f_wx, 1)]
-        p2 = [(dtau, None, 0), (tau, g_wx, 1), (tau, g_wxxx, 3), (tau, g_w, 0)]
-        e2n1 = e2 / norm[3]
-        direct = self._form(_pairs(p1, p2))
-        curvature = [(dtau ** 2, e2n1, 0, 0), (t2, e2n1, "S", "S")]
-        out = {
-            "lhs": self._form(chain(curvature, ((t2, e2 * n, k, k)
-                                                for k, n in enumerate(norm)))),
-            "rhs_interior": self._form(_pairs(lv, lv, e2)),
-            "direct": tuple((m + m.T) / 2 for m in direct),
-            "norm": self._form([(t2, n, k, k) for k, n in enumerate(norm)]),
-        }
+        rhs_interior, rhs_boundary0/1, direct, ix0/ix1 and norm.  The terms
+        under exp(-2 lam phi) alone are reduced in time by one product, the
+        q terms by one product each, and the field-free forms are summed
+        from their powers of lam."""
+        lam, e2 = lw.lam, lw.e2
+        trapz_t, trapz_x = self.window.trapz_t, self.window.trapz_x
+        terms = {"lhs": [], "rhs_interior": []}
+        k, k_abs = np.split(self._e2_times @ e2, 2)
+        for (name, p, fw, X, Y), ki, ki_abs in zip(self._e2_terms, k, k_abs):
+            fw = lam ** p * fw
+            terms[name].append((X, Y, ki * fw, ki_abs * np.abs(fw)))
+        # the q terms of rhs_interior, each under its field e2 q_a (q_b)
+        lv = [(self.dtau, None, 0), (self.tau, None, "S")] + [
+            (self.tau, qi, j) for j, qi in enumerate(qs) if np.ndim(qi)]
+        for (sa, qa, X), (sb, qb, Y) in product(lv, lv):
+            if qa is None and qb is None:
+                continue
+            field = e2
+            for f in (qa, qb):
+                field = field if f is None else field * f
+            s = trapz_t * sa * sb
+            terms["rhs_interior"].append(
+                (X, Y, s @ field * trapz_x, np.abs(s) @ np.abs(field) * trapz_x))
+        out = {name: self._contract(ts) for name, ts in terms.items()}
+        out["direct"] = tuple((m + m.T) / 2
+                              for m in _sum_powers(self._direct, lam))
+        out["norm"] = _sum_powers(self._norm, lam)
+        t2 = self.tau ** 2
         for side, col, (e, a, b) in zip("01", _ENDS, lw.boundary):
-            out["rhs_boundary" + side] = self._form(
-                [(t2, (e * a)[:, None], 2, 2), (t2, (e * b)[:, None], 3, 3)],
-                col)
-            out["ix" + side] = self._form(
-                [(t2, lw.column(name, col)[:, None], _SQUARES[name],
-                  _SQUARES[name]) for name in _BOUNDARY], col)
+            out["rhs_boundary" + side] = self._contract(
+                [self._column(2, col, t2 * (e * a)),
+                 self._column(3, col, t2 * (e * b))])
+            out["ix" + side] = self._contract(
+                [self._column(_SQUARES[name], col, t2 * lw.column(name, col))
+                 for name in _BOUNDARY])
         return out
 
     def values(self, coeffs: np.ndarray, forms: dict, plus, minus=()):
@@ -747,8 +830,7 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     qs = _q_arrays(q, window, cfg.m)
     lws = [_Lambda(window, lam) for lam in cfg.lambda_grid]
     rng = np.random.default_rng(seed)
-    coeffs = np.array([_bump_coefficients(rng, n_modes)
-                       for _ in range(n_members)])
+    coeffs = rng.uniform(-1, 1, (n_members, 2 * n_modes))
     span = _Span(window, n_modes)
 
     chat_at, delta_at = [[] for _ in coeffs], [[] for _ in coeffs]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -51,13 +51,20 @@ class GridSpec:
     def dt(self) -> float:
         return self.T / self.nt
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nx + 1)
+        """The space nodes, built once per grid and read-only."""
+        return _read_only(np.linspace(0.0, 1.0, self.nx + 1))
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.nt + 1)
+        """The time nodes, built once per grid and read-only."""
+        return _read_only(np.linspace(0.0, self.T, self.nt + 1))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)

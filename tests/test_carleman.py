@@ -538,3 +538,165 @@ def test_conjugated_operator_matches_plain_L_at_lambda_zero(setup128):
     nested = diff_x_values(sig * diff_x_values(w.values, g, 2), g, 2)
     gap = np.abs(nested - expanded)[rows][:, 2:-2].max()
     assert gap < 1e-6  # roundoff at the dx^-4 scale
+
+
+def _reference_pairs(left, right, weight=None):
+    """Terms (s, f, X, Y) of the product of two linear maps, each a list of
+    (s, f, X) for s(t) f(t, x) X(p), under an optional common field."""
+    for sa, fa, xa in left:
+        for sb, fb, xb in right:
+            field = None
+            for f in (weight, fa, fb):
+                if f is not None:
+                    field = f if field is None else field * f
+            yield sa * sb, field, xa, xb
+
+
+def _reference_form(span, terms, col=None):
+    """(M, M_abs) of terms (s, f, X, Y) with full (rows x nodes) fields f:
+    one time reduction per term, then the x-quadrature of two profiles."""
+    window = span.window
+    xs, wx = (slice(None), window.trapz_x) if col is None else ([col], 1.0)
+    M = M_abs = 0.0
+    for s, f, X, Y in terms:
+        f = np.ones((s.size, 1)) if f is None else f
+        k = (window.trapz_t * s) @ f * wx
+        k_abs = (window.trapz_t * np.abs(s)) @ np.abs(f) * wx
+        M = M + (span.jets[X][:, xs] * k) @ span.jets[Y][:, xs].T
+        M_abs = M_abs + (
+            (span.bounds[X][:, xs] * k_abs) @ span.sizes[Y][:, xs].T
+            + (span.sizes[X][:, xs] * k_abs) @ span.bounds[Y][:, xs].T)
+    return M, M_abs
+
+
+def reference_forms(span, lw, qs):
+    """_Span.forms as written before the time x factor split: every factor
+    a full (rows x nodes) field from _Lambda.split, _Lambda.norm and e2."""
+    tau, dtau, t2 = span.tau, span.dtau, span.tau ** 2
+    e2, norm = lw.e2, lw.norm
+    f_wxx, f_w, _, f_wx, g_wx, g_wxxx, g_w = lw.split
+    lv = [(dtau, None, 0), (tau, None, "S")] + [
+        (tau, qi, k) for k, qi in enumerate(qs) if np.ndim(qi)]
+    p1 = [(tau, f_wxx, 2), (tau, f_w, 0), (tau, None, "P1"), (tau, f_wx, 1)]
+    p2 = [(dtau, None, 0), (tau, g_wx, 1), (tau, g_wxxx, 3), (tau, g_w, 0)]
+    e2n1 = e2 / norm[3]
+    direct = _reference_form(span, _reference_pairs(p1, p2))
+    curvature = [(dtau ** 2, e2n1, 0, 0), (t2, e2n1, "S", "S")]
+    out = {
+        "lhs": _reference_form(span, curvature + [
+            (t2, e2 * n, k, k) for k, n in enumerate(norm)]),
+        "rhs_interior": _reference_form(span, _reference_pairs(lv, lv, e2)),
+        "direct": tuple((m + m.T) / 2 for m in direct),
+        "norm": _reference_form(span, [(t2, n, k, k)
+                                       for k, n in enumerate(norm)]),
+    }
+    squares = kslab.carleman._SQUARES
+    for side, col, (e, a, b) in zip("01", (0, -1), lw.boundary):
+        out["rhs_boundary" + side] = _reference_form(
+            span, [(t2, (e * a)[:, None], 2, 2), (t2, (e * b)[:, None], 3, 3)],
+            col)
+        out["ix" + side] = _reference_form(
+            span, [(t2, lw.column(name, col)[:, None], squares[name],
+                    squares[name]) for name in kslab.carleman._BOUNDARY], col)
+    return out
+
+
+def _span_case(nx, nt, slope, q_amp, eta):
+    """A window, its q arrays and the q of a sloped sigma on nx x nt."""
+    g = GridSpec(nx, nt, 2.0)
+    sigma = ScalarField1D(1 + slope * g.x, g)
+    coeff = make_coeff(g, sigma=sigma.values)
+    window = kslab.carleman._Window(make_default_weight(sigma, 1.0), coeff, eta)
+    q = None
+    if q_amp:
+        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+        q = (Trajectory(q_amp * np.sin(np.pi * xx) * np.cos(tt), g),
+             Trajectory(-0.5 * q_amp * xx * tt, g),
+             Trajectory(np.full((nt + 1, nx + 1), 0.3 * q_amp), g))
+    return window, kslab.carleman._q_arrays(q, window)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(16, 48), nt=st.integers(16, 64),
+       slope=st.floats(-0.03, 0.03), q_amp=st.sampled_from([0.0, 0.4, 2.0]),
+       lambdas=st.lists(st.floats(0.5, 32.0), min_size=1, max_size=3,
+                        unique=True),
+       eta=st.sampled_from([None, 0.3]), n_modes=st.integers(1, 4))
+def test_span_forms_match_full_field_reference(nx, nt, slope, q_amp, lambdas,
+                                               eta, n_modes):
+    # the factored forms against the full-field ones entry by entry: the
+    # values within 16 eps of the majorant, the majorants within the band
+    window, qs = _span_case(nx, nt, slope, q_amp, eta)
+    span = kslab.carleman._Span(window, n_modes)
+    for lam in lambdas:
+        lw = kslab.carleman._Lambda(window, lam)
+        forms, reference = span.forms(lw, qs), reference_forms(span, lw, qs)
+        assert forms.keys() == reference.keys()
+        for name, (M_ref, M_abs_ref) in reference.items():
+            M, M_abs = forms[name]
+            assert np.all(np.abs(M - M_ref) <= 16 * EPS * M_abs_ref), name
+            assert np.all(np.abs(M_abs - M_abs_ref)
+                          <= span.band * M_abs_ref), name
+
+
+def test_span_forms_read_no_full_window_factor(monkeypatch):
+    # the forms take the P1/P2 and weighted-norm factors from their time
+    # and x parts, never from the (rows x nodes) fields of _Lambda
+    def forbidden(self):
+        raise AssertionError("forms read a full-window factor of _Lambda")
+
+    monkeypatch.setattr(kslab.carleman._Lambda, "split", property(forbidden))
+    monkeypatch.setattr(kslab.carleman._Lambda, "norm", property(forbidden))
+    for q_amp in (0.0, 0.4):
+        window, qs = _span_case(24, 32, 0.02, q_amp, None)
+        span = kslab.carleman._Span(window, 3)
+        for lam in (2.0, 8.0):
+            forms = span.forms(kslab.carleman._Lambda(window, lam), qs)
+            assert len(forms) == 8
+
+
+def test_span_builds_lambda_free_parts_once(monkeypatch):
+    # <P1, P2> and the norm are reduced to their lam powers and the jets
+    # taken when the span is built; forms for any number of lambdas add
+    # neither
+    calls = {"polynomial": 0, "diff_x": 0}
+    polynomial = kslab.carleman._Span._polynomial
+    diff_x = kslab.carleman.diff_x_values
+
+    def counted_polynomial(self, terms):
+        calls["polynomial"] += 1
+        return polynomial(self, terms)
+
+    def counted_diff_x(*args):
+        calls["diff_x"] += 1
+        return diff_x(*args)
+
+    window, qs = _span_case(24, 32, 0.02, 0.0, None)
+    monkeypatch.setattr(kslab.carleman._Span, "_polynomial",
+                        counted_polynomial)
+    monkeypatch.setattr(kslab.carleman, "diff_x_values", counted_diff_x)
+    span = kslab.carleman._Span(window, 3)
+    built = dict(calls)
+    assert built["polynomial"] == 2
+    times = span._e2_times
+    for lam in (1.0, 2.0, 4.0, 8.0, 16.0):
+        span.forms(kslab.carleman._Lambda(window, lam), qs)
+    assert calls == built and span._e2_times is times
+
+
+@pytest.mark.parametrize("seed, n_members, n_modes",
+                         [(1234, 50, 4), (7, 1, 4), (0, 3, 1), (99, 4, 6),
+                          (5, 2, 0)])
+def test_coefficient_blocks_draw_the_scalar_stream(seed, n_members, n_modes):
+    # one uniform call per block draws what one call per coefficient drew,
+    # so members keep their coefficients
+    rng = np.random.default_rng(seed)
+    scalar = np.array([[rng.uniform(-1, 1) for _ in range(2 * n_modes)]
+                       for _ in range(n_members)]).reshape(n_members, -1)
+    block = np.random.default_rng(seed).uniform(-1, 1,
+                                                (n_members, 2 * n_modes))
+    assert np.array_equal(block, scalar)
+    rng = np.random.default_rng(seed)
+    for row in scalar:
+        assert np.array_equal(kslab.carleman._bump_coefficients(rng, n_modes),
+                              row)

@@ -19,6 +19,15 @@ def test_grid_spec_nodes_cover_domain_exactly():
     assert g.dx == 1.0 / 16 and g.dt == 0.25
 
 
+def test_grid_nodes_are_cached_and_read_only():
+    g = GridSpec(16, 8, 2.0)
+    assert g.x is g.x and g.t is g.t
+    for nodes in (g.x, g.t):
+        with pytest.raises(ValueError):
+            nodes[0] = 0.5
+    assert g == GridSpec(16, 8, 2.0) and hash(g) == hash(GridSpec(16, 8, 2.0))
+
+
 def test_grid_spec_rejects_coarse_grids():
     with pytest.raises(GridTooCoarse):
         GridSpec(7, 16, 1.0)
