@@ -88,6 +88,12 @@ def _write_picard(path: str, report):
               rows or [(1, 0.0, None)])
 
 
+def _remove_report(out: str):
+    path = os.path.join(out, "report.json")
+    if os.path.exists(path):
+        os.remove(path)
+
+
 class Run:
     """One command's output directory, report seed and start time."""
 
@@ -211,18 +217,23 @@ def cmd_stability_scan(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     reports = stability_report(coeff, gamma_tildes, bd, block["T0"],
                                block["cfg"], ncfg)
 
-    rows, all_ok = [], True
+    rows, over = [], []
     for s, rep in zip(block["amplitudes"], reports):
         rows.append((s, rep.lhs, rep.middle, rep.far_rhs,
                      rep.c_lower, rep.c_upper))
-        if not rep.degenerate:
-            all_ok &= rep.lhs <= block["c_cap"] * rep.middle
+        if not (rep.degenerate or rep.lhs <= block["c_cap"] * rep.middle):
+            over.append(f"{s:g}")
 
     write_csv(run.path("stability.csv"),
               ["s", "lhs", "middle", "far_rhs", "c_lower", "c_upper"], rows)
-    run.report({"status": "ok" if all_ok else "cap-exceeded",
+    run.report({"status": "cap-exceeded" if over else "ok",
                 "rows": len(rows)})
-    return EXIT_OK if all_ok else EXIT_HYPOTHESIS
+    if over:
+        print(f"kslab stability-scan: lhs > c_cap * middle, "
+              f"c_cap={block['c_cap']:g}, at s = {', '.join(over)}",
+              file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    return EXIT_OK
 
 
 _COMMANDS = {
@@ -263,8 +274,9 @@ def _pin_malloc_thresholds():
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def main(argv=None) -> int:
-    _pin_malloc_thresholds()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kslab",
         description="Kuramoto-Sivashinsky forward/inverse laboratory")
@@ -273,14 +285,24 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory override")
+    return parser
+
+
+def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:            # --help exits 0, usage errors 2
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
+        # a run that fails may write no report, so remove an earlier run's
+        # as soon as the output directory is known
+        if args.out:
+            _remove_report(args.out)
         cfg = RunConfig.from_file(args.config)
         run = Run(cfg, args.out or cfg.output_block()["dir"])
         os.makedirs(run.out, exist_ok=True)
+        _remove_report(run.out)
         grid = cfg.grid()
         return _COMMANDS[args.command](cfg, grid, cfg.coefficients(grid), run)
     except tuple(_FAILURES) as exc:

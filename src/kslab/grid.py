@@ -227,6 +227,23 @@ def trapz_qt(values: np.ndarray, grid: GridSpec) -> float:
                  @ trapz_weights(grid.nx + 1, grid.dx))
 
 
+def row_norms(u: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
+    """Discrete H^order_x norm of every time row of a 2-D array u: the
+    trapezoid sums of |d^j u|^2, j = 0..order, in that order, each row's
+    quadrature a batched (1, nx+1) by (nx+1, 1) product, which numpy takes
+    as the dot product a single row gets (a matrix-vector product may round
+    differently)."""
+    wx = trapz_weights(grid.nx + 1, grid.dx)[:, None]
+
+    def quad(v):
+        return (v[:, None] @ wx)[:, 0, 0]
+
+    total = quad(u ** 2)
+    for j in range(1, order + 1):
+        total += quad(diff_x_values(u, grid, j) ** 2)
+    return np.sqrt(total)
+
+
 _SPACE_ORDERS = {"L2x": 0, "H1x": 1, "H2x": 2, "H4x": 4}
 _TIME_ORDERS = {"L2t": 0, "H1t": 1}
 
@@ -256,10 +273,7 @@ def discrete_norm(obj, kind: str, grid: GridSpec | None = None) -> float:
     if kind in _SPACE_ORDERS:
         if values.ndim != 1 or values.shape != (grid.nx + 1,):
             raise LengthMismatch(f"{kind} needs a spatial profile of length {grid.nx + 1}")
-        total = trapz_x(values ** 2, grid)
-        for j in range(1, _SPACE_ORDERS[kind] + 1):
-            total += trapz_x(diff_x_values(values, grid, j) ** 2, grid)
-        return float(np.sqrt(total))
+        return float(row_norms(values[None], grid, _SPACE_ORDERS[kind])[0])
 
     if values.ndim != 1 or values.shape != (grid.nt + 1,):
         raise LengthMismatch(f"{kind} needs a time series of length {grid.nt + 1}")

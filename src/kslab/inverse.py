@@ -1,8 +1,11 @@
 """Recovery of the anti-diffusion coefficient from boundary traces plus one
 interior snapshot, and the numerical two-sided stability functional.
 
-The measurement operator is: second and third one-sided x-derivative traces
-at x=0 over (0,T), plus the full profile at the grid time nearest T0.  The
+The measurement operator, `Observation`, is: second and third one-sided
+x-derivative traces at x=0 over (0,T), plus the full profile at the grid
+time nearest T0, measured in the paper's data norm (the H1(0,T) norm of each
+trace plus the H4 norm of the snapshot).  The synthesis of measurements, the
+recovery and the stability functional all read it.  The
 reconstruction is regularized output least squares over a low-dimensional
 spectral parameterization of gamma (constant plus the leading sine/cosine
 modes), driven by a Levenberg-Marquardt iteration on the stacked misfit
@@ -25,13 +28,14 @@ share it, GridMismatch otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatch, HypothesisViolation, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
-                   require_same_grid, trapz_weights)
+                   require_same_grid, row_norms, trapz_weights)
 from .linear_solver import (BoundaryData, CoefficientField,
                             solve_linear_many, zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -93,6 +97,75 @@ def snapshot_index(grid: GridSpec, T0: float) -> int:
     return n0
 
 
+# bytes of the tangent sources marched at once (at least one source); the
+# march and its solutions hold a few more arrays that size
+_STACK_BYTES = 1 << 22
+
+
+class Observation:
+    """The measurement operator on a grid and the paper's data norm.
+
+    It observes the traces y_xx(.,0) and y_xxx(.,0) over (0,T) and the
+    snapshot at the grid time slot n0 nearest T0.  The squared norm of the
+    stack of an observation gap is the data norm squared: the squared
+    H1(0,T) norms of the two trace gaps plus the squared H4 norm of the
+    snapshot gap, each the trapezoid quadrature of grid.discrete_norm.
+    """
+
+    def __init__(self, grid: GridSpec, T0: float):
+        self.grid = grid
+        self.n0 = snapshot_index(grid, T0)
+        self.swt = np.sqrt(trapz_weights(grid.nt + 1, grid.dt))
+        self.swx = np.sqrt(trapz_weights(grid.nx + 1, grid.dx))
+
+    @cached_property
+    def zero_bd(self) -> BoundaryData:
+        return zero_boundary_data(self.grid)
+
+    def observe(self, values: np.ndarray):
+        """Traces and snapshot (views into values) of a trajectory array,
+        or of each trajectory of a (k, nt+1, nx+1) stack."""
+        return (*extract_traces(values, self.grid), values[..., self.n0, :])
+
+    def stack(self, t2, t3, ds) -> np.ndarray:
+        """Weighted rows of trace and snapshot gaps (linear in each), along
+        the last axis: of one set of gaps, or of each row of (k, .) arrays
+        of them."""
+        grid, swt, swx = self.grid, self.swt, self.swx
+        parts = []
+        for d in (t2, t3):
+            parts += [swt * d, swt * diff_t_values(d.T, grid, 1).T]
+        parts += [swx * ds] + [swx * diff_x_values(ds, grid, k)
+                               for k in range(1, 5)]
+        return np.concatenate(parts, axis=-1)
+
+    def check_curvature(self, y: np.ndarray, r_floor: float) -> None:
+        """InfConditionViolated when the snapshot of the trajectory array y
+        has inf |y_xx| below r_floor: the measurements then carry no
+        information about gamma."""
+        curvature = np.abs(diff_x_values(y[self.n0], self.grid, 2)).min()
+        if curvature < r_floor:
+            raise InfConditionViolated(
+                f"inf |ytilde_xx(T0,.)| = {curvature:.3e} < r_floor={r_floor:g}: "
+                "measurements carry no gamma information")
+
+    def jacobian(self, lin: CoefficientField, basis: np.ndarray,
+                 lin_tol: float) -> np.ndarray:
+        """Row m: the stack of dy, the exact derivative of the observation
+        at the iterate y = lin.G1 along the profile basis[m].  dy solves the
+        K-S system linearized at y with zero data and source -basis[m] y_xx;
+        the profiles are marched in groups of about _STACK_BYTES of
+        sources."""
+        y_xx = diff_x_values(lin.G1.values, self.grid, 2)
+        group = max(1, _STACK_BYTES // y_xx.nbytes)
+        rows = []
+        for b in np.split(basis, range(group, len(basis), group)):
+            dy = solve_linear_many(lin, self.zero_bd, -b[:, None] * y_xx,
+                                   lin_tol=lin_tol)
+            rows.append(self.stack(*self.observe(dy)))
+        return np.concatenate(rows)
+
+
 def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
                             T0: float, noise_level: float = 0.0, seed: int = 0,
                             solve_cfg: NonlinearSolveConfig | None = None
@@ -108,18 +181,17 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
     would be amplified by dt^-1 and dx^-4 and carry no recoverable signal.
     """
     solve_cfg = solve_cfg or NonlinearSolveConfig()
+    obs = Observation(bd.grid, T0)
     y, _ = solve_ks(coeff, bd, solve_cfg)
-    grid = y.grid
-    trace2, trace3 = extract_traces(y)
-    n0 = snapshot_index(grid, T0)
-    snapshot = y.values[n0].copy()
+    trace2, trace3, snapshot = obs.observe(y.values)
+    snapshot = snapshot.copy()
     if noise_level > 0:
         rng = np.random.default_rng(seed)
         trace2 = trace2 * (1 + noise_level * rng.uniform(-1, 1))
         trace3 = trace3 * (1 + noise_level * rng.uniform(-1, 1))
         snapshot = snapshot * (1 + noise_level * rng.uniform(-1, 1))
-    return MeasurementSet(trace2, trace3, ScalarField1D(snapshot, grid),
-                          grid.t[n0], noise_level, seed)
+    return MeasurementSet(trace2, trace3, ScalarField1D(snapshot, bd.grid),
+                          bd.grid.t[obs.n0], noise_level, seed)
 
 
 def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField:
@@ -129,28 +201,12 @@ def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField
         y, Trajectory(diff_x_values(y.values, y.grid, 1), y.grid))
 
 
-def _row_norms(u: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
-    """discrete_norm(u[n], "H<order>x") of every time row n of u, bit for
-    bit: the same sums in the same order, each row's quadrature a batched
-    (1, nx+1) by (nx+1, 1) product, which numpy takes as the dot product a
-    single row gets (a matrix-vector product may round differently)."""
-    wx = trapz_weights(grid.nx + 1, grid.dx)[:, None]
-
-    def quad(v):
-        return (v[:, None] @ wx)[:, 0, 0]
-
-    total = quad(u ** 2)
-    for j in range(1, order + 1):
-        total += quad(diff_x_values(u, grid, j) ** 2)
-    return np.sqrt(total)
-
-
 def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete H1(0,T; H4(0,1)) norm of a trajectory array."""
     wt = trapz_weights(grid.nt + 1, grid.dt)
     total = 0.0
     for arr in (u, diff_t_values(u, grid, 1)):
-        total += float(wt @ _row_norms(arr, grid, 4) ** 2)
+        total += float(wt @ row_norms(arr, grid, 4) ** 2)
     return float(np.sqrt(total))
 
 
@@ -165,30 +221,17 @@ def _check_m2(y: Trajectory, cfg: InverseConfig) -> None:
 
 def linf_h1x_norm(u: np.ndarray, grid: GridSpec) -> float:
     """Discrete L-infinity(0,T; H1(0,1)) norm of a trajectory array."""
-    return float(_row_norms(u, grid, 1).max())
+    return float(row_norms(u, grid, 1).max())
 
 
 @dataclass
 class StabilityReport:
     lhs: float                   # |gamma - gamma_tilde|^2 in L2(0,1)
-    trace2_h1t_sq: float
-    trace3_h1t_sq: float
-    snapshot_h4x_sq: float
-    snapshot_h1x_quart: float
-    reg_h1t_h4x_sq: float
-    reg_linf_h1x_quart: float
+    middle: float                # data norm^2 + |snapshot gap|^4 in H1
+    far_rhs: float               # H1(0,T;H4)^2 + Linf(0,T;H1)^4 of y - ytilde
     c_lower: float               # middle / lhs
-    c_upper: float               # middle / far right-hand side
+    c_upper: float               # middle / far_rhs
     degenerate: bool = False
-
-    @property
-    def middle(self) -> float:
-        return (self.trace2_h1t_sq + self.trace3_h1t_sq
-                + self.snapshot_h4x_sq + self.snapshot_h1x_quart)
-
-    @property
-    def far_rhs(self) -> float:
-        return self.reg_h1t_h4x_sq + self.reg_linf_h1x_quart
 
 
 def stability_report(coeff: CoefficientField,
@@ -199,8 +242,8 @@ def stability_report(coeff: CoefficientField,
     """Evaluate both sides of the two-sided stability estimate, one report
     per gamma_tilde of the list, against one solve of the reference y.
 
-    Left: the squared L2 coefficient gap.  Middle: the squared H1-in-time
-    trace gaps, the squared H4 snapshot gap and the fourth power of the H1
+    Left: the squared L2 coefficient gap.  Middle: the squared data norm of
+    the observation gap (Observation.stack) plus the fourth power of the H1
     snapshot gap.  Far right: the H1(0,T;H4) and L-infinity(0,T;H1) norms of
     the trajectory difference.  The empirical constants are the exact ratios
     middle/lhs and middle/far.  The admissibility of y, its norm surrogate
@@ -209,47 +252,30 @@ def stability_report(coeff: CoefficientField,
     """
     require_same_grid(coeff.sigma, bd.y0, *gamma_tildes)
     grid = bd.grid
+    obs = Observation(grid, T0)
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     y, _ = solve_ks(coeff, bd, solve_cfg)
     _check_m2(y, cfg)
-    n0 = snapshot_index(grid, T0)
-    d2 = extract_traces(y)
+    seen = obs.observe(y.values)
 
     reports = []
     for gamma_tilde in gamma_tildes:
         coeff_t = CoefficientField(coeff.sigma, gamma_tilde, coeff.sigma0)
         ytilde, _ = solve_ks(coeff_t, bd, solve_cfg)
-        curvature = np.abs(diff_x_values(ytilde.values[n0], grid, 2)).min()
-        if curvature < cfg.r_floor:
-            raise InfConditionViolated(
-                f"inf |ytilde_xx(T0,.)| = {curvature:.3e} "
-                f"< r_floor={cfg.r_floor:g}")
+        obs.check_curvature(ytilde.values, cfg.r_floor)
 
-        u = y.values - ytilde.values
-        d2t = extract_traces(ytilde)
-        tr2 = discrete_norm(d2[0] - d2t[0], "H1t", grid) ** 2
-        tr3 = discrete_norm(d2[1] - d2t[1], "H1t", grid) ** 2
-        snap = u[n0]
-        s4 = discrete_norm(snap, "H4x", grid) ** 2
-        s1 = discrete_norm(snap, "H1x", grid) ** 4
+        gaps = [a - b for a, b in zip(seen, obs.observe(ytilde.values))]
+        data = obs.stack(*gaps)
+        middle = float(data @ data) + discrete_norm(gaps[2], "H1x", grid) ** 4
         lhs = discrete_norm(coeff.gamma.values - gamma_tilde.values, "L2x",
                             grid) ** 2
-        far1 = h1t_h4x_norm(u, grid) ** 2
-        far2 = linf_h1x_norm(u, grid) ** 4
-
-        middle = tr2 + tr3 + s4 + s1
-        degenerate = lhs == 0.0 or middle == 0.0
-        c_lower = middle / lhs if lhs > 0 else np.nan
-        far = far1 + far2
-        c_upper = middle / far if far > 0 else np.nan
-        reports.append(StabilityReport(lhs, tr2, tr3, s4, s1, far1, far2,
-                                       c_lower, c_upper, degenerate))
+        u = y.values - ytilde.values
+        far = h1t_h4x_norm(u, grid) ** 2 + linf_h1x_norm(u, grid) ** 4
+        reports.append(StabilityReport(
+            lhs, middle, far, middle / lhs if lhs > 0 else np.nan,
+            middle / far if far > 0 else np.nan,
+            lhs == 0.0 or middle == 0.0))
     return reports
-
-
-# bytes of the tangent sources marched at once (at least one source); the
-# march and its solutions hold a few more arrays that size
-_STACK_BYTES = 1 << 22
 
 
 def gamma_basis(grid: GridSpec, n_modes: int) -> np.ndarray:
@@ -285,11 +311,12 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     the spectral parameterization.  The quasi-Newton iteration is
     Levenberg-Marquardt on the stacked misfit residual with the
     tangent-linear Jacobian and an L-infinity projection of the iterate;
-    accepted iterates have nonincreasing J.  Column m of the Jacobian at the
-    iterate y is the misfit stack of dy, the solution of the K-S system
-    linearized at y with zero data and source -b_m y_xx: the exact
-    derivative of the discrete map, one linear solve per basis profile b_m,
-    all of them one march.  The first iterate is gamma_tilde itself, so its
+    accepted iterates have nonincreasing J.  The misfit is the observation's
+    stack of the data gaps (Observation.stack) followed by the Tikhonov
+    rows; column m of its Jacobian is Observation.jacobian's row m for the
+    basis profile b_m, followed by b_m's Tikhonov rows: the exact
+    derivative of the discrete map, one linear solve per basis profile, all
+    of them one march.  The first iterate is gamma_tilde itself, so its
     solve is ytilde, on which the norm surrogate is checked against M2
     (HypothesisViolation otherwise) and then the snapshot curvature.
 
@@ -301,14 +328,10 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
-    n0 = snapshot_index(grid, meas.snapshot_time)
+    obs = Observation(grid, meas.snapshot_time)
     basis = gamma_basis(grid, cfg.n_modes)
     n_par = basis.shape[0]
-    zero_bd = zero_boundary_data(grid)
     solves = 0
-
-    swt = np.sqrt(trapz_weights(grid.nt + 1, grid.dt))
-    swx = np.sqrt(trapz_weights(grid.nx + 1, grid.dx))
     sqrt_alpha = np.sqrt(cfg.tikhonov_alpha)
 
     def gamma_of(theta: np.ndarray) -> np.ndarray:
@@ -324,18 +347,12 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         scale = room / np.abs(theta @ basis).max()
         return theta * min(1.0, 0.999 * scale)
 
-    def stack(t2, t3, ds, dg) -> np.ndarray:
-        """Misfit stack of trace, snapshot and gamma gaps (linear in each),
-        along the last axis: of one set of gaps, or of each row of (k, .)
-        arrays of them."""
-        parts = []
-        for d in (t2, t3):
-            parts += [swt * d, swt * diff_t_values(d.T, grid, 1).T]
-        parts += [swx * ds] + [swx * diff_x_values(ds, grid, k)
-                               for k in range(1, 5)]
-        parts += [sqrt_alpha * swx * dg] + [
-            sqrt_alpha * swx * diff_x_values(dg, grid, k) for k in (1, 2)]
-        return np.concatenate(parts, axis=-1)
+    def tikhonov(dg: np.ndarray) -> np.ndarray:
+        """The regularizer's rows of a gamma gap, or of each row of a (k, .)
+        array of them: sqrt(alpha) times the H2 rows."""
+        return np.concatenate([sqrt_alpha * obs.swx * dg] + [
+            sqrt_alpha * obs.swx * diff_x_values(dg, grid, k) for k in (1, 2)],
+            axis=-1)
 
     def residual(theta: np.ndarray):
         """Stacked misfit whose squared norm is exactly the objective J, and
@@ -346,22 +363,11 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
                                    ScalarField1D(gv, grid), coeff_tilde.sigma0)
         y, _ = solve_ks(coeff_g, bd, solve_cfg)
         solves += 1
-        t2, t3 = extract_traces(y)
-        return stack(t2 - meas.trace2, t3 - meas.trace3,
-                     y.values[n0] - meas.snapshot.values,
-                     gv - gamma_tilde.values), linearized_field(coeff_g, y)
-
-    def jacobian(lin: CoefficientField) -> np.ndarray:
-        """The exact derivative of the stack at the iterate y = lin.G1, its
-        columns marched in groups of about _STACK_BYTES of sources."""
-        y_xx = diff_x_values(lin.G1.values, grid, 2)
-        group = max(1, _STACK_BYTES // y_xx.nbytes)
-        cols = []
-        for b in np.split(basis, range(group, n_par, group)):
-            dy = solve_linear_many(lin, zero_bd, -b[:, None] * y_xx,
-                                   lin_tol=solve_cfg.lin_tol)
-            cols.append(stack(*extract_traces(dy, grid), dy[:, n0], b))
-        return np.concatenate(cols).T
+        t2, t3, snapshot = obs.observe(y.values)
+        data = obs.stack(t2 - meas.trace2, t3 - meas.trace3,
+                         snapshot - meas.snapshot.values)
+        return (np.concatenate([data, tikhonov(gv - gamma_tilde.values)]),
+                linearized_field(coeff_g, y))
 
     def l2err(theta: np.ndarray):
         if gamma_true is None:
@@ -372,16 +378,13 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     theta = np.zeros(n_par)
     r, lin = residual(theta)
     _check_m2(lin.G1, cfg)
-    curvature = np.abs(diff_x_values(lin.G1.values[n0], grid, 2)).min()
-    if curvature < cfg.r_floor:
-        raise InfConditionViolated(
-            f"inf |ytilde_xx(T0,.)| = {curvature:.3e} < r_floor={cfg.r_floor:g}: "
-            "measurements carry no gamma information")
+    obs.check_curvature(lin.G1.values, cfg.r_floor)
     j_cur = float(r @ r)
     mu = 0.0  # Marquardt damping, raised only on rejected steps
     grad_norm = np.inf
     for it in range(cfg.max_outer):
-        J = jacobian(lin)
+        J = np.concatenate([obs.jacobian(lin, basis, solve_cfg.lin_tol),
+                            tikhonov(basis)], axis=-1).T
         grad = 2.0 * (J.T @ r)
         grad_norm = float(np.linalg.norm(grad))
         report.iterations.append((it, j_cur, grad_norm, l2err(theta)))

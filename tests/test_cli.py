@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import inverse
+from kslab import cli, inverse
 from kslab.cli import main
 from kslab.config import _TABLE, RunConfig
 from kslab.errors import ConfigError
@@ -185,6 +185,51 @@ def test_invert_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
     assert results["status"] == "hypothesis-violation"
     assert results["failed"] == ["M2"]
     assert "exceeds M2=1e-09" in capsys.readouterr().err
+
+
+def test_stability_scan_cap_exceeded_says_so_on_stderr(tmp_path, capsys):
+    # c_lower is about 0.086 on this scan, so c_cap = 1 fails every amplitude
+    cfgfile = tmp_path / "small_cap.cfg"
+    with open(cfg_path("stability_scan.cfg")) as fh:
+        cfgfile.write_text(fh.read().replace("c_cap = 100", "c_cap = 1"))
+    out = tmp_path / "o"
+    assert main(["stability-scan", "--config", str(cfgfile),
+                 "--out", str(out)]) == 3
+    assert json.load(open(out / "report.json"))["results"]["status"] \
+        == "cap-exceeded"
+    assert capsys.readouterr().err == (
+        "kslab stability-scan: lhs > c_cap * middle, c_cap=1, "
+        "at s = 0.001, 0.002, 0.004\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("nx = 32", "nx = 1", "nx must be >= 8"),
+    ("[grid]\n", "[grid]\nnz = 4\n", "unknown key 'nz'"),
+], ids=["grid-too-coarse", "unknown-key"])
+def test_failed_rerun_leaves_no_stale_report(tmp_path, capsys, old, new,
+                                             message):
+    # a config error writes no report, so an earlier run's "ok" must not
+    # stay behind in the same output directory, whether the error is found
+    # on reading the file or after
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path("simulate_zero.cfg"),
+                 "--out", str(out)]) == 0
+    assert (out / "report.json").is_file()
+    cfgfile = tmp_path / "broken.cfg"
+    with open(cfg_path("simulate_zero.cfg")) as fh:
+        cfgfile.write_text(fh.read().replace(old, new))
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    assert message in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_stability_scan_solves_the_reference_once(tmp_path, monkeypatch):

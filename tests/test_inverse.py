@@ -1,15 +1,19 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_coeff, nonlinear_bd
 from kslab import inverse, linear_solver
+from kslab.config import RunConfig
 from kslab.errors import InfConditionViolated
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                         diff_x_values, discrete_norm, trapz_weights)
-from kslab.inverse import (InverseConfig, MeasurementSet, gamma_basis,
-                           h1t_h4x_norm, linearized_field, linf_h1x_norm,
-                           recover_gamma, snapshot_index, stability_report,
-                           synthesize_measurements)
+from kslab.inverse import (InverseConfig, MeasurementSet, Observation,
+                           gamma_basis, h1t_h4x_norm, linearized_field,
+                           linf_h1x_norm, recover_gamma, snapshot_index,
+                           stability_report, synthesize_measurements)
 from kslab.linear_solver import (CoefficientField, solve_linear_full,
                                  solve_linear_many, zero_boundary_data)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -48,16 +52,28 @@ def test_snapshot_index_nearest():
 
 
 def test_trajectory_norms_match_their_row_by_row_definitions():
-    # the whole-array sums are the per-row discrete norms, bit for bit
+    # oracle: each row's trapezoid sums of |d^j u|^2, j = 0..k, written out
+    # one row at a time; the whole-array sums and discrete_norm's space
+    # kinds (both grid.row_norms) give them bit for bit
     g = GridSpec(48, 64, 2.0)
     u = np.random.default_rng(3).standard_normal((g.nt + 1, g.nx + 1))
+    wx = trapz_weights(g.nx + 1, g.dx)
     wt = trapz_weights(g.nt + 1, g.dt)
-    h4 = sum(float(wt @ np.array([discrete_norm(arr[n], "H4x", g) ** 2
+
+    def hk(row, k):
+        total = float(wx @ row ** 2)
+        for j in range(1, k + 1):
+            total += float(wx @ diff_x_values(row, g, j) ** 2)
+        return float(np.sqrt(total))
+
+    for n in range(g.nt + 1):
+        for kind, k in (("L2x", 0), ("H1x", 1), ("H2x", 2), ("H4x", 4)):
+            assert discrete_norm(u[n], kind, g) == hk(u[n], k)
+    h4 = sum(float(wt @ np.array([hk(arr[n], 4) ** 2
                                   for n in range(g.nt + 1)]))
              for arr in (u, diff_t_values(u, g, 1)))
     assert h1t_h4x_norm(u, g) == float(np.sqrt(h4))
-    assert linf_h1x_norm(u, g) == max(discrete_norm(u[n], "H1x", g)
-                                      for n in range(g.nt + 1))
+    assert linf_h1x_norm(u, g) == max(hk(u[n], 1) for n in range(g.nt + 1))
 
 
 def test_measurements_zero_data():
@@ -155,6 +171,58 @@ def test_snapshot_time_robustness(loop48):
     r0, = stability_report(coeff, [gt], bd, T0, cfg)
     r1, = stability_report(coeff, [gt], bd, T0 + g.dt, cfg)
     assert r1.middle == pytest.approx(r0.middle, rel=10 * g.dt)
+
+
+@pytest.fixture(scope="module")
+def shipped_scan():
+    """stability_scan.cfg as the CLI runs it: the reference y, its
+    linearized field, the observation and the scan's reports."""
+    cfg = RunConfig.from_file(os.path.join(os.path.dirname(__file__), "..",
+                                           "configs", "stability_scan.cfg"))
+    g = cfg.grid()
+    coeff, bd = cfg.coefficients(g), cfg.boundary_data(g)
+    block, ncfg = cfg.inverse_block(g), cfg.nonlinear_config()
+    gts = [ScalarField1D(coeff.gamma.values + s * block["perturbation"], g)
+           for s in block["amplitudes"]]
+    reports = stability_report(coeff, gts, bd, block["T0"], block["cfg"],
+                               ncfg)
+    y, _ = solve_ks(coeff, bd, ncfg)
+    return dict(g=g, coeff=coeff, bd=bd, block=block, ncfg=ncfg, gts=gts,
+                reports=reports, y=y, lin=linearized_field(coeff, y),
+                obs=Observation(g, block["T0"]))
+
+
+def test_scan_middle_is_the_observation_data_norm(shipped_scan):
+    sc = shipped_scan
+    g, obs = sc["g"], sc["obs"]
+    for gt, rep in zip(sc["gts"], sc["reports"]):
+        coeff_t = CoefficientField(sc["coeff"].sigma, gt, sc["coeff"].sigma0)
+        yt, _ = solve_ks(coeff_t, sc["bd"], sc["ncfg"])
+        gaps = [a - b for a, b in zip(obs.observe(sc["y"].values),
+                                      obs.observe(yt.values))]
+        data = obs.stack(*gaps)
+        middle = data @ data + discrete_norm(gaps[2], "H1x", g) ** 4
+        assert middle == pytest.approx(rep.middle, rel=1e-14, abs=0)
+
+
+def test_rayleigh_quotient_of_the_tangent_is_the_scans_c_lower(shipped_scan):
+    # the scan perturbs gamma by s b with b = sin(pi x), so middle/lhs tends
+    # to |J b|^2 / |b|^2 as s -> 0, J the tangent's data rows
+    sc = shipped_scan
+    g, obs, b = sc["g"], sc["obs"], sc["block"]["perturbation"]
+    Jb, = obs.jacobian(sc["lin"], b[None], sc["ncfg"].lin_tol)
+    quotient = Jb @ Jb / discrete_norm(b, "L2x", g) ** 2
+    for s, rep in zip(sc["block"]["amplitudes"], sc["reports"]):
+        assert abs(rep.c_lower - quotient) <= 0.05 * s * quotient
+
+    # over the 8-mode span the worst direction gives the Lipschitz constant
+    # C = max_c (c^T G c) / |sum_m c_m J_m|^2, J_m the data rows of mode m
+    # and G the span's L2 Gram matrix
+    basis = gamma_basis(g, 8)
+    J = obs.jacobian(sc["lin"], basis, sc["ncfg"].lin_tol)
+    gram = (basis * trapz_weights(g.nx + 1, g.dx)) @ basis.T
+    C = 1 / scipy.linalg.eigh(J @ J.T, gram, eigvals_only=True).min()
+    assert C == pytest.approx(1.41e4, rel=0.01)
 
 
 def test_gamma_basis_layout():
