@@ -24,7 +24,7 @@ def main():
 
     g = GridSpec(args.nx, args.nt, 2.0)
     sigma = ScalarField1D(np.ones(args.nx + 1), g)
-    coeff = CoefficientField(sigma, ScalarField1D(np.zeros(args.nx + 1), g), 1.0)
+    coeff = CoefficientField(sigma, ScalarField1D(np.zeros(args.nx + 1), g))
     weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(
         lambda_grid=tuple(float(s) for s in args.lambdas.split(",")))

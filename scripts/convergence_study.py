@@ -50,7 +50,7 @@ def main():
 
         ones = np.ones(nx + 1)
         coeff = CoefficientField(ScalarField1D(ones, g),
-                                 ScalarField1D(np.zeros(nx + 1), g), 1.0)
+                                 ScalarField1D(np.zeros(nx + 1), g))
         f = trajectory_from_callable(cases["lin_source"], g)
         z0 = field_from_callable(lambda x: x ** 2 * (1 - x) ** 2, g)
         z = solve_principal(coeff, f, z0)
@@ -59,7 +59,7 @@ def main():
                                                     g).values).max()
 
         coeff_nl = CoefficientField(ScalarField1D(ones, g),
-                                    ScalarField1D(ones.copy(), g), 1.0)
+                                    ScalarField1D(ones.copy(), g))
         zeros_t = np.zeros(nt + 1)
         bd = BoundaryData(zeros_t, zeros_t.copy(), zeros_t.copy(),
                           zeros_t.copy(),

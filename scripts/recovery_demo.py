@@ -42,8 +42,8 @@ def main():
     gamma_true = ScalarField1D(1 + args.amplitude * np.sin(np.pi * g.x), g)
     gamma_tilde = ScalarField1D(np.ones(args.nx + 1), g)
     sigma = ScalarField1D(np.ones(args.nx + 1), g)
-    coeff_true = CoefficientField(sigma, gamma_true, 1.0)
-    coeff_tilde = CoefficientField(sigma, gamma_tilde, 1.0)
+    coeff_true = CoefficientField(sigma, gamma_true)
+    coeff_tilde = CoefficientField(sigma, gamma_tilde)
     bd = build_bd(g, gamma_true.values)
     pert = discrete_norm(ScalarField1D(gamma_true.values - gamma_tilde.values,
                                        g), "L2x")

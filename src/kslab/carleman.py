@@ -67,6 +67,8 @@ _INTERIOR = [name for name in FIELDS if name not in _BOUNDARY]
 _SQUARES = {name: ("w2", "wx2", "wxx2", "wxxx2").index(FIELDS[name][1])
             for name in _BOUNDARY}
 _ENDS = [0, -1]
+# the lambda of the entry points called without one
+_DEFAULT_LAM = 8.0
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,8 @@ class CarlemanWeight:
     beta_derivs: tuple
     phi0: np.ndarray
     phi0_prime: np.ndarray
-    T0: float
     r: float
     epsilon_margin: float
-    lam: float
 
     def window(self, eta: float | None = None) -> np.ndarray:
         """Time-node indices inside [eta, T-eta]."""
@@ -147,8 +147,7 @@ def _epsilon_margin(beta_derivs, sigma, sigma_x):
     return float(min((-e / b0).min() for e in exprs))
 
 
-def make_default_weight(sigma: ScalarField1D, T0: float,
-                        lam: float = 8.0) -> CarlemanWeight:
+def make_default_weight(sigma: ScalarField1D, T0: float) -> CarlemanWeight:
     """Weight with beta = sqrt(1+x) and the quadratic time bump peaking at T0.
 
     Raises HypothesisViolation naming the failing hypotheses when the
@@ -181,7 +180,7 @@ def make_default_weight(sigma: ScalarField1D, T0: float,
     if not (interior.min() > 0 and interior.max() <= 1.0 + 1e-12):
         raise HypothesisViolation("phi0 positivity/peak condition fails",
                                   failed=["hip2P"])
-    return CarlemanWeight(grid, beta_derivs, phi0, phi0p, T0, float(r), eps, lam)
+    return CarlemanWeight(grid, beta_derivs, phi0, phi0p, float(r), eps)
 
 
 class _Window:
@@ -265,7 +264,7 @@ class _Lambda:
 
     def __init__(self, window: _Window, lam: float | None):
         self.window = window
-        self.lam = window.weight.lam if lam is None else lam
+        self.lam = _DEFAULT_LAM if lam is None else lam
         self._factors = {}
 
     @cached_property
@@ -316,17 +315,12 @@ class _Lambda:
 
 
 def _q_arrays(q, window: _Window, m: float = np.inf):
-    """q0, q1, q2 on the window rows, an absent one as the scalar 0.0;
-    ValueError when one exceeds the bound m."""
-    shape = (window.rows.size, window.grid.nx + 1)
+    """q0, q1, q2 (each a Trajectory or None, or q None for all three) on
+    the window rows, an absent one as the scalar 0.0; ValueError when one
+    exceeds the bound m."""
     out = []
     for i, qi in enumerate((None, None, None) if q is None else q):
-        if qi is None:
-            qi = 0.0
-        elif isinstance(qi, Trajectory):
-            qi = qi.values[window.rows]
-        else:
-            qi = np.broadcast_to(np.asarray(qi, dtype=float), shape).copy()
+        qi = 0.0 if qi is None else qi.values[window.rows]
         if np.abs(qi).max() > m + 1e-12:
             raise ValueError(f"q{i} exceeds the configured bound m={m}")
         out.append(qi)
@@ -630,13 +624,12 @@ class _Span:
     part of _p1_p2), their absolute values and the majorants |D_k| |p_a| of
     their stencil sums.  Since phi = beta(x) u(t), each term of a form is
     lam^p times a time factor on the rows (tau^2, tau tau' or tau'^2 times a
-    power of u), at most one field (exp(-2 lam phi), times q where q is
-    given) and an x factor, and a form is the sum over its terms of the
-    time reduction times the x-quadrature of two profile jets.  A column
-    form reads one node, weighed by 1 instead of trapz_x.  The field-free
-    forms, <P1 w, P2 w> and the weighted norm, are sum_p lam^p M_p with
-    each M_p built once per span, as are the time factors of the terms
-    under exp(-2 lam phi) alone.
+    power of u), at most one field (exp(-2 lam phi)) and an x factor, and a
+    form is the sum over its terms of the time reduction times the
+    x-quadrature of two profile jets.  A column form reads one node, weighed
+    by 1 instead of trapz_x.  The field-free forms, <P1 w, P2 w> and the
+    weighted norm, are sum_p lam^p M_p with each M_p built once per span, as
+    are the time factors of the terms under exp(-2 lam phi).
 
     A per-member quadrature and c^T M c differ by the roundoff of the jets
     (a few eps times the majorant in an x factor, up to about eps rows/pi
@@ -693,7 +686,7 @@ class _Span:
             for (pa, sa, fa, X), (pb, sb, fb, Y) in product(p1, p2))
         self._norm = self._polynomial(norm)
         # the terms under exp(-2 lam phi) alone: those of the audit's lhs
-        # (the curvature over lam phi, then the norm's) and the q-free ones of
+        # (the curvature over lam phi, then the norm's) and those of
         # rhs_interior, the square of the member's L v
         lv = [(dtau, 0), (tau, "S")]
         terms = [("lhs", -1, dtau ** 2 / u, 1 / b[0], 0, 0),
@@ -738,32 +731,18 @@ class _Span:
         weight[:, col] = trapz_t @ series, trapz_t @ np.abs(series)
         return k, k, weight[0], weight[1]
 
-    def forms(self, lw: _Lambda, qs) -> dict:
+    def forms(self, lw: _Lambda) -> dict:
         """{name: (M, M_abs)} of one lambda, named after the AuditRow field
         or the _margin value that c^T M c gives for the member c: lhs,
         rhs_interior, rhs_boundary0/1, direct, ix0/ix1 and norm.  The terms
-        under exp(-2 lam phi) alone are reduced in time by one product, the
-        q terms by one product each, and the field-free forms are summed
-        from their powers of lam."""
-        lam, e2 = lw.lam, lw.e2
-        trapz_t, trapz_x = self.window.trapz_t, self.window.trapz_x
+        under exp(-2 lam phi) are reduced in time by one product, and the
+        field-free forms are summed from their powers of lam."""
+        lam = lw.lam
         terms = {"lhs": [], "rhs_interior": []}
-        k, k_abs = np.split(self._e2_times @ e2, 2)
+        k, k_abs = np.split(self._e2_times @ lw.e2, 2)
         for (name, p, fw, X, Y), ki, ki_abs in zip(self._e2_terms, k, k_abs):
             fw = lam ** p * fw
             terms[name].append((X, Y, ki * fw, ki_abs * np.abs(fw)))
-        # the q terms of rhs_interior, each under its field e2 q_a (q_b)
-        lv = [(self.dtau, None, 0), (self.tau, None, "S")] + [
-            (self.tau, qi, j) for j, qi in enumerate(qs) if np.ndim(qi)]
-        for (sa, qa, X), (sb, qb, Y) in product(lv, lv):
-            if qa is None and qb is None:
-                continue
-            field = e2
-            for f in (qa, qb):
-                field = field if f is None else field * f
-            s = trapz_t * sa * sb
-            terms["rhs_interior"].append(
-                (X, Y, s @ field * trapz_x, np.abs(s) @ np.abs(field) * trapz_x))
         out = {name: self._contract(ts) for name, ts in terms.items()}
         out["direct"] = tuple((m + m.T) / 2
                               for m in _sum_powers(self._direct, lam))
@@ -814,8 +793,8 @@ class EnsembleAudit:
 
 def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
                    cfg: CarlemanConfig, n_members: int = 50,
-                   seed: int = 0, q=None, n_modes: int = 4) -> EnsembleAudit:
-    """Audit + ledger scan over seeded random clamped bumps.
+                   seed: int = 0, n_modes: int = 4) -> EnsembleAudit:
+    """Audit + ledger scan over seeded random clamped bumps, with q = 0.
 
     The members are screened by the quadratic forms of the span (_Span):
     per lambda, every member whose c_hat or delta_hat bounds reach the
@@ -827,7 +806,7 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     if n_members < 1:
         raise ValueError(f"n_members must be at least 1, got {n_members}")
     window = _Window(weight, coeff, cfg.eta)
-    qs = _q_arrays(q, window, cfg.m)
+    qs = [0.0, 0.0, 0.0]
     lws = [_Lambda(window, lam) for lam in cfg.lambda_grid]
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1, 1, (n_members, 2 * n_modes))
@@ -835,7 +814,7 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
 
     chat_at, delta_at = [[] for _ in coeffs], [[] for _ in coeffs]
     for k, lw in enumerate(lws):
-        forms = span.forms(lw, qs)
+        forms = span.forms(lw)
         lo, hi = _ratio_bounds(
             *span.values(coeffs, forms, ("lhs",)),
             *span.values(coeffs, forms, ("rhs_interior", "rhs_boundary0")))

@@ -126,7 +126,7 @@ def cmd_simulate(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     rows = [(grid.t[n], grid.x[i], y.values[n, i])
             for n in range(grid.nt + 1) for i in range(grid.nx + 1)]
     write_csv(run.path("trajectory.csv"), ["t", "x", "y"], rows)
-    tr2, tr3 = extract_traces(y)
+    tr2, tr3 = extract_traces(y.values, grid)
     write_csv(run.path("traces.csv"), ["t", "yxx0", "yxxx0"],
               list(zip(grid.t, tr2, tr3)))
     _write_picard(run.path("picard.csv"), report)
@@ -182,8 +182,7 @@ def cmd_invert(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     block = cfg.inverse_block(grid)
     ncfg = cfg.nonlinear_config()
     run.seed = block["seed"]
-    coeff_tilde = CoefficientField(coeff.sigma, block["gamma_tilde"],
-                                   coeff.sigma0)
+    coeff_tilde = CoefficientField(coeff.sigma, block["gamma_tilde"])
     meas = synthesize_measurements(coeff, bd, block["T0"], block["noise"],
                                    block["seed"], ncfg)
     gamma_hat, report = recover_gamma(meas, coeff_tilde, bd, block["cfg"],

@@ -4,7 +4,7 @@ _TABLE names every section and key with its kind of value; values are
 parsed lazily, so an invalid entry reports its section and key.  The table
 holds defaults and bounds only where no dataclass owns them: GridSpec
 checks [grid]; NonlinearSolveConfig owns [solver]; CarlemanConfig owns
-[carleman] m and c_cap, and the carleman module the default eta = T/10;
+[carleman] c_cap, and the carleman module the default eta = T/10;
 InverseConfig owns [inverse] m1, m2, r_floor, tikhonov_alpha, max_outer,
 grad_tol and modes.
 """
@@ -87,7 +87,6 @@ _TABLE = {
                  "ensemble": _Key("integer", "50", "(0, inf)"),
                  "modes": _Key("integer", "4", "(0, inf)"),
                  "seed": _Key("integer", "0", "[0, inf)"),
-                 "m": _Key("number", field="m"),
                  "c_cap": _Key("number", field="c_cap")},
     "inverse": {"gamma_tilde": _Key("f(x)", "0"),
                 "t0": _Key("number", "T/2", "(0, T)"),
@@ -204,7 +203,7 @@ class RunConfig:
         self.require("coefficients")
         sigma, gamma = (ScalarField1D(self._read("coefficients", key, grid),
                                       grid) for key in ("sigma", "gamma"))
-        return CoefficientField(sigma, gamma, float(np.min(sigma.values)))
+        return CoefficientField(sigma, gamma)
 
     def boundary_data(self, grid: GridSpec) -> BoundaryData:
         self.require("data")

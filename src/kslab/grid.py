@@ -101,9 +101,6 @@ class Trajectory:
         if not np.all(np.isfinite(v)):
             raise ValueError("trajectory contains non-finite entries")
 
-    def row(self, n: int) -> ScalarField1D:
-        return ScalarField1D(self.values[n].copy(), self.grid)
-
 
 def field_from_callable(fn, grid: GridSpec) -> ScalarField1D:
     return ScalarField1D(np.asarray(fn(grid.x), dtype=float), grid)
@@ -283,19 +280,10 @@ def discrete_norm(obj, kind: str, grid: GridSpec | None = None) -> float:
     return float(np.sqrt(total))
 
 
-def extract_traces(obj, grid: GridSpec | None = None
+def extract_traces(values: np.ndarray, grid: GridSpec
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided 2nd-order traces y_xx(t,0) and y_xxx(t,0), length nt+1, of a
-    Trajectory, or of each trajectory of a raw (..., nt+1, nx+1) stack on an
-    explicit grid."""
-    if isinstance(obj, Trajectory):
-        values, grid = obj.values, obj.grid
-    else:
-        values = np.asarray(obj, dtype=float)
-        if grid is None:
-            raise ValueError("raw arrays need an explicit grid")
-    if grid.nx < 8:
-        raise GridTooCoarse(f"trace extraction needs nx >= 8, got nx={grid.nx}")
+    trajectory array, or of each trajectory of a (..., nt+1, nx+1) stack."""
     w2 = fd_weights(np.arange(4), 2) / grid.dx ** 2
     w3 = fd_weights(np.arange(5), 3) / grid.dx ** 3
     trace2 = values[..., :4] @ w2

@@ -49,8 +49,6 @@ class MeasurementSet:
     trace3: np.ndarray
     snapshot: ScalarField1D
     snapshot_time: float
-    noise_level: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         grid = self.snapshot.grid
@@ -59,8 +57,6 @@ class MeasurementSet:
             object.__setattr__(self, name, arr)
             if arr.shape != (grid.nt + 1,):
                 raise GridMismatch(f"{name} length {arr.shape} does not match grid")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
     Noise, when requested, is i.i.d. uniform and relative across the three
     measurement channels: trace2, trace3 and the snapshot are each scaled by
     their own (1 + noise_level * U(-1, 1)) factor drawn from a generator
-    seeded with ``seed`` (recorded in the output).  Channel-wise scaling
+    seeded with ``seed``.  Channel-wise scaling
     keeps the noisy data inside the differentiability class that the
     H1-in-time and H4-in-space misfit norms require; white per-sample noise
     would be amplified by dt^-1 and dx^-4 and carry no recoverable signal.
@@ -191,7 +187,7 @@ def synthesize_measurements(coeff: CoefficientField, bd: BoundaryData,
         trace3 = trace3 * (1 + noise_level * rng.uniform(-1, 1))
         snapshot = snapshot * (1 + noise_level * rng.uniform(-1, 1))
     return MeasurementSet(trace2, trace3, ScalarField1D(snapshot, bd.grid),
-                          bd.grid.t[obs.n0], noise_level, seed)
+                          bd.grid.t[obs.n0])
 
 
 def linearized_field(coeff: CoefficientField, y: Trajectory) -> CoefficientField:
@@ -260,7 +256,7 @@ def stability_report(coeff: CoefficientField,
 
     reports = []
     for gamma_tilde in gamma_tildes:
-        coeff_t = CoefficientField(coeff.sigma, gamma_tilde, coeff.sigma0)
+        coeff_t = CoefficientField(coeff.sigma, gamma_tilde)
         ytilde, _ = solve_ks(coeff_t, bd, solve_cfg)
         obs.check_curvature(ytilde.values, cfg.r_floor)
 
@@ -359,8 +355,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         the K-S system linearized at the solve."""
         nonlocal solves
         gv = gamma_of(theta)
-        coeff_g = CoefficientField(coeff_tilde.sigma,
-                                   ScalarField1D(gv, grid), coeff_tilde.sigma0)
+        coeff_g = CoefficientField(coeff_tilde.sigma, ScalarField1D(gv, grid))
         y, _ = solve_ks(coeff_g, bd, solve_cfg)
         solves += 1
         t2, t3, snapshot = obs.observe(y.values)
@@ -394,9 +389,11 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
 
         JtJ = J.T @ J
         if mu == 0.0:
-            mu = 1e-10 * max(np.diag(JtJ).max(), 1e-300)
+            mu = 1e-10 * max(float(np.diag(JtJ).max()), 1e-300)
         accepted = False
         for _ in range(25):
+            if not np.isfinite(mu):  # no finite step is left to try
+                break
             try:
                 delta = np.linalg.solve(JtJ + mu * np.eye(n_par), -(J.T @ r))
             except np.linalg.LinAlgError:

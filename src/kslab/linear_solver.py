@@ -57,12 +57,11 @@ DEFAULT_LIN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Diffusion sigma(x) >= sigma0 > 0, anti-diffusion gamma(x), and the
-    optional time-dependent low-order coefficients G1, G2."""
+    """Diffusion sigma(x) > 0, anti-diffusion gamma(x), and the optional
+    time-dependent low-order coefficients G1, G2."""
 
     sigma: ScalarField1D
     gamma: ScalarField1D
-    sigma0: float
     G1: Trajectory | None = None
     G2: Trajectory | None = None
 
@@ -70,12 +69,10 @@ class CoefficientField:
         parts = [p for p in (self.sigma, self.gamma, self.G1, self.G2)
                  if p is not None]
         require_same_grid(*parts)
-        if not (self.sigma0 > 0):
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.sigma.values.min() < self.sigma0:
+        if not self.sigma.values.min() > 0:
             raise ValueError(
-                f"min(sigma)={self.sigma.values.min():g} violates the certified "
-                f"lower bound sigma0={self.sigma0:g}")
+                f"sigma must be positive, got min(sigma)="
+                f"{self.sigma.values.min():g}")
         # the cached CN system is only valid while the coefficients stay put
         for p in parts:
             p.values.flags.writeable = False
@@ -389,7 +386,7 @@ def solve_principal(coeff: CoefficientField, f: Trajectory, z0: ScalarField1D,
     """Solve z_t + (sigma z_xx)_xx = f with homogeneous clamped boundary."""
     grid = z0.grid
     principal = CoefficientField(
-        coeff.sigma, ScalarField1D(np.zeros(grid.nx + 1), grid), coeff.sigma0)
+        coeff.sigma, ScalarField1D(np.zeros(grid.nx + 1), grid))
     return solve_linear_full(principal, zero_boundary_data(grid, y0=z0, g=f),
                              comp_tol, lin_tol)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .grid import Trajectory, diff_t_values, diff_x_values, discrete_norm
+from .grid import (Trajectory, diff_t_values, diff_x_values, discrete_norm,
+                   row_norms, trapz_t)
 from .linear_solver import (BoundaryData, CoefficientField, DEFAULT_COMP_TOL,
                             DEFAULT_LIN_TOL, operator_residual,
                             solve_linear_full)
@@ -67,8 +68,7 @@ def smallness(bd: BoundaryData) -> dict:
     grid = bd.grid
     out = {"y0_H4x": discrete_norm(bd.y0, "H4x")}
     g_t = diff_t_values(bd.g.values, grid, 1)
-    g_sq = sum(discrete_norm(bd.g.row(n), "H4x") ** 2 * grid.dt
-               for n in range(grid.nt + 1))
+    g_sq = trapz_t(row_norms(bd.g.values, grid, 4) ** 2, grid)
     out["g_F"] = float(np.sqrt(g_sq + discrete_norm(
         Trajectory(g_t, grid), "L2Q") ** 2))
     for name in ("h1", "h2", "h3", "h4"):

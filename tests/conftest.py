@@ -9,7 +9,7 @@ from kslab.grid import (ScalarField1D, Trajectory, field_from_callable,
 from kslab.linear_solver import BoundaryData, CoefficientField
 
 
-def make_coeff(grid, sigma=None, gamma=None, sigma0=None, G1=None, G2=None):
+def make_coeff(grid, sigma=None, gamma=None, G1=None, G2=None):
     if sigma is None:
         sigma = np.ones(grid.nx + 1)
     if gamma is None:
@@ -17,7 +17,6 @@ def make_coeff(grid, sigma=None, gamma=None, sigma0=None, G1=None, G2=None):
     sigma = np.asarray(sigma, dtype=float)
     return CoefficientField(ScalarField1D(sigma, grid),
                             ScalarField1D(np.asarray(gamma, dtype=float), grid),
-                            sigma0 if sigma0 is not None else sigma.min(),
                             G1=G1, G2=G2)
 
 

@@ -224,8 +224,7 @@ def test_criterion_8_closed_loop_recovery(closedloop_case, tmp_path):
     coeff_tilde = make_coeff(g, gamma=np.ones(49))
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
-    coeff_true = CoefficientField(coeff_tilde.sigma, gamma_true,
-                                  coeff_tilde.sigma0)
+    coeff_true = CoefficientField(coeff_tilde.sigma, gamma_true)
     pert = discrete_norm(ScalarField1D(
         gamma_true.values - coeff_tilde.gamma.values, g), "L2x")
     cfg = InverseConfig()

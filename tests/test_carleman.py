@@ -301,29 +301,27 @@ def _q_sloped(g):
             Trajectory(np.full((g.nt + 1, g.nx + 1), -0.3), g))
 
 
-@pytest.mark.parametrize("lambdas, with_q, n_modes", [
-    ((2.0, 5.0, 8.0), True, 4),
-    ((5.0,), False, 4),
-    ((2.0, 5.0, 8.0), False, 0),
-], ids=["with-q", "single-lambda", "all-ties"])
-def test_ensemble_audit_parity_cases(lambdas, with_q, n_modes):
+@pytest.mark.parametrize("lambdas, n_modes", [
+    ((5.0,), 4),
+    ((2.0, 5.0, 8.0), 0),
+], ids=["single-lambda", "all-ties"])
+def test_ensemble_audit_parity_cases(lambdas, n_modes):
     # the member-by-member walk against the public per-member calls, where
-    # the order of work could matter: q in the audit terms, one lambda, and
-    # an ensemble of equal (zero, so degenerate) members
+    # the order of work could matter: one lambda, and an ensemble of equal
+    # (zero, so degenerate) members
     g = GridSpec(32, 64, 2.0)
     sigma = ScalarField1D(1 + 0.02 * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=lambdas)
-    q = _q_sloped(g) if with_q else None
-    ens = ensemble_audit(weight, coeff, cfg, n_members=4, seed=5, q=q,
+    ens = ensemble_audit(weight, coeff, cfg, n_members=4, seed=5,
                          n_modes=n_modes)
 
     rng = np.random.default_rng(5)
     members = [random_clamped_bump(g, rng, cfg.eta, n_modes)
                for _ in range(4)]
-    audits = [carleman_audit(v, weight, coeff, q, cfg) for v in members]
-    ledgers = [[inner_product_ledger(v, weight, coeff, q, lam, cfg.eta)
+    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
+    ledgers = [[inner_product_ledger(v, weight, coeff, None, lam, cfg.eta)
                 for lam in lambdas] for v in members]
     rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
             for k in range(len(lambdas))]
@@ -449,13 +447,13 @@ def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
 
 @settings(max_examples=30, deadline=None)
 @given(nx=st.integers(16, 48), nt=st.integers(16, 64),
-       slope=st.floats(-0.03, 0.03), q_amp=st.sampled_from([0.0, 0.4, 2.0]),
+       slope=st.floats(-0.03, 0.03),
        lambdas=st.lists(st.floats(0.5, 32.0), min_size=1, max_size=3,
                         unique=True).map(sorted),
        eta=st.sampled_from([None, 0.3]), n_modes=st.integers(1, 4),
        data=st.data())
-def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
-                                                 lambdas, eta, n_modes, data):
+def test_span_forms_match_per_member_quadratures(nx, nt, slope, lambdas, eta,
+                                                 n_modes, data):
     # each form's c^T M c is the per-member quadrature of the rebuilt member
     # to roundoff, within the screening band, and the c_hat and delta_hat
     # bounds the screen draws from them hold the exact values
@@ -464,13 +462,7 @@ def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
     coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
     window = kslab.carleman._Window(weight, coeff, eta)
-    q = None
-    if q_amp:
-        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
-        q = (Trajectory(q_amp * np.sin(np.pi * xx) * np.cos(tt), g),
-             Trajectory(-0.5 * q_amp * xx * tt, g),
-             Trajectory(np.full((nt + 1, nx + 1), 0.3 * q_amp), g))
-    qs = kslab.carleman._q_arrays(q, window)
+    qs = kslab.carleman._q_arrays(None, window)
     span = kslab.carleman._Span(window, n_modes)
     # coefficient vectors from the values rng.uniform(-1, 1) can return,
     # the multiples of 2^-52 in [-1, 1]
@@ -479,7 +471,7 @@ def test_span_forms_match_per_member_quadratures(nx, nt, slope, q_amp,
                  max_size=2 * n_modes), min_size=1, max_size=3))) / 2.0 ** 52
     for lam in lambdas:
         lw = kslab.carleman._Lambda(window, lam)
-        forms = span.forms(lw, qs)
+        forms = span.forms(lw)
         for c in coeffs:
             v = kslab.carleman._clamped_bump(g, c, eta)
             jets, wt, squares = window.jets(v)
@@ -569,14 +561,13 @@ def _reference_form(span, terms, col=None):
     return M, M_abs
 
 
-def reference_forms(span, lw, qs):
+def reference_forms(span, lw):
     """_Span.forms as written before the time x factor split: every factor
     a full (rows x nodes) field from _Lambda.split, _Lambda.norm and e2."""
     tau, dtau, t2 = span.tau, span.dtau, span.tau ** 2
     e2, norm = lw.e2, lw.norm
     f_wxx, f_w, _, f_wx, g_wx, g_wxxx, g_w = lw.split
-    lv = [(dtau, None, 0), (tau, None, "S")] + [
-        (tau, qi, k) for k, qi in enumerate(qs) if np.ndim(qi)]
+    lv = [(dtau, None, 0), (tau, None, "S")]
     p1 = [(tau, f_wxx, 2), (tau, f_w, 0), (tau, None, "P1"), (tau, f_wx, 1)]
     p2 = [(dtau, None, 0), (tau, g_wx, 1), (tau, g_wxxx, 3), (tau, g_w, 0)]
     e2n1 = e2 / norm[3]
@@ -601,36 +592,29 @@ def reference_forms(span, lw, qs):
     return out
 
 
-def _span_case(nx, nt, slope, q_amp, eta):
-    """A window, its q arrays and the q of a sloped sigma on nx x nt."""
+def _span_case(nx, nt, slope, eta):
+    """The window of a sloped sigma on nx x nt."""
     g = GridSpec(nx, nt, 2.0)
     sigma = ScalarField1D(1 + slope * g.x, g)
     coeff = make_coeff(g, sigma=sigma.values)
-    window = kslab.carleman._Window(make_default_weight(sigma, 1.0), coeff, eta)
-    q = None
-    if q_amp:
-        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
-        q = (Trajectory(q_amp * np.sin(np.pi * xx) * np.cos(tt), g),
-             Trajectory(-0.5 * q_amp * xx * tt, g),
-             Trajectory(np.full((nt + 1, nx + 1), 0.3 * q_amp), g))
-    return window, kslab.carleman._q_arrays(q, window)
+    return kslab.carleman._Window(make_default_weight(sigma, 1.0), coeff, eta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(nx=st.integers(16, 48), nt=st.integers(16, 64),
-       slope=st.floats(-0.03, 0.03), q_amp=st.sampled_from([0.0, 0.4, 2.0]),
+       slope=st.floats(-0.03, 0.03),
        lambdas=st.lists(st.floats(0.5, 32.0), min_size=1, max_size=3,
                         unique=True),
        eta=st.sampled_from([None, 0.3]), n_modes=st.integers(1, 4))
-def test_span_forms_match_full_field_reference(nx, nt, slope, q_amp, lambdas,
-                                               eta, n_modes):
+def test_span_forms_match_full_field_reference(nx, nt, slope, lambdas, eta,
+                                               n_modes):
     # the factored forms against the full-field ones entry by entry: the
     # values within 16 eps of the majorant, the majorants within the band
-    window, qs = _span_case(nx, nt, slope, q_amp, eta)
+    window = _span_case(nx, nt, slope, eta)
     span = kslab.carleman._Span(window, n_modes)
     for lam in lambdas:
         lw = kslab.carleman._Lambda(window, lam)
-        forms, reference = span.forms(lw, qs), reference_forms(span, lw, qs)
+        forms, reference = span.forms(lw), reference_forms(span, lw)
         assert forms.keys() == reference.keys()
         for name, (M_ref, M_abs_ref) in reference.items():
             M, M_abs = forms[name]
@@ -647,12 +631,11 @@ def test_span_forms_read_no_full_window_factor(monkeypatch):
 
     monkeypatch.setattr(kslab.carleman._Lambda, "split", property(forbidden))
     monkeypatch.setattr(kslab.carleman._Lambda, "norm", property(forbidden))
-    for q_amp in (0.0, 0.4):
-        window, qs = _span_case(24, 32, 0.02, q_amp, None)
-        span = kslab.carleman._Span(window, 3)
-        for lam in (2.0, 8.0):
-            forms = span.forms(kslab.carleman._Lambda(window, lam), qs)
-            assert len(forms) == 8
+    window = _span_case(24, 32, 0.02, None)
+    span = kslab.carleman._Span(window, 3)
+    for lam in (2.0, 8.0):
+        forms = span.forms(kslab.carleman._Lambda(window, lam))
+        assert len(forms) == 8
 
 
 def test_span_builds_lambda_free_parts_once(monkeypatch):
@@ -671,7 +654,7 @@ def test_span_builds_lambda_free_parts_once(monkeypatch):
         calls["diff_x"] += 1
         return diff_x(*args)
 
-    window, qs = _span_case(24, 32, 0.02, 0.0, None)
+    window = _span_case(24, 32, 0.02, None)
     monkeypatch.setattr(kslab.carleman._Span, "_polynomial",
                         counted_polynomial)
     monkeypatch.setattr(kslab.carleman, "diff_x_values", counted_diff_x)
@@ -680,7 +663,7 @@ def test_span_builds_lambda_free_parts_once(monkeypatch):
     assert built["polynomial"] == 2
     times = span._e2_times
     for lam in (1.0, 2.0, 4.0, 8.0, 16.0):
-        span.forms(kslab.carleman._Lambda(window, lam), qs)
+        span.forms(kslab.carleman._Lambda(window, lam))
     assert calls == built and span._e2_times is times
 
 

@@ -100,6 +100,27 @@ def test_invert_closed_loop(tmp_path):
     assert payload["results"]["status"] == "ok"
 
 
+def test_invert_with_extreme_tikhonov_alpha_returns_gamma_tilde(tmp_path,
+                                                                 capsys):
+    # every step is rejected until the Marquardt damping overflows; LM then
+    # stops as at no descent, on gamma_tilde, the alpha -> inf minimizer
+    with open(cfg_path("invert_closed_loop.cfg")) as fh:
+        text = fh.read().replace("tikhonov_alpha = 1e-10",
+                                 "tikhonov_alpha = 1e300")
+    assert "1e300" in text
+    cfgfile = tmp_path / "alpha.cfg"
+    cfgfile.write_text(text)
+    out = str(tmp_path / "o")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["invert", "--config", str(cfgfile), "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(os.path.join(out, "gamma_hat.csv"))
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(values[:, 3], values[:, 2])
+
+
 def test_stability_scan(tmp_path):
     out = str(tmp_path / "o")
     assert main(["stability-scan", "--config", cfg_path("stability_scan.cfg"),
@@ -324,8 +345,8 @@ lambda =
 
 @pytest.mark.parametrize("key, value", [
     ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5"),
-    ("lambda", "2,nan"), ("lambda", "2,inf"), ("m", "nan"),
-    ("c_cap", "nan"), ("c_cap", "0"), ("seed", "-1")])
+    ("lambda", "2,nan"), ("lambda", "2,inf"), ("c_cap", "nan"),
+    ("c_cap", "0"), ("seed", "-1")])
 def test_bad_carleman_value_is_config_error(tmp_path, capsys, key, value):
     # T = 2: T0 must lie in (0, T) and eta in (0, T/2)
     carleman = {"lambda": "2", "ensemble": "2", key: value}
@@ -356,7 +377,6 @@ gamma = 0
     ("simulate", "solver", "lin_tol", "-1"),
     ("simulate", "solver", "comp_tol", "nan"),
     ("simulate", "solver", "comp_tol", "-1"),
-    ("invert", "inverse", "fd_step", "0"),
     ("invert", "inverse", "t0", "5.0"),
     ("stability-scan", "inverse", "t0", "0"),
     # inside (0, T), but nearest to the grid times 0 and T (dt = 1/16)
@@ -402,9 +422,34 @@ g = 0
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"[{section}]" in err and key.lower() in err.lower()
-    # fd_step is no longer a key: its row checks that an unknown key is
-    # rejected, and every other row that a bad value of a known key is
-    assert ("unknown key" in err) == (key == "fd_step")
+    assert "unknown key" not in err
+
+
+@pytest.mark.parametrize("cmd, section, key, value", [
+    ("carleman-audit", "carleman", "m", "nan"),
+    ("invert", "inverse", "fd_step", "0")])
+def test_unknown_key_is_config_error(tmp_path, capsys, cmd, section, key,
+                                     value):
+    # keys that kslab no longer reads: a config that sets one is rejected,
+    # whatever its value, not run as if the key had an effect
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"""
+[grid]
+nx = 32
+nt = 16
+T = 1.0
+
+[coefficients]
+sigma = 1
+gamma = 1
+
+[{section}]
+{key} = {value}
+""")
+    assert main([cmd, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"kslab: config error: unknown key '{key}' in section [{section}]\n")
 
 
 def test_nan_r_floor_is_config_error_not_ok(tmp_path, capsys):

@@ -198,16 +198,16 @@ def test_norm_l2q_and_time_kinds():
 def test_extract_traces_zero_and_polynomials():
     g = GridSpec(64, 16, 1.0)
     zero = Trajectory(np.zeros((17, 65)), g)
-    t2, t3 = extract_traces(zero)
+    t2, t3 = extract_traces(zero.values, g)
     assert np.all(t2 == 0) and np.all(t3 == 0)
 
     sq = trajectory_from_callable(lambda t, x: x ** 2 + 0 * t, g)
-    t2, t3 = extract_traces(sq)
+    t2, t3 = extract_traces(sq.values, g)
     assert np.abs(t2 - 2.0).max() < 1e-10
     assert np.abs(t3).max() < 1e-10
 
     cub = trajectory_from_callable(lambda t, x: x ** 3 + 0 * t, g)
-    _, t3 = extract_traces(cub)
+    _, t3 = extract_traces(cub.values, g)
     assert np.abs(t3 - 6.0).max() < 1e-8  # oracle: analytic third derivative
 
 

@@ -109,8 +109,6 @@ def test_measurement_set_validation():
     snap = ScalarField1D(np.zeros(17), g)
     with pytest.raises(Exception):
         MeasurementSet(np.zeros(5), np.zeros(17), snap, 0.5)
-    with pytest.raises(ValueError):
-        MeasurementSet(np.zeros(17), np.zeros(17), snap, 0.5, noise_level=-1)
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +117,7 @@ def solved_pair(loop48):
     gt = ScalarField1D(1.0 + 1e-3 * np.sin(np.pi * g.x), g)
     cfgn = NonlinearSolveConfig()
     y, _ = solve_ks(coeff, bd, cfgn)
-    yt, _ = solve_ks(CoefficientField(coeff.sigma, gt, coeff.sigma0), bd,
-                     cfgn)
+    yt, _ = solve_ks(CoefficientField(coeff.sigma, gt), bd, cfgn)
     return g, coeff, bd, gt, y, yt
 
 
@@ -196,7 +193,7 @@ def test_scan_middle_is_the_observation_data_norm(shipped_scan):
     sc = shipped_scan
     g, obs = sc["g"], sc["obs"]
     for gt, rep in zip(sc["gts"], sc["reports"]):
-        coeff_t = CoefficientField(sc["coeff"].sigma, gt, sc["coeff"].sigma0)
+        coeff_t = CoefficientField(sc["coeff"].sigma, gt)
         yt, _ = solve_ks(coeff_t, sc["bd"], sc["ncfg"])
         gaps = [a - b for a, b in zip(obs.observe(sc["y"].values),
                                       obs.observe(yt.values))]
@@ -236,7 +233,7 @@ def test_gamma_basis_layout():
 
 
 def _solve_at(coeff, bd, g, gamma):
-    shifted = CoefficientField(coeff.sigma, ScalarField1D(gamma, g), coeff.sigma0)
+    shifted = CoefficientField(coeff.sigma, ScalarField1D(gamma, g))
     return solve_ks(shifted, bd, NonlinearSolveConfig())[0].values
 
 
@@ -294,7 +291,7 @@ def test_stacked_tangent_columns_equal_their_own_solves(tangent_case):
     lin = linearized_field(coeff, y)
     assert lin.principal_band is coeff.principal_band
     dy = solve_linear_many(lin, zero_boundary_data(g), sources)
-    fresh = CoefficientField(coeff.sigma, coeff.gamma, coeff.sigma0, G1=y,
+    fresh = CoefficientField(coeff.sigma, coeff.gamma, G1=y,
                              G2=Trajectory(diff_x_values(y.values, g, 1), g))
     for src, col in zip(sources, dy):
         single = solve_linear_full(
@@ -306,7 +303,7 @@ def _closed_loop_problem(closedloop_case, loop48):
     g, coeff, _ = loop48
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
-    coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
+    coeff_true = CoefficientField(coeff.sigma, gamma_true)
     return g, coeff, bd, synthesize_measurements(coeff_true, bd, T0)
 
 
@@ -366,7 +363,7 @@ def test_recover_closed_loop(closedloop_case, loop48):
     g, coeff, bd_tilde = loop48
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
-    coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
+    coeff_true = CoefficientField(coeff.sigma, gamma_true)
     meas = synthesize_measurements(coeff_true, bd, T0)
     gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(),
                                    gamma_true=gamma_true)
@@ -381,7 +378,7 @@ def test_recover_noisy_closed_loop(closedloop_case, loop48):
     g, coeff, _ = loop48
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
-    coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
+    coeff_true = CoefficientField(coeff.sigma, gamma_true)
     meas = synthesize_measurements(coeff_true, bd, T0, noise_level=1e-3,
                                    seed=42)
     gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(),
@@ -406,7 +403,7 @@ def test_recover_max_outer_flag(closedloop_case, loop48):
     g, coeff, _ = loop48
     bd = closedloop_case["build"](g, "1 + 0.005*sin(pi*x)")
     gamma_true = ScalarField1D(1 + 5e-3 * np.sin(np.pi * g.x), g)
-    coeff_true = CoefficientField(coeff.sigma, gamma_true, coeff.sigma0)
+    coeff_true = CoefficientField(coeff.sigma, gamma_true)
     meas = synthesize_measurements(coeff_true, bd, T0)
     _, rep = recover_gamma(meas, coeff, bd, InverseConfig(max_outer=1),
                            gamma_true=gamma_true)

@@ -425,4 +425,6 @@ def test_coefficient_field_values_are_read_only():
 def test_coefficient_field_validates_sigma_floor():
     g = GridSpec(16, 16, 1.0)
     with pytest.raises(ValueError):
-        make_coeff(g, sigma=np.linspace(-0.1, 1, 17), sigma0=0.5)
+        make_coeff(g, sigma=np.linspace(-0.1, 1, 17))
+    with pytest.raises(ValueError):
+        make_coeff(g, sigma=np.linspace(0.0, 1, 17))

@@ -8,7 +8,8 @@ import kslab.nonlinear_solver as nonlinear_solver
 from conftest import make_coeff, nonlinear_bd
 from kslab.config import RunConfig
 from kslab.errors import NoConvergence
-from kslab.grid import GridSpec, trajectory_from_callable
+from kslab.grid import (GridSpec, Trajectory, diff_t_values, discrete_norm,
+                        trajectory_from_callable)
 from kslab.linear_solver import zero_boundary_data
 from kslab.nonlinear_solver import NonlinearSolveConfig, smallness, solve_ks
 
@@ -90,6 +91,19 @@ def test_epsilon_report_smallness(nonlinear_case):
     assert report is not None
     assert report["y0_H4x"] > 0
     assert set(report) >= {"y0_H4x", "g_F", "h1_H2t", "h4_H2t"}
+
+
+def test_smallness_integrates_g_in_time_by_the_trapezoid_rule(nonlinear_case):
+    # g_F^2 = int_0^T |g(t)|_H4^2 dt + |g_t|_L2Q^2, the time integral with
+    # half weights at t = 0 and T, where this g is not zero
+    g = GridSpec(32, 16, 1.0)
+    bd = nonlinear_bd(nonlinear_case, g, 1e-2)
+    weights = np.full(g.nt + 1, g.dt)
+    weights[[0, -1]] = g.dt / 2
+    h4_sq = [discrete_norm(row, "H4x", g) ** 2 for row in bd.g.values]
+    g_t = Trajectory(diff_t_values(bd.g.values, g, 1), g)
+    oracle = np.sqrt(weights @ h4_sq + discrete_norm(g_t, "L2Q") ** 2)
+    assert smallness(bd)["g_F"] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_one_cn_build_per_coefficient_field(monkeypatch, nonlinear_case):
