@@ -6,14 +6,14 @@
     kslab stability-scan --config run.cfg [--out DIR]
 
 Exit codes: 0 success, 1 configuration or usage error, 2 fixed-point
-non-convergence, 3 hypothesis or audit failure (a Carleman weight
-hypothesis, the empirical Carleman inequality, the trajectory norm bound
-M2 of invert and stability-scan, or the stability scan's c_cap), 4
-snapshot-curvature (inf-condition) failure.  Floats are written with 17
-significant digits and files are written atomically (temp file + rename),
-so a rerun with the same config and seed produces byte-identical CSVs;
-report.json carries wall-clock timings and is reproducible up to its
-"timings" entry.
+non-convergence, 3 hypothesis or audit failure (the Carleman weight's
+hip4B, the empirical Carleman inequality, the anchor bound M1 of invert,
+the trajectory norm bound M2 of invert and stability-scan, or the
+stability scan's c_cap), 4 snapshot-curvature (inf-condition) failure.
+Floats are written with 17 significant digits and files are written
+atomically (temp file + rename), so a rerun with the same config and seed
+produces byte-identical CSVs; report.json carries wall-clock timings and
+is reproducible up to its "timings" entry.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ class KSLabError(Exception):
 
 
 class GridTooCoarse(KSLabError):
-    """Grid has too few nodes for the requested stencil or norm."""
+    """Grid has fewer than 8 space or time intervals, too few for the
+    widest stencil (GridSpec)."""
 
 
 class LengthMismatch(KSLabError):
@@ -30,8 +31,9 @@ class NoConvergence(KSLabError):
 
 
 class HypothesisViolation(KSLabError):
-    """A hypothesis of a theorem fails for the supplied data: a Carleman
-    weight hypothesis for the coefficients, or the admissibility bound M2 on
+    """A hypothesis of a theorem fails for the supplied data: hip4B, the
+    Carleman weight's smallness condition on sigma; M1, the L-infinity bound
+    on the recovery's anchor gamma_tilde; or M2, the admissibility bound on
     the norm surrogate of the stability scan's reference trajectory or of
     the recovery's anchor solve.
 

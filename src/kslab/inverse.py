@@ -13,7 +13,8 @@ with the tangent-linear Jacobian (one linear solve per parameter on the
 K-S system linearized at the current iterate, all marched together) and an
 L-infinity projection of each trial iterate.
 
-Admissibility: gamma stays in an L-infinity ball of radius M1, the
+Admissibility: gamma stays in an L-infinity ball of radius M1, which must
+hold the anchor gamma_tilde (HypothesisViolation otherwise), the
 trajectory norm surrogate stays below M2 (HypothesisViolation otherwise),
 and the reference snapshot curvature must be bounded away from zero
 (InfConditionViolated otherwise; without it the measurements carry no
@@ -312,7 +313,9 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     rows; column m of its Jacobian is Observation.jacobian's row m for the
     basis profile b_m, followed by b_m's Tikhonov rows: the exact
     derivative of the discrete map, one linear solve per basis profile, all
-    of them one march.  The first iterate is gamma_tilde itself, so its
+    of them one march.  gamma_tilde must lie in the M1 ball
+    (HypothesisViolation otherwise), so that the projection can keep every
+    iterate in it.  The first iterate is gamma_tilde itself, so its
     solve is ytilde, on which the norm surrogate is checked against M2
     (HypothesisViolation otherwise) and then the snapshot curvature.
 
@@ -324,6 +327,11 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
+    anchor = np.abs(gamma_tilde.values).max()
+    if anchor > cfg.M1:
+        raise HypothesisViolation(
+            f"anchor |gamma_tilde|_inf = {anchor:.3e} exceeds M1={cfg.M1:g}",
+            failed=["M1"])
     obs = Observation(grid, meas.snapshot_time)
     basis = gamma_basis(grid, cfg.n_modes)
     n_par = basis.shape[0]
@@ -337,10 +345,7 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
         gv = gamma_of(theta)
         if np.abs(gv).max() <= cfg.M1:
             return theta
-        room = cfg.M1 - np.abs(gamma_tilde.values).max()
-        if room <= 0:
-            return np.zeros_like(theta)
-        scale = room / np.abs(theta @ basis).max()
+        scale = (cfg.M1 - anchor) / np.abs(theta @ basis).max()
         return theta * min(1.0, 0.999 * scale)
 
     def tikhonov(dg: np.ndarray) -> np.ndarray:
@@ -387,7 +392,10 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
             report.converged = True
             break
 
-        JtJ = J.T @ J
+        # with tikhonov_alpha near the float limit J^T J overflows; mu is
+        # then infinite and no step is tried
+        with np.errstate(over="ignore"):
+            JtJ = J.T @ J
         if mu == 0.0:
             mu = 1e-10 * max(float(np.diag(JtJ).max()), 1e-300)
         accepted = False

@@ -57,7 +57,8 @@ class PicardReport:
 
 def _lagged_source(bd: BoundaryData, v: np.ndarray) -> Trajectory:
     """The lagged source g - v v_x."""
-    vvx = v * diff_x_values(v, bd.grid, 1)
+    with np.errstate(over="ignore"):
+        vvx = v * diff_x_values(v, bd.grid, 1)
     if not np.all(np.isfinite(vvx)):
         raise NoConvergence("fixed-point iterate overflowed")
     return Trajectory(bd.g.values - vvx, bd.grid)
@@ -103,8 +104,9 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
         for k in range(1, cfg.max_picard + 1):
             bd_k = bd.with_source(_lagged_source(bd, v.values))
             v_new = solve_linear_full(coeff, bd_k, cfg.comp_tol, cfg.lin_tol)
-            update = discrete_norm(
-                Trajectory(v_new.values - v.values, bd.grid), "L2Q")
+            with np.errstate(over="ignore"):
+                update = discrete_norm(
+                    Trajectory(v_new.values - v.values, bd.grid), "L2Q")
             if not np.isfinite(update):
                 raise NoConvergence("fixed-point update is not finite")
             report.iterations = k

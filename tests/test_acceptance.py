@@ -142,7 +142,7 @@ def test_criterion_5_inner_product_ledger():
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
-    mismatches = [inner_product_ledger(w, weight, coeff, None, lam).mismatch_rel
+    mismatches = [inner_product_ledger(w, weight, coeff, lam).mismatch_rel
                   for lam in (2.0, 5.0, 8.0)]
     balance_ok = max(mismatches) <= 1e-4
 

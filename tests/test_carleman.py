@@ -117,6 +117,7 @@ def test_decompose_zero_function(setup128):
     P1, P2, R = conjugate_decompose(zero, weight, coeff)
     assert np.all(P1.values == 0) and np.all(P2.values == 0) \
         and np.all(R.values == 0)
+    assert conjugation_identity_residual(zero, weight, coeff) == 0.0
 
 
 def test_decompose_lambda_zero_reduction(setup128):
@@ -162,6 +163,13 @@ def test_identity_residual_nonconstant_sigma_and_q():
         assert conjugation_identity_residual(w, weight, coeff, q, lam) <= 1e-6
 
 
+def test_eta_outside_half_horizon_is_rejected(setup128):
+    g, _, weight, w = setup128
+    for eta in (0.0, -0.1, g.T / 2):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            weighted_norm(w, weight, eta=eta)
+
+
 def test_weighted_norm_zero_and_scaling(setup128):
     g, _, weight, w = setup128
     zero = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
@@ -193,7 +201,7 @@ def test_ledger_balance_and_signs():
     weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
     for lam in (2.0, 5.0, 8.0):
-        led = inner_product_ledger(w, weight, coeff, None, lam)
+        led = inner_product_ledger(w, weight, coeff, lam)
         assert led.mismatch_rel <= 1e-4
         for name in ("I_w", "I_wx", "I_w2x", "I_w3x"):
             assert led.items[name] > 0
@@ -202,7 +210,7 @@ def test_ledger_balance_and_signs():
 
 def test_ledger_lower_bound_scan(setup128):
     g, coeff, weight, w = setup128
-    deltas = [inner_product_ledger(w, weight, coeff, None, lam).delta_hat
+    deltas = [inner_product_ledger(w, weight, coeff, lam).delta_hat
               for lam in (2, 4, 8, 16)]
     assert all(d > 0 for d in deltas)
 
@@ -264,6 +272,14 @@ def test_ensemble_audit_lambda0_and_worst_ledger():
     assert len(ens.rows) == 2
 
 
+def test_ensemble_audit_needs_a_member():
+    g = GridSpec(16, 32, 2.0)
+    coeff = make_coeff(g)
+    weight = make_default_weight(coeff.sigma, 1.0)
+    with pytest.raises(ValueError, match="n_members must be at least 1"):
+        ensemble_audit(weight, coeff, CarlemanConfig(), n_members=0)
+
+
 def test_ensemble_audit_matches_per_member_calls():
     # the batched ensemble must reproduce the public per-member audit and
     # ledger bit for bit, here with a non-constant sigma
@@ -277,7 +293,7 @@ def test_ensemble_audit_matches_per_member_calls():
     rng = np.random.default_rng(11)
     members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(5)]
     audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
-    ledgers = [[inner_product_ledger(v, weight, coeff, None, lam, cfg.eta)
+    ledgers = [[inner_product_ledger(v, weight, coeff, lam, cfg.eta)
                 for lam in cfg.lambda_grid] for v in members]
     # max() keeps the first of equal values, like the ensemble's strict >
     rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
@@ -321,7 +337,7 @@ def test_ensemble_audit_parity_cases(lambdas, n_modes):
     members = [random_clamped_bump(g, rng, cfg.eta, n_modes)
                for _ in range(4)]
     audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
-    ledgers = [[inner_product_ledger(v, weight, coeff, None, lam, cfg.eta)
+    ledgers = [[inner_product_ledger(v, weight, coeff, lam, cfg.eta)
                 for lam in lambdas] for v in members]
     rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
             for k in range(len(lambdas))]
@@ -439,7 +455,7 @@ def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
     reported = {max(range(20), key=lambda i: audits[i][k].c_hat)
                 for k in range(3)}
     reported |= {min(range(20), key=lambda i: inner_product_ledger(
-        members[i], weight, coeff, None, lam, cfg.eta).delta_hat)
+        members[i], weight, coeff, lam, cfg.eta).delta_hat)
         for lam in cfg.lambda_grid}
     assert confirmed == sorted(reported)  # each once, in member order
     assert ens.worst_member in reported

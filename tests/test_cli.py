@@ -21,6 +21,16 @@ def cfg_path(name):
     return os.path.join(CONFIG_DIR, name)
 
 
+def edited_config(tmp_path, name, old, new):
+    """Path of a copy of the shipped config name with old replaced by new."""
+    with open(cfg_path(name)) as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / f"edited_{name}"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -103,22 +113,21 @@ def test_invert_closed_loop(tmp_path):
 def test_invert_with_extreme_tikhonov_alpha_returns_gamma_tilde(tmp_path,
                                                                  capsys):
     # every step is rejected until the Marquardt damping overflows; LM then
-    # stops as at no descent, on gamma_tilde, the alpha -> inf minimizer
-    with open(cfg_path("invert_closed_loop.cfg")) as fh:
-        text = fh.read().replace("tikhonov_alpha = 1e-10",
-                                 "tikhonov_alpha = 1e300")
-    assert "1e300" in text
-    cfgfile = tmp_path / "alpha.cfg"
-    cfgfile.write_text(text)
-    out = str(tmp_path / "o")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["invert", "--config", str(cfgfile), "--out", out]) == 0
-    assert capsys.readouterr().err == ""
-    _, rows = read_csv(os.path.join(out, "gamma_hat.csv"))
-    values = np.array(rows, dtype=float)
-    assert np.all(np.isfinite(values))
-    assert np.array_equal(values[:, 3], values[:, 2])
+    # stops as at no descent, on gamma_tilde, the alpha -> inf minimizer.
+    # From about 1e305 J^T J itself overflows, which must stay quiet too.
+    for alpha in ("1e300", "1e305", "1.7e308"):
+        cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg",
+                                "tikhonov_alpha = 1e-10",
+                                f"tikhonov_alpha = {alpha}")
+        out = str(tmp_path / alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["invert", "--config", cfgfile, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(os.path.join(out, "gamma_hat.csv"))
+        values = np.array(rows, dtype=float)
+        assert np.all(np.isfinite(values))
+        assert np.array_equal(values[:, 3], values[:, 2])
 
 
 def test_stability_scan(tmp_path):
@@ -208,6 +217,80 @@ def test_invert_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
     assert "exceeds M2=1e-09" in capsys.readouterr().err
 
 
+def test_invert_anchor_outside_m1_is_a_hypothesis_failure(tmp_path, capsys):
+    # gamma_tilde = 1 lies outside the M1 ball: no iterate could be
+    # projected into it, so the recovery stops before its first solve
+    cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg", "[inverse]\n",
+                            "[inverse]\nm1 = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 3
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["status"] == "hypothesis-violation"
+    assert results["failed"] == ["M1"]
+    assert capsys.readouterr().err == (
+        "kslab invert: anchor |gamma_tilde|_inf = 1.000e+00 exceeds M1=0.5\n")
+    assert not (out / "gamma_hat.csv").exists()
+
+
+def test_invert_projects_iterates_into_the_m1_ball(tmp_path):
+    # gamma_true reaches 1.005 > M1 = 1.003, so the projection holds the
+    # iterates inside the ball and LM runs out of outer iterations
+    cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg", "[inverse]\n",
+                            "[inverse]\nm1 = 1.003\n")
+    out = tmp_path / "o"
+    assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "gamma_hat.csv")
+    gamma_hat = np.array(rows, dtype=float)[:, 3]
+    assert 1.0025 < np.abs(gamma_hat).max() <= 1.003
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["max_outer_reached"] and not results["converged"]
+
+
+def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
+    # the weight hypotheses hold, but c_hat exceeds this cap on the ensemble
+    cfgfile = edited_config(tmp_path, "carleman_default.cfg", "c_cap = 1e6",
+                            "c_cap = 0.1")
+    out = tmp_path / "o"
+    assert main(["carleman-audit", "--config", cfgfile,
+                 "--out", str(out)]) == 3
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["status"] == "audit-failed"
+    assert capsys.readouterr().err == (
+        "kslab carleman-audit: empirical inequality failed on the ensemble\n")
+    _, rows = read_csv(out / "audit.csv")
+    assert all(r[6] == "0" for r in rows)
+
+
+def test_picard_budget_exhausted_exits_2(tmp_path, capsys):
+    cfgfile = edited_config(tmp_path, "simulate_manufactured.cfg", "[output]",
+                            "[solver]\nmax_picard = 1\n\n[output]")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 2
+    assert "no convergence in 1 sweeps" in capsys.readouterr().err
+    _, rows = read_csv(out / "picard.csv")
+    assert len(rows) == 1
+    assert json.load(open(out / "report.json"))["results"]["status"] \
+        == "no-convergence"
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ("0.003", "fixed-point update is not finite"),
+    ("0.001", "fixed-point iterate overflowed"),
+])
+def test_picard_overflow_exits_2_quietly(tmp_path, capsys, sigma, message):
+    # the manufactured data leave the small-data regime at small sigma and
+    # the Picard iterates overflow; the overflow is the detected failure,
+    # so no numpy warning may reach stderr beside kslab's line
+    cfgfile = edited_config(tmp_path, "simulate_manufactured.cfg",
+                            "sigma = 1\n", f"sigma = {sigma}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--config", cfgfile,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"kslab simulate: {message}\n"
+
+
 def test_stability_scan_cap_exceeded_says_so_on_stderr(tmp_path, capsys):
     # c_lower is about 0.086 on this scan, so c_cap = 1 fails every amplitude
     cfgfile = tmp_path / "small_cap.cfg"
@@ -226,7 +309,12 @@ def test_stability_scan_cap_exceeded_says_so_on_stderr(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, message", [
     ("nx = 32", "nx = 1", "nx must be >= 8"),
     ("[grid]\n", "[grid]\nnz = 4\n", "unknown key 'nz'"),
-], ids=["grid-too-coarse", "unknown-key"])
+    ("[grid]\n", "", "malformed config file"),
+    ("[coefficients]\nsigma = 1\ngamma = 1\n", "",
+     "missing required section [coefficients]"),
+    ("gamma = 1\n", "", "missing key 'gamma' in section [coefficients]"),
+], ids=["grid-too-coarse", "unknown-key", "malformed", "missing-section",
+        "missing-key"])
 def test_failed_rerun_leaves_no_stale_report(tmp_path, capsys, old, new,
                                              message):
     # a config error writes no report, so an earlier run's "ok" must not

@@ -45,6 +45,10 @@ def test_field_length_and_finiteness_validated():
         ScalarField1D(np.full(9, np.nan), g)
     with pytest.raises(LengthMismatch):
         Trajectory(np.zeros((3, 9)), g)
+    values = np.zeros((9, 9))
+    values[4, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(values, g)
 
 
 def test_diff_x_constant_is_zero():
@@ -193,6 +197,13 @@ def test_norm_l2q_and_time_kinds():
         discrete_norm(series, "L2x", g)
     with pytest.raises(ValueError):
         discrete_norm(series, "L3t", g)
+    profile = np.ones(g.nx + 1)
+    with pytest.raises(ValueError, match="explicit grid"):
+        discrete_norm(profile, "L2x")
+    with pytest.raises(LengthMismatch, match="L2Q needs a trajectory"):
+        discrete_norm(ScalarField1D(profile, g), "L2Q")
+    with pytest.raises(LengthMismatch, match="time series of length 33"):
+        discrete_norm(profile, "H1t", g)
 
 
 def test_extract_traces_zero_and_polynomials():

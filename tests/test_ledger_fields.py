@@ -118,7 +118,7 @@ def test_factored_ledger_is_the_full_array_ledger_to_roundoff(
         full_fields, nx, nt, slope, lam, n_modes, seed):
     g, weight, coeff, lw = _setup(nx, nt, slope, lam)
     w = random_clamped_bump(g, np.random.default_rng(seed), None, n_modes)
-    led = inner_product_ledger(w, weight, coeff, None, lam)
+    led = inner_product_ledger(w, weight, coeff, lam)
     jets, _, squares = lw.window.jets(w)
     items, (ix0, ix1) = _full_array_ledger(full_fields, lw, jets, squares)
 

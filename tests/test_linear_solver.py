@@ -36,6 +36,18 @@ def test_lifting_length_mismatch():
         solve_linear_full(make_coeff(g), zero_boundary_data(other))
 
 
+def test_boundary_data_rejects_bad_series():
+    g = GridSpec(16, 8, 1.0)
+    y0 = ScalarField1D(np.zeros(g.nx + 1), g)
+    src = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
+    zero, short, bad = np.zeros(g.nt + 1), np.zeros(g.nt), np.zeros(g.nt + 1)
+    bad[3] = np.nan
+    with pytest.raises(LengthMismatch, match="h2 has length"):
+        BoundaryData(zero, short, zero, zero, y0, src)
+    with pytest.raises(ValueError, match="h3 contains non-finite"):
+        BoundaryData(zero, zero, bad, zero, y0, src)
+
+
 def test_boundary_series_and_initial_profile_are_read_only(full_linear_case):
     bd = full_case_bd(full_linear_case, GridSpec(16, 8, 1.0))
     for arr in (bd.h1, bd.h2, bd.h3, bd.h4, bd.y0.values):
