@@ -10,7 +10,6 @@ import numpy as np
 
 from kslab.carleman import (CarlemanConfig, ensemble_audit, make_default_weight)
 from kslab.grid import GridSpec, ScalarField1D
-from kslab.linear_solver import CoefficientField
 
 
 def main():
@@ -24,15 +23,13 @@ def main():
 
     g = GridSpec(args.nx, args.nt, 2.0)
     sigma = ScalarField1D(np.ones(args.nx + 1), g)
-    coeff = CoefficientField(sigma, ScalarField1D(np.zeros(args.nx + 1), g))
     weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(
         lambda_grid=tuple(float(s) for s in args.lambdas.split(",")))
 
     print(f"weight: r = {weight.r:.6f}, epsilon margin = "
           f"{weight.epsilon_margin:.4f}")
-    ens = ensemble_audit(weight, coeff, cfg, n_members=args.members,
-                         seed=args.seed)
+    ens = ensemble_audit(weight, cfg, n_members=args.members, seed=args.seed)
     print(f"{'lambda':>8} {'worst c_hat':>12} {'delta_min':>10}")
     for row in ens.rows:
         print(f"{row.lam:8g} {row.c_hat:12.4f} "

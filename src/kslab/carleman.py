@@ -19,11 +19,13 @@ P1+P2+R, so the identity residual measures the split's algebra, not the
 stencils.  The remainder formulas carry sigma-derivative terms that matter
 only for non-constant diffusion; each was checked against the reference.
 
-Every entry point evaluates through a _Window per (weight, sigma, eta),
-which holds the rows, phi arrays, sigma jet and trapezoid weights and takes a
-test function's jets, and a _Lambda per lambda on it, which builds what that
-lambda adds on first use.  The ledger's coefficient fields and the
-conjugated-operator reference are the plain numpy functions of
+A weight is admissible for one sigma only, so it carries that sigma and
+its jet (sigma, sigma_x, sigma_xx, sigma_xxx), and no entry point takes a
+coefficient field.  Every entry point evaluates through a _Window per
+(weight, eta), which holds the rows, phi arrays and trapezoid weights and
+takes a test function's jets, and a _Lambda per lambda on it, which builds
+what that lambda adds on first use.  The ledger's coefficient fields and
+the conjugated-operator reference are the plain numpy functions of
 ledger_fields, generated from sympy derivations kept with the tests, so no
 entry point imports sympy.  Since phi = beta(x)/phi0(t), each ledger field
 is a time factor u^a v^b (u = 1/phi0, v = -phi0'/phi0^2) on the window rows
@@ -57,7 +59,6 @@ from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                    diff_t_values, diff_x_values, require_same_grid,
                    trapz_weights)
 from .ledger_fields import FIELDS, conjugated_reference
-from .linear_solver import CoefficientField
 
 _LAYER_TOL = 1e-12
 _BOUNDARY = [name for name in FIELDS if name.startswith("bnd_")]
@@ -73,21 +74,28 @@ _DEFAULT_LAM = 8.0
 
 @dataclass(frozen=True)
 class CarlemanWeight:
-    """Sampled weight data with analytic derivatives.
+    """Sampled weight data with analytic derivatives, for one sigma.
 
-    beta_derivs[k] holds d^k beta / dx^k on the nodes for k = 0..4; phi0 and
-    phi0_prime are sampled on the time nodes with phi0 normalized to peak
-    value 1 at T0.  r is the largest admissible hypothesis margin and
-    epsilon_margin the pointwise slack of the four sign inequalities the
-    decomposition rests on.
+    sigma is the diffusion the weight was built for and sigma_jet holds
+    (sigma, sigma_x, sigma_xx, sigma_xxx) on the nodes; both are read-only,
+    and the weight lives on sigma's grid.  beta_derivs[k] holds d^k beta /
+    dx^k on the nodes for k = 0..4; phi0 and phi0_prime are sampled on the
+    time nodes with phi0 normalized to peak value 1 at T0.  r is the largest
+    admissible hypothesis margin and epsilon_margin the pointwise slack of
+    the four sign inequalities the decomposition rests on.
     """
 
-    grid: GridSpec
+    sigma: ScalarField1D
+    sigma_jet: tuple
     beta_derivs: tuple
     phi0: np.ndarray
     phi0_prime: np.ndarray
     r: float
     epsilon_margin: float
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.sigma.grid
 
     def window(self, eta: float | None = None) -> np.ndarray:
         """Time-node indices inside [eta, T-eta]."""
@@ -121,9 +129,10 @@ def _phi0_bump(t: np.ndarray, T: float, T0: float):
     return phi0, phi0p
 
 
-def _epsilon_margin(beta_derivs, sigma, sigma_x):
+def _epsilon_margin(beta_derivs, sigma_jet):
     """Pointwise slack of the four sign inequalities, scaled by beta."""
     b0, b1, b2 = beta_derivs[0], beta_derivs[1], beta_derivs[2]
+    sigma, sigma_x = sigma_jet[:2]
     exprs = (
         b2,
         30 * b2 * sigma + 12 * b1 * sigma_x,
@@ -141,8 +150,8 @@ def make_default_weight(sigma: ScalarField1D, T0: float) -> CarlemanWeight:
     -beta'') = 2^-3.5 on every grid, and phi0 vanishes at t = 0, T (hip1P)
     and lies in (0, 1] in between (hip2P) for every T0 in (0, T).  Only the
     smallness condition hip4B, |sigma_x beta'| <= (r/4) min sigma, depends
-    on sigma; HypothesisViolation names it when it fails.  The weight lives
-    on sigma's grid.
+    on sigma; HypothesisViolation names it when it fails.  The weight keeps
+    sigma and its jet, and lives on sigma's grid.
     """
     grid = sigma.grid
     if not (0.0 < T0 < grid.T):
@@ -156,37 +165,34 @@ def make_default_weight(sigma: ScalarField1D, T0: float) -> CarlemanWeight:
         -0.9375 * (1 + x) ** -3.5,
     )
     b0, b1, b2 = beta_derivs[:3]
-    sigma_x = diff_x_values(sigma.values, grid, 1)
+    jet = (sigma.values,) + tuple(diff_x_values(sigma.values, grid, k)
+                                  for k in (1, 2, 3))
+    for part in jet:
+        part.flags.writeable = False
     r = min(b0.min(), b1.min(), -b2.max())
-    if np.abs(sigma_x * b1).max() > (r / 4.0) * sigma.values.min():
+    if np.abs(jet[1] * b1).max() > (r / 4.0) * jet[0].min():
         raise HypothesisViolation("weight hypotheses violated: hip4B",
                                   failed=["hip4B"])
-    eps = _epsilon_margin(beta_derivs, sigma.values, sigma_x)
+    eps = _epsilon_margin(beta_derivs, jet)
     phi0, phi0p = _phi0_bump(grid.t, grid.T, T0)
-    return CarlemanWeight(grid, beta_derivs, phi0, phi0p, float(r), eps)
+    return CarlemanWeight(sigma, jet, beta_derivs, phi0, phi0p, float(r), eps)
 
 
 class _Window:
-    """What every quantity needs of one weight, sigma and window [eta, T-eta]:
-    the rows, the phi arrays, the time factors u = 1/phi0 and v =
-    -phi0'/phi0^2 of the ledger fields, the sigma jet up to sigma_xxx and the
-    trapezoid weights, and from first use the powers of phi and phi_x that
-    each _Lambda scales.  coeff is None for the weighted norm, which needs no
-    sigma."""
+    """What every quantity needs of one weight and window [eta, T-eta]: the
+    rows, the phi arrays, the time factors u = 1/phi0 and v = -phi0'/phi0^2
+    of the ledger fields, the weight's sigma jet and the trapezoid weights,
+    and from first use the powers of phi and phi_x that each _Lambda
+    scales."""
 
-    def __init__(self, weight: CarlemanWeight, coeff: CoefficientField | None,
-                 eta: float | None):
+    def __init__(self, weight: CarlemanWeight, eta: float | None):
         self.weight, self.grid = weight, weight.grid
         self.eta, inside = _time_window(self.grid, eta)
         self.rows = rows = np.flatnonzero(inside)
         self.phi = weight.phi_arrays(rows)
         self.u = 1.0 / weight.phi0[rows]
         self.v = -weight.phi0_prime[rows] * self.u ** 2
-        self.sig = None
-        if coeff is not None:
-            require_same_grid(weight, coeff.sigma)
-            s = coeff.sigma.values
-            self.sig = [s] + [diff_x_values(s, self.grid, k) for k in (1, 2, 3)]
+        self.sig = weight.sigma_jet
         self.trapz_t = trapz_weights(rows.size, self.grid.dt)
         self.trapz_x = trapz_weights(self.grid.nx + 1, self.grid.dx)
 
@@ -299,10 +305,12 @@ class _Lambda:
 
 def _q_arrays(q, window: _Window, m: float = np.inf):
     """q0, q1, q2 (each a Trajectory or None, or q None for all three) on
-    the window rows, an absent one as the scalar 0.0; ValueError when one
-    exceeds the bound m."""
+    the window rows, an absent one as the scalar 0.0; GridMismatch for a q
+    from another grid, ValueError when one exceeds the bound m."""
     out = []
     for i, qi in enumerate((None, None, None) if q is None else q):
+        if qi is not None:
+            require_same_grid(qi, window)
         qi = 0.0 if qi is None else qi.values[window.rows]
         if np.abs(qi).max() > m + 1e-12:
             raise ValueError(f"q{i} exceeds the configured bound m={m}")
@@ -350,15 +358,14 @@ def _remainder(lw: _Lambda, jets, qs):
             - 2 * lam3 * px ** 2 * pxx * sig * w0 - 2 * lam3 * px ** 3 * sx * w0)
 
 
-def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
-                        coeff: CoefficientField, q=None,
+def conjugate_decompose(w: Trajectory, weight: CarlemanWeight, q=None,
                         lam: float | None = None, eta: float | None = None):
     """Evaluate the split Pw = P1 w + P2 w + R w term by term.
 
     Returns three trajectories supported on the window rows.  Raises
     LayerViolation when w is not negligible outside the window.
     """
-    window = _Window(weight, coeff, eta)
+    window = _Window(weight, eta)
     lw = _Lambda(window, lam)
     jets, wt, _ = window.jets(w)
     P1, P2 = _p1_p2(lw, jets, wt)
@@ -367,11 +374,10 @@ def conjugate_decompose(w: Trajectory, weight: CarlemanWeight,
 
 
 def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
-                                  coeff: CoefficientField, q=None,
-                                  lam: float | None = None,
+                                  q=None, lam: float | None = None,
                                   eta: float | None = None) -> float:
     """Relative L2 gap between P1+P2+R and the chain-rule reference."""
-    window = _Window(weight, coeff, eta)
+    window = _Window(weight, eta)
     lw = _Lambda(window, lam)
     jets, wt, _ = window.jets(w)
     qs = _q_arrays(q, window)
@@ -398,7 +404,7 @@ def weighted_norm(w: Trajectory, weight: CarlemanWeight,
 
     Raises LayerViolation when w is not negligible outside the window.
     """
-    window = _Window(weight, None, eta)
+    window = _Window(weight, eta)
     squares = window.jets(w)[2]
     return window.quad(_norm_integrand(_Lambda(window, lam).norm, squares))
 
@@ -455,7 +461,7 @@ def _ledger(lw: _Lambda, jets, wt, squares) -> Ledger:
 
 
 def inner_product_ledger(w: Trajectory, weight: CarlemanWeight,
-                         coeff: CoefficientField, lam: float | None = None,
+                         lam: float | None = None,
                          eta: float | None = None) -> Ledger:
     """Balance <P1 w, P2 w> against the itemized integration-by-parts sum.
 
@@ -466,7 +472,7 @@ def inner_product_ledger(w: Trajectory, weight: CarlemanWeight,
     The lower-order coefficients q enter only the remainder R, which the
     balance leaves out, so they are no argument.
     """
-    window = _Window(weight, coeff, eta)
+    window = _Window(weight, eta)
     return _ledger(_Lambda(window, lam), *window.jets(w))
 
 
@@ -533,8 +539,7 @@ def _audit_row(lw: _Lambda, squares, terms, c_cap: float) -> AuditRow:
     return AuditRow(lam, lhs, rhs_int, bnd0, bnd1, c_hat, bool(c_hat <= c_cap))
 
 
-def carleman_audit(v: Trajectory, weight: CarlemanWeight,
-                   coeff: CoefficientField, q=None,
+def carleman_audit(v: Trajectory, weight: CarlemanWeight, q=None,
                    cfg: CarlemanConfig = CarlemanConfig()) -> list:
     """Evaluate both sides of the weighted inequality for each lambda.
 
@@ -543,7 +548,7 @@ def carleman_audit(v: Trajectory, weight: CarlemanWeight,
     c_hat uses the x=0 boundary terms (the observation side selected by the
     increasing beta); the x=1 terms are reported alongside.
     """
-    window = _Window(weight, coeff, cfg.eta)
+    window = _Window(weight, cfg.eta)
     jets, wt, squares = window.jets(v)
     terms = _audit_terms(window, jets, wt, _q_arrays(q, window, cfg.m))
     return [_audit_row(_Lambda(window, lam), squares, terms, cfg.c_cap)
@@ -771,9 +776,9 @@ class EnsembleAudit:
     worst_ledger: Ledger
 
 
-def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
-                   cfg: CarlemanConfig, n_members: int = 50,
-                   seed: int = 0, n_modes: int = 4) -> EnsembleAudit:
+def ensemble_audit(weight: CarlemanWeight, cfg: CarlemanConfig,
+                   n_members: int = 50, seed: int = 0,
+                   n_modes: int = 4) -> EnsembleAudit:
     """Audit + ledger scan over seeded random clamped bumps, with q = 0.
 
     The members are screened by the quadratic forms of the span (_Span):
@@ -785,7 +790,7 @@ def ensemble_audit(weight: CarlemanWeight, coeff: CoefficientField,
     """
     if n_members < 1:
         raise ValueError(f"n_members must be at least 1, got {n_members}")
-    window = _Window(weight, coeff, cfg.eta)
+    window = _Window(weight, cfg.eta)
     qs = [0.0, 0.0, 0.0]
     lws = [_Lambda(window, lam) for lam in cfg.lambda_grid]
     rng = np.random.default_rng(seed)

@@ -142,8 +142,7 @@ def cmd_carleman_audit(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     block = cfg.carleman_block(grid)
     run.seed = block["seed"]
     weight = make_default_weight(coeff.sigma, block["T0"])
-    audit = ensemble_audit(weight, coeff, block["cfg"],
-                           n_members=block["ensemble"],
+    audit = ensemble_audit(weight, block["cfg"], n_members=block["ensemble"],
                            seed=block["seed"], n_modes=block["modes"])
 
     audit_rows = [(r.lam, r.lhs, r.rhs_interior, r.rhs_boundary0,

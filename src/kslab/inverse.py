@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, HypothesisViolation, InfConditionViolated
+from .errors import HypothesisViolation, InfConditionViolated, LengthMismatch
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
                    require_same_grid, row_norms, trapz_weights)
@@ -57,7 +57,10 @@ class MeasurementSet:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if arr.shape != (grid.nt + 1,):
-                raise GridMismatch(f"{name} length {arr.shape} does not match grid")
+                raise LengthMismatch(
+                    f"{name} has length {arr.shape}, grid wants {grid.nt + 1}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -408,13 +411,17 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
                 mu = max(mu * 10, 1e-20)
                 continue
             cand = project(theta + delta)
-            r_new, lin_new = residual(cand)
-            j_new = float(r_new @ r_new)
-            if j_new < j_cur:
-                theta, r, j_cur, lin = cand, r_new, j_new, lin_new
-                mu *= 0.3
-                accepted = True
-                break
+            # J depends on theta only through gamma: a trial with the
+            # iterate's gamma (as when the projection leaves no room) has the
+            # iterate's J, so it is rejected without a solve
+            if not np.array_equal(gamma_of(cand), gamma_of(theta)):
+                r_new, lin_new = residual(cand)
+                j_new = float(r_new @ r_new)
+                if j_new < j_cur:
+                    theta, r, j_cur, lin = cand, r_new, j_new, lin_new
+                    mu *= 0.3
+                    accepted = True
+                    break
             mu = max(mu * 10, 1e-20)
         if not accepted:
             report.converged = True  # no descent left at any damping

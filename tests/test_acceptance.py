@@ -113,7 +113,7 @@ def test_criterion_3_lifting_exactness():
             np.abs(z.values @ d0 - bd.h3).max(),
             np.abs(z.values @ d1 - bd.h4).max())
     ok = max(gaps) <= 1e-8
-    report(3, f"lifting exactness: worst boundary-trace gap {max(gaps):.2e} "
+    report(3, f"boundary traces on h1..h4: worst gap {max(gaps):.2e} "
               f"(nonzero data, every step)", ok)
 
 
@@ -125,7 +125,7 @@ def test_criterion_4_conjugation_identity():
         weight = make_default_weight(coeff.sigma, 1.0)
         w = layered_bump(g)
         residuals[(nx, nt)] = [
-            conjugation_identity_residual(w, weight, coeff, None, lam)
+            conjugation_identity_residual(w, weight, None, lam)
             for lam in (2.0, 8.0)]
     coarse, fine = residuals[(128, 256)], residuals[(256, 512)]
     # the matched-expansion residual sits at the roundoff floor, so the
@@ -142,7 +142,7 @@ def test_criterion_5_inner_product_ledger():
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
-    mismatches = [inner_product_ledger(w, weight, coeff, lam).mismatch_rel
+    mismatches = [inner_product_ledger(w, weight, lam).mismatch_rel
                   for lam in (2.0, 5.0, 8.0)]
     balance_ok = max(mismatches) <= 1e-4
 
@@ -150,9 +150,8 @@ def test_criterion_5_inner_product_ledger():
     scans = {}
     for nx, nt in ((128, 256), (256, 512)):
         gg = GridSpec(nx, nt, 2.0)
-        cc = make_coeff(gg)
-        ww = make_default_weight(cc.sigma, 1.0)
-        scans[(nx, nt)] = ensemble_audit(ww, cc, cfg, n_members=50, seed=1234)
+        ww = make_default_weight(make_coeff(gg).sigma, 1.0)
+        scans[(nx, nt)] = ensemble_audit(ww, cfg, n_members=50, seed=1234)
     e1, e2 = scans[(128, 256)], scans[(256, 512)]
     lower_ok = (e1.lambda0 is not None
                 and all(e1.delta_min[lam] > 0 for lam in cfg.lambda_grid
@@ -178,7 +177,7 @@ def test_criterion_6_carleman_audit():
         worst = {lam: 0.0 for lam in cfg.lambda_grid}
         for _ in range(50):
             v = random_clamped_bump(g, rng)
-            for row in carleman_audit(v, weight, coeff, None, cfg):
+            for row in carleman_audit(v, weight, None, cfg):
                 finite_ok &= bool(np.isfinite(row.c_hat))
                 worst[row.lam] = max(worst[row.lam], row.c_hat)
         chat16[(nx, nt)] = worst[16.0]

@@ -82,7 +82,7 @@ def test_layer_violation():
     weight = make_default_weight(coeff.sigma, 1.0)
     bad = Trajectory(np.ones((33, 33)), g)  # supported everywhere
     with pytest.raises(LayerViolation):
-        conjugate_decompose(bad, weight, coeff)
+        conjugate_decompose(bad, weight)
 
 
 def test_weighted_norm_layer_violation():
@@ -97,33 +97,33 @@ def test_weighted_norm_layer_violation():
 @pytest.mark.parametrize("other", [GridSpec(32, 128, 2.0),
                                    GridSpec(64, 64, 2.0)], ids=["nt", "nx"])
 @pytest.mark.parametrize("call", [
-    lambda w, weight, coeff: carleman_audit(w, weight, coeff),
-    lambda w, weight, coeff: inner_product_ledger(w, weight, coeff),
-    lambda w, weight, coeff: weighted_norm(w, weight),
-    lambda w, weight, coeff: conjugate_decompose(w, weight, coeff),
-    lambda w, weight, coeff: conjugation_identity_residual(w, weight, coeff),
+    lambda w, weight: carleman_audit(w, weight),
+    lambda w, weight: inner_product_ledger(w, weight),
+    lambda w, weight: weighted_norm(w, weight),
+    lambda w, weight: conjugate_decompose(w, weight),
+    lambda w, weight: conjugation_identity_residual(w, weight),
 ], ids=["audit", "ledger", "norm", "decompose", "identity"])
 def test_test_function_from_another_grid_is_rejected(call, other):
     g = GridSpec(32, 64, 2.0)
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     with pytest.raises(GridMismatch):
-        call(layered_bump(other), weight, coeff)
+        call(layered_bump(other), weight)
 
 
 def test_decompose_zero_function(setup128):
     g, coeff, weight, _ = setup128
     zero = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
-    P1, P2, R = conjugate_decompose(zero, weight, coeff)
+    P1, P2, R = conjugate_decompose(zero, weight)
     assert np.all(P1.values == 0) and np.all(P2.values == 0) \
         and np.all(R.values == 0)
-    assert conjugation_identity_residual(zero, weight, coeff) == 0.0
+    assert conjugation_identity_residual(zero, weight) == 0.0
 
 
 def test_decompose_lambda_zero_reduction(setup128):
     g, coeff, weight, w = setup128
     q2 = Trajectory(np.full((g.nt + 1, g.nx + 1), 0.3), g)
-    P1, P2, R = conjugate_decompose(w, weight, coeff, (None, None, q2), 0.0)
+    P1, P2, R = conjugate_decompose(w, weight, (None, None, q2), 0.0)
     rows = weight.window()
     swxx_xx = diff_x_values(coeff.sigma.values
                             * diff_x_values(w.values, g, 2), g, 2)
@@ -144,7 +144,7 @@ def test_decompose_lambda_zero_reduction(setup128):
 @pytest.mark.parametrize("lam", [2.0, 5.0, 8.0])
 def test_identity_residual_bump(setup128, lam):
     g, coeff, weight, w = setup128
-    res = conjugation_identity_residual(w, weight, coeff, None, lam)
+    res = conjugation_identity_residual(w, weight, None, lam)
     assert res <= 1e-6
 
 
@@ -153,14 +153,13 @@ def test_identity_residual_nonconstant_sigma_and_q():
     # enter both sides
     g = GridSpec(96, 128, 2.0)
     sigma = ScalarField1D(1 + g.x / 30, g)
-    coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
     w = layered_bump(g)
     q = (Trajectory(np.full((g.nt + 1, g.nx + 1), 0.5), g),
          Trajectory(np.full((g.nt + 1, g.nx + 1), -0.25), g),
          Trajectory(np.full((g.nt + 1, g.nx + 1), 0.8), g))
     for lam in (2.0, 8.0):
-        assert conjugation_identity_residual(w, weight, coeff, q, lam) <= 1e-6
+        assert conjugation_identity_residual(w, weight, q, lam) <= 1e-6
 
 
 def test_eta_outside_half_horizon_is_rejected(setup128):
@@ -188,7 +187,7 @@ def test_weighted_norm_lambda_monotone(setup128):
 def test_ledger_zero_function(setup128):
     g, coeff, weight, _ = setup128
     zero = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
-    led = inner_product_ledger(zero, weight, coeff)
+    led = inner_product_ledger(zero, weight)
     assert led.direct == 0.0 and led.itemized == 0.0
     assert all(v == 0.0 for v in led.items.values())
 
@@ -201,7 +200,7 @@ def test_ledger_balance_and_signs():
     weight = make_default_weight(coeff.sigma, 1.0)
     w = layered_bump(g)
     for lam in (2.0, 5.0, 8.0):
-        led = inner_product_ledger(w, weight, coeff, lam)
+        led = inner_product_ledger(w, weight, lam)
         assert led.mismatch_rel <= 1e-4
         for name in ("I_w", "I_wx", "I_w2x", "I_w3x"):
             assert led.items[name] > 0
@@ -210,7 +209,7 @@ def test_ledger_balance_and_signs():
 
 def test_ledger_lower_bound_scan(setup128):
     g, coeff, weight, w = setup128
-    deltas = [inner_product_ledger(w, weight, coeff, lam).delta_hat
+    deltas = [inner_product_ledger(w, weight, lam).delta_hat
               for lam in (2, 4, 8, 16)]
     assert all(d > 0 for d in deltas)
 
@@ -218,7 +217,7 @@ def test_ledger_lower_bound_scan(setup128):
 def test_audit_zero_degenerate(setup128):
     g, coeff, weight, _ = setup128
     zero = Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g)
-    rows = carleman_audit(zero, weight, coeff, None,
+    rows = carleman_audit(zero, weight, None,
                           CarlemanConfig(lambda_grid=(2.0, 4.0)))
     assert all(r.degenerate for r in rows)
 
@@ -226,15 +225,14 @@ def test_audit_zero_degenerate(setup128):
 def test_audit_bump_finite_and_stable(setup128):
     g, coeff, weight, w = setup128
     cfg = CarlemanConfig(lambda_grid=(2.0, 4.0, 8.0, 16.0))
-    rows = carleman_audit(w, weight, coeff, None, cfg)
+    rows = carleman_audit(w, weight, None, cfg)
     chats = [r.c_hat for r in rows]
     assert all(np.isfinite(chats)) and all(c > 0 for c in chats)
     assert all(r.rhs_boundary1 >= 0 for r in rows)
     # refinement stability of the largest-lambda constant
     g2 = GridSpec(256, 512, 2.0)
-    coeff2 = make_coeff(g2)
-    weight2 = make_default_weight(coeff2.sigma, 1.0)
-    rows2 = carleman_audit(layered_bump(g2), weight2, coeff2, None, cfg)
+    weight2 = make_default_weight(make_coeff(g2).sigma, 1.0)
+    rows2 = carleman_audit(layered_bump(g2), weight2, None, cfg)
     assert rows2[-1].c_hat == pytest.approx(chats[-1], rel=0.3)
 
 
@@ -242,7 +240,7 @@ def test_audit_rejects_oversized_q(setup128):
     g, coeff, weight, w = setup128
     q = (Trajectory(np.full((g.nt + 1, g.nx + 1), 3.0), g), None, None)
     with pytest.raises(ValueError):
-        carleman_audit(w, weight, coeff, q, CarlemanConfig(m=1.0))
+        carleman_audit(w, weight, q, CarlemanConfig(m=1.0))
 
 
 def test_carleman_config_validation():
@@ -265,7 +263,7 @@ def test_ensemble_audit_lambda0_and_worst_ledger():
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 8.0))
-    ens = ensemble_audit(weight, coeff, cfg, n_members=6, seed=7)
+    ens = ensemble_audit(weight, cfg, n_members=6, seed=7)
     assert ens.lambda0 == 2.0
     assert ens.delta_at_lambda0 > 0
     assert ens.worst_ledger.mismatch_rel < 0.05
@@ -277,7 +275,7 @@ def test_ensemble_audit_needs_a_member():
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     with pytest.raises(ValueError, match="n_members must be at least 1"):
-        ensemble_audit(weight, coeff, CarlemanConfig(), n_members=0)
+        ensemble_audit(weight, CarlemanConfig(), n_members=0)
 
 
 def test_ensemble_audit_matches_per_member_calls():
@@ -285,15 +283,14 @@ def test_ensemble_audit_matches_per_member_calls():
     # ledger bit for bit, here with a non-constant sigma
     g = GridSpec(32, 64, 2.0)
     sigma = ScalarField1D(1 + 0.02 * g.x, g)
-    coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
-    ens = ensemble_audit(weight, coeff, cfg, n_members=5, seed=11)
+    ens = ensemble_audit(weight, cfg, n_members=5, seed=11)
 
     rng = np.random.default_rng(11)
     members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(5)]
-    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
-    ledgers = [[inner_product_ledger(v, weight, coeff, lam, cfg.eta)
+    audits = [carleman_audit(v, weight, None, cfg) for v in members]
+    ledgers = [[inner_product_ledger(v, weight, lam, cfg.eta)
                 for lam in cfg.lambda_grid] for v in members]
     # max() keeps the first of equal values, like the ensemble's strict >
     rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
@@ -327,17 +324,15 @@ def test_ensemble_audit_parity_cases(lambdas, n_modes):
     # (zero, so degenerate) members
     g = GridSpec(32, 64, 2.0)
     sigma = ScalarField1D(1 + 0.02 * g.x, g)
-    coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=lambdas)
-    ens = ensemble_audit(weight, coeff, cfg, n_members=4, seed=5,
-                         n_modes=n_modes)
+    ens = ensemble_audit(weight, cfg, n_members=4, seed=5, n_modes=n_modes)
 
     rng = np.random.default_rng(5)
     members = [random_clamped_bump(g, rng, cfg.eta, n_modes)
                for _ in range(4)]
-    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
-    ledgers = [[inner_product_ledger(v, weight, coeff, lam, cfg.eta)
+    audits = [carleman_audit(v, weight, None, cfg) for v in members]
+    ledgers = [[inner_product_ledger(v, weight, lam, cfg.eta)
                 for lam in lambdas] for v in members]
     rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
             for k in range(len(lambdas))]
@@ -413,7 +408,7 @@ def test_audit_matches_reference(slope, with_q):
     members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(3)]
     members.append(Trajectory(np.zeros((g.nt + 1, g.nx + 1)), g))
     for v in members:
-        assert carleman_audit(v, weight, coeff, q, cfg) \
+        assert carleman_audit(v, weight, q, cfg) \
             == reference_audit(v, weight, coeff, q, cfg)
 
 
@@ -444,18 +439,18 @@ def test_ensemble_builds_window_once_and_jets_once_per_member(monkeypatch):
     coeff = make_coeff(g)
     weight = make_default_weight(coeff.sigma, 1.0)
     cfg = CarlemanConfig(lambda_grid=(2.0, 5.0, 8.0))
-    ens = ensemble_audit(weight, coeff, cfg, n_members=20, seed=3)
+    ens = ensemble_audit(weight, cfg, n_members=20, seed=3)
     assert calls["phi"] == 1 and calls["ledger"] == 1
 
     rng = np.random.default_rng(3)
     members = [random_clamped_bump(g, rng, cfg.eta) for _ in range(20)]
     confirmed = [next(i for i, v in enumerate(members)
                       if np.array_equal(v.values, w)) for w in calls["jets"]]
-    audits = [carleman_audit(v, weight, coeff, None, cfg) for v in members]
+    audits = [carleman_audit(v, weight, None, cfg) for v in members]
     reported = {max(range(20), key=lambda i: audits[i][k].c_hat)
                 for k in range(3)}
     reported |= {min(range(20), key=lambda i: inner_product_ledger(
-        members[i], weight, coeff, lam, cfg.eta).delta_hat)
+        members[i], weight, lam, cfg.eta).delta_hat)
         for lam in cfg.lambda_grid}
     assert confirmed == sorted(reported)  # each once, in member order
     assert ens.worst_member in reported
@@ -475,9 +470,8 @@ def test_span_forms_match_per_member_quadratures(nx, nt, slope, lambdas, eta,
     # bounds the screen draws from them hold the exact values
     g = GridSpec(nx, nt, 2.0)
     sigma = ScalarField1D(1 + slope * g.x, g)
-    coeff = make_coeff(g, sigma=sigma.values)
     weight = make_default_weight(sigma, 1.0)
-    window = kslab.carleman._Window(weight, coeff, eta)
+    window = kslab.carleman._Window(weight, eta)
     qs = kslab.carleman._q_arrays(None, window)
     span = kslab.carleman._Span(window, n_modes)
     # coefficient vectors from the values rng.uniform(-1, 1) can return,
@@ -523,14 +517,14 @@ def test_random_clamped_bump_is_admissible():
     assert np.all(v.values[:, 0] == 0) and np.all(v.values[:, -1] == 0)
     assert np.all(v.values[0] == 0) and np.all(v.values[-1] == 0)
     weight = make_default_weight(make_coeff(g).sigma, 1.0)
-    conjugate_decompose(v, weight, make_coeff(g))  # no LayerViolation
+    conjugate_decompose(v, weight)  # no LayerViolation
 
 
 def test_conjugated_operator_matches_plain_L_at_lambda_zero(setup128):
     g, coeff, weight, w = setup128
     # the generated conjugated_reference, as conjugation_identity_residual
     # evaluates it on the window rows
-    window = kslab.carleman._Window(weight, coeff, None)
+    window = kslab.carleman._Window(weight, None)
     jets, wt, _ = window.jets(w)
     direct = kslab.carleman._conjugated(kslab.carleman._Lambda(window, 0.0),
                                         jets, wt, [0.0, 0.0, 0.0])
@@ -612,8 +606,7 @@ def _span_case(nx, nt, slope, eta):
     """The window of a sloped sigma on nx x nt."""
     g = GridSpec(nx, nt, 2.0)
     sigma = ScalarField1D(1 + slope * g.x, g)
-    coeff = make_coeff(g, sigma=sigma.values)
-    return kslab.carleman._Window(make_default_weight(sigma, 1.0), coeff, eta)
+    return kslab.carleman._Window(make_default_weight(sigma, 1.0), eta)
 
 
 @settings(max_examples=30, deadline=None)

@@ -644,6 +644,14 @@ def test_carleman_import_does_not_import_sympy():
                      "print('sympy' in sys.modules)") == ["False"]
 
 
+def test_carleman_import_loads_no_solver():
+    # the weight carries sigma, so the Carleman code needs no coefficient
+    # field and none of the solver's modules
+    assert run_fresh("import sys, kslab.carleman\n"
+                     "print('kslab.linear_solver' in sys.modules, "
+                     "'scipy.linalg' in sys.modules)") == ["False", "False"]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="pins glibc's malloc thresholds")
 def test_warm_carleman_audit_takes_no_page_faults(tmp_path):

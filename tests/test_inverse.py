@@ -7,7 +7,7 @@ import scipy.linalg
 from conftest import make_coeff, nonlinear_bd
 from kslab import inverse, linear_solver
 from kslab.config import RunConfig
-from kslab.errors import InfConditionViolated
+from kslab.errors import InfConditionViolated, LengthMismatch
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                         diff_x_values, discrete_norm, trapz_weights)
 from kslab.inverse import (InverseConfig, MeasurementSet, Observation,
@@ -107,8 +107,12 @@ def test_measurements_match_analytic_trace(closedloop_case, loop48):
 def test_measurement_set_validation():
     g = GridSpec(16, 16, 1.0)
     snap = ScalarField1D(np.zeros(17), g)
-    with pytest.raises(Exception):
+    with pytest.raises(LengthMismatch):
         MeasurementSet(np.zeros(5), np.zeros(17), snap, 0.5)
+    trace = np.zeros(17)
+    trace[3] = np.nan
+    with pytest.raises(ValueError, match="trace2 contains non-finite"):
+        MeasurementSet(trace, np.zeros(17), snap, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +352,16 @@ def test_recover_in_groups_of_one_column_is_bit_identical(
     assert set(marched) == {1}
     assert np.array_equal(single[0].values, whole[0].values)
     assert single[1].iterations == whole[1].iterations
+
+
+def test_recover_solves_no_trial_the_projection_holds_at_the_iterate(
+        closedloop_case, loop48):
+    # with M1 = |gamma_tilde|_inf the projection scales every trial step to
+    # 0, so each trial is the iterate itself: rejected without a solve
+    g, coeff, bd, meas = _closed_loop_problem(closedloop_case, loop48)
+    gamma_hat, rep = recover_gamma(meas, coeff, bd, InverseConfig(M1=1.0))
+    assert rep.forward_solves == 1 and len(rep.iterations) == 1
+    assert np.array_equal(gamma_hat.values, coeff.gamma.values)
 
 
 def test_recover_zero_perturbation(loop48):

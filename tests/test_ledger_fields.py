@@ -4,6 +4,7 @@ factors reproduce the full fields the derivation's expressions give."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import ledger_derivation
 from conftest import make_coeff
 from kslab.carleman import (_Lambda, _Window, inner_product_ledger,
                             make_default_weight, random_clamped_bump)
-from kslab.grid import GridSpec
+from kslab.grid import GridSpec, ScalarField1D, diff_x_values
 from kslab.ledger_fields import FIELDS
 
 
@@ -73,12 +74,16 @@ def _full(field, lw: _Lambda) -> np.ndarray:
 
 def _setup(nx, nt, slope, lam):
     """A _Lambda on a sigma of the given slope.  The weight is the default
-    one of sigma = 1: the factorization holds for any sigma, whether or not
-    it meets the weight's hypotheses."""
+    one of sigma = 1 with the sloped sigma and its jet in place of sigma's:
+    the factorization holds for any sigma, whether or not it meets the
+    weight's hypotheses."""
     g = GridSpec(nx, nt, 2.0)
-    weight = make_default_weight(make_coeff(g).sigma, 1.0)
-    coeff = make_coeff(g, sigma=1 + slope * g.x)
-    return g, weight, coeff, _Lambda(_Window(weight, coeff, None), lam)
+    sigma = ScalarField1D(1 + slope * g.x, g)
+    jet = (sigma.values,) + tuple(diff_x_values(sigma.values, g, k)
+                                  for k in (1, 2, 3))
+    weight = replace(make_default_weight(make_coeff(g).sigma, 1.0),
+                     sigma=sigma, sigma_jet=jet)
+    return g, weight, _Lambda(_Window(weight, None), lam)
 
 
 @pytest.mark.parametrize("nx, nt", [(64, 128), (256, 64)])
@@ -116,9 +121,9 @@ def _full_array_ledger(full_fields, lw, jets, squares):
        n_modes=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_factored_ledger_is_the_full_array_ledger_to_roundoff(
         full_fields, nx, nt, slope, lam, n_modes, seed):
-    g, weight, coeff, lw = _setup(nx, nt, slope, lam)
+    g, weight, lw = _setup(nx, nt, slope, lam)
     w = random_clamped_bump(g, np.random.default_rng(seed), None, n_modes)
-    led = inner_product_ledger(w, weight, coeff, lam)
+    led = inner_product_ledger(w, weight, lam)
     jets, _, squares = lw.window.jets(w)
     items, (ix0, ix1) = _full_array_ledger(full_fields, lw, jets, squares)
 

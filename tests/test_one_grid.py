@@ -1,5 +1,5 @@
-"""Every solver and inverse entry point reads its grid from its data and
-rejects data from two grids, even two of the same shape."""
+"""Every solver, inverse and Carleman entry point reads its grid from its
+data and rejects data from two grids, even two of the same shape."""
 
 from types import SimpleNamespace
 
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_coeff
-from kslab.carleman import CarlemanConfig, ensemble_audit, make_default_weight
+from kslab.carleman import (carleman_audit, make_default_weight,
+                            random_clamped_bump)
 from kslab.errors import GridMismatch
 from kslab.grid import GridSpec
 from kslab.inverse import (InverseConfig, recover_gamma, stability_report,
@@ -15,6 +16,13 @@ from kslab.inverse import (InverseConfig, recover_gamma, stability_report,
 from kslab.linear_solver import (solve_linear_full, solve_linear_many,
                                  solve_principal)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
+
+
+def bump(data):
+    """A test function on the grid of data, inside the Carleman window."""
+    return random_clamped_bump(data.coeff.sigma.grid,
+                               np.random.default_rng(0))
+
 
 # the same shape, T = 2 and T = 1; each call mixes data of a (on the first
 # grid) with data of b (on the second)
@@ -31,9 +39,11 @@ CALLS = {
     "recover_gamma": lambda a, b: recover_gamma(
         synthesize_measurements(b.coeff, b.bd, 0.5), a.coeff, a.bd,
         InverseConfig()),
-    "make_default_weight": lambda a, b: ensemble_audit(
-        make_default_weight(b.coeff.sigma, 0.5), a.coeff, CarlemanConfig(),
-        n_members=1),
+    "make_default_weight": lambda a, b: carleman_audit(
+        bump(a), make_default_weight(b.coeff.sigma, 0.5)),
+    "carleman_audit": lambda a, b: carleman_audit(
+        bump(a), make_default_weight(a.coeff.sigma, 0.5),
+        (bump(b), None, None)),
 }
 
 
