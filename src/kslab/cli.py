@@ -5,7 +5,7 @@
     kslab invert         --config run.cfg [--out DIR]
     kslab stability-scan --config run.cfg [--out DIR]
 
-Exit codes: 0 success, 1 configuration or usage error, 2 fixed-point
+Exit codes: 0 success, 1 configuration, usage or output error, 2 fixed-point
 non-convergence, 3 hypothesis or audit failure (the Carleman weight's
 hip4B, the empirical Carleman inequality, the anchor bound M1 of invert,
 the trajectory norm bound M2 of invert and stability-scan, or the
@@ -292,6 +292,15 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:            # --help exits 0, usage errors 2
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
+        return _run(args)
+    except OSError as exc:               # an output directory or file
+        print(f"kslab: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def _run(args) -> int:
+    """The command of args, its failures reported and mapped to exit codes."""
     try:
         # a run that fails may write no report, so remove an earlier run's
         # as soon as the output directory is known

@@ -90,7 +90,7 @@ _TABLE = {
                  "c_cap": _Key("number", field="c_cap")},
     "inverse": {"gamma_tilde": _Key("f(x)", "0"),
                 "t0": _Key("number", "T/2", "(0, T)"),
-                "noise": _Key("number", "0", "[0, inf)"),
+                "noise": _Key("number", "0", "[0, 1)"),
                 "seed": _Key("integer", "0", "[0, inf)"),
                 "m1": _Key("number", field="M1"),
                 "m2": _Key("number", field="M2"),

@@ -18,12 +18,13 @@ one-step matrix M half-bandwidth 3 (the 5-node slope rows).  Each
 coefficient field holds one array of A's LAPACK bands, one slot for all times
 or, with G1/G2, one per time slot, built for all slots in one numpy pass; the
 explicit half and the band LU of M are sliced from it once and shared by the
-steps, the Picard sweeps and the residual.  A z over a whole trajectory is
-one band product.  A step is one banded product and one banded solve; a
-stack of sources with the same field and data (``solve_linear_many``, the
-tangent solves of the inverse problem) marches as one, one banded product
-per source and one banded solve for all of them per step.  The finite-value
-and residual checks run once per march.
+steps, the Picard sweeps and the residual.  The same bands, rows reversed,
+are scipy's diagonal storage, so A z over a whole trajectory is one scipy
+sparse product, as is every row sum of |M|_inf.  A step is one banded
+product and one banded solve; a stack of sources with the same field and
+data (``solve_linear_many``, the tangent solves of the inverse problem)
+marches as one, one banded product per source and one banded solve for all
+of them per step.  The finite-value and residual checks run once per march.
 
 No solver takes a grid beside its data: the grid is the coefficient
 field's and the boundary data's, and each solve checks once that the two
@@ -210,8 +211,9 @@ class _CNSystem:
     constraint rows zeroed, in band storage, and ``steps[n]``, the banded LU
     factor (lu, piv) of the clamped one-step matrix M = I/dt + A^{n+1}/2;
     ``m_norm`` holds |M|_inf and ``weights`` the scales of M's four
-    constraint rows.  Without G1/G2 every slot shares one band, one step,
-    one |M|_inf and one row of weights.
+    constraint rows; ``A`` holds every slot's band as one block-diagonal
+    ``dia_matrix``, which ``apply`` multiplies by.  Without G1/G2 every slot
+    shares one band, one step, one |M|_inf and one row of weights.
     """
 
     def __init__(self, coeff: CoefficientField):
@@ -228,17 +230,10 @@ class _CNSystem:
             if coeff.G2 is not None:
                 a[:, _KA] += coeff.G2.values
         self.band = a
+        self.A = _dia(a, _KA)
         # the steps from t^n read slot n and the steps to t^{n+1} slot n + 1,
         # or one slot for all times
         a_now, a_next = (a[:-1], a[1:]) if len(a) > 1 else (a, a)
-        # the rows in which each diagonal of A (column j = i + off) has an
-        # entry in some slot: the wide diagonals only in the boundary rows
-        cols = (a != 0).any(axis=0)
-        self.spans = []
-        for off in range(-_KA, _KA + 1):
-            i = np.flatnonzero(cols[_KA - off]) - off
-            if i.size:
-                self.spans.append((off, i[0], i[-1] + 1))
 
         # every slot of B is Fortran-ordered, as dgbmv reads it
         B = np.empty((len(a_now), nx + 1, 2 * _KB + 1)).transpose(0, 2, 1)
@@ -261,29 +256,18 @@ class _CNSystem:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """A z on every time row of a trajectory array, or of each
-        trajectory of a stack (..., nt + 1, nx + 1), as one band product.
-        Each row is summed in ascending column order, as the product of the
-        sorted ``operator_matrix`` sums it, so the two agree bit for bit (the
-        zeros skipped outside ``spans`` add nothing to such a sum).  The time
-        rows go in blocks of about _APPLY_BLOCK entries, so that each block's
-        temporaries stay in cache."""
-        Az = np.zeros(z.shape)
-        rows = z.shape[-2]
-        band = np.broadcast_to(self.band, (rows,) + self.band.shape[1:])
-        step = max(1, _APPLY_BLOCK // z[..., 0, :].size)
-        for s in range(0, rows, step):
-            a, x = band[s:s + step], z[..., s:s + step, :]
-            y = Az[..., s:s + step, :]
-            for off, lo, hi in self.spans:
-                y[..., lo:hi] += (a[:, _KA - off, lo + off:hi + off]
-                                  * x[..., lo + off:hi + off])
-        return Az
+        trajectory of a stack (..., nt + 1, nx + 1), as one product with
+        the block-diagonal ``_dia`` matrix of ``band``.  That product sums
+        each row in ascending column order, as the product of the sorted
+        ``operator_matrix`` sums it, so the two agree bit for bit (while z
+        is finite, the band's zeros add nothing to such a sum)."""
+        A = self.A
+        return (A @ z.reshape(-1, A.shape[1]).T).T.reshape(z.shape)
 
 
 # half-bandwidths in LAPACK band storage, ab[k + i - j, j] = A[i, j]: A (the
 # 5-node D2 closures), M (the 5-node slope rows) and B (centred rows only)
 _KA, _KM, _KB = 5, 3, 2
-_APPLY_BLOCK = 1 << 15
 
 
 def _band(A: sparse.csr_matrix, k: int) -> np.ndarray:
@@ -293,6 +277,18 @@ def _band(A: sparse.csr_matrix, k: int) -> np.ndarray:
     ab = np.zeros((2 * k + 1, n))
     ab[k + rows - A.indices, A.indices] = A.data
     return ab
+
+
+def _dia(bands: np.ndarray, k: int) -> sparse.dia_matrix:
+    """The block-diagonal matrix of the band matrices bands[s] (LAPACK band
+    storage, k sub- and k super-diagonals) in scipy's diagonal storage: the
+    same arrays with the band rows reversed, offsets -k..k in order.  The
+    band's unused corners become the zero entries that join one block to the
+    next."""
+    slots, _, n = bands.shape
+    data = bands[:, ::-1].transpose(1, 0, 2).reshape(2 * k + 1, slots * n)
+    return sparse.dia_matrix((data, np.arange(-k, k + 1)),
+                             shape=(slots * n, slots * n))
 
 
 def _set_row(ab: np.ndarray, k: int, i: int, row: np.ndarray):
@@ -306,11 +302,7 @@ def _factor(m_bands: np.ndarray):
     """Banded LU factors [(lu, piv), ...] of the one-step matrices
     m_bands[s] and the |M|_inf of each."""
     k, (slots, _, n) = _KM, m_bands.shape
-    # rows summed column by column in order, as a sparse row sum adds them
-    row_sums = np.zeros((slots, n))
-    for d in range(-k, k + 1):
-        lo, hi = max(0, -d), min(n, n - d)
-        row_sums[:, lo:hi] += np.abs(m_bands[:, k - d, lo + d:hi + d])
+    row_sums = _dia(np.abs(m_bands), k) @ np.ones(slots * n)
     steps = []
     for m_band in m_bands:
         ab = np.zeros((3 * k + 1, n), order="F")
@@ -320,7 +312,7 @@ def _factor(m_bands: np.ndarray):
             raise SingularSystem(
                 f"one-step factorization failed: dgbtrf info={info}")
         steps.append((lu, piv))
-    return steps, row_sums.max(axis=1)
+    return steps, row_sums.reshape(slots, n).max(axis=1)
 
 
 def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
@@ -361,8 +353,12 @@ def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
     # the LU factors
     znew, rhs = z[:, 1:], rhs.transpose(1, 0, 2)
     finite = np.isfinite(znew).all(axis=-1)
+    # with G1/G2 the band's zero corners join the slots of apply's product,
+    # where 0 * inf would carry a non-finite step into its neighbours'
+    # residuals; that step fails as non-finite, so the product reads it as 0
+    Az = system.apply(z if finite.all() else np.where(np.isfinite(z), z, 0.0))
     with np.errstate(invalid="ignore"):
-        Mz = znew / grid.dt + 0.5 * system.apply(z)[:, 1:]
+        Mz = znew / grid.dt + 0.5 * Az[:, 1:]
         Mz[..., constrained] = system.weights * (
             znew @ _constraint_rows(grid).T)
         res = np.abs(Mz - rhs).max(axis=-1)

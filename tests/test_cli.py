@@ -333,6 +333,18 @@ def test_failed_rerun_leaves_no_stale_report(tmp_path, capsys, old, new,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["F", "F/sub"], ids=["file", "below-file"])
+def test_unusable_out_dir_exits_config(tmp_path, capsys, out):
+    # an output directory that cannot be made is an error on stderr, not a
+    # traceback
+    (tmp_path / "F").write_text("not a directory\n")
+    assert main(["simulate", "--config", cfg_path("simulate_zero.cfg"),
+                 "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kslab: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["F"]
+
+
 def test_main_builds_its_parser_once(tmp_path):
     cli._parser.cache_clear()
     for _ in range(2):
@@ -483,6 +495,9 @@ gamma = 0
     ("invert", "inverse", "grad_tol", "nan"),
     ("invert", "inverse", "tikhonov_alpha", "nan"),
     ("invert", "inverse", "noise", "inf"),
+    # the factor 1 + noise * U(-1, 1) must stay positive
+    ("invert", "inverse", "noise", "1"),
+    ("invert", "inverse", "noise", "1e300"),
     ("stability-scan", "inverse", "amplitudes", "1e-3,nan"),
     ("invert", "inverse", "seed", "-1")])
 def test_bad_solver_or_inverse_value_is_config_error(tmp_path, capsys, cmd,

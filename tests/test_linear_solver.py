@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_coeff
-from kslab import linear_solver
 from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
                           SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
@@ -334,30 +333,33 @@ def test_coefficient_field_from_another_grid_is_rejected(other):
 
 
 # ---------------------------------------------------------- scheme residual
+def one_step_norm(A, grid):
+    """|M|_inf of the clamped one-step matrix I/dt + A/2 with unweighted
+    constraint rows."""
+    nx = grid.nx
+    D1 = diff_matrix(grid, 1, "x")
+    M = (sparse.identity(nx + 1) / grid.dt + 0.5 * A).tolil()
+    M[0] = 0.0
+    M[0, 0] = 1.0
+    M[1] = D1[0].toarray().ravel()
+    M[nx - 1] = D1[nx].toarray().ravel()
+    M[nx] = 0.0
+    M[nx, nx] = 1.0
+    return abs(M.tocsc()).sum(axis=1).max()
+
+
 def reference_residual(z, coeff, fhat):
     """Step-by-step CN residual: one operator and one one-step matrix per
     time slot, as operator_residual computed it before it was vectorized."""
     grid = z.grid
     nx, dt = grid.nx, grid.dt
     interior = slice(2, nx - 1)
-    D1 = diff_matrix(grid, 1, "x")
-
-    def one_step_norm(A):
-        M = (sparse.identity(nx + 1) / dt + 0.5 * A).tolil()
-        M[0] = 0.0
-        M[0, 0] = 1.0
-        M[1] = D1[0].toarray().ravel()
-        M[nx - 1] = D1[nx].toarray().ravel()
-        M[nx] = 0.0
-        M[nx, nx] = 1.0
-        return abs(M.tocsc()).sum(axis=1).max()
-
     A_n = operator_matrix(coeff, 0)
     res_field = np.zeros_like(z.values)
     max_rel = 0.0
     for n in range(grid.nt):
         A_np1 = operator_matrix(coeff, n + 1)
-        m_norm = one_step_norm(A_np1)
+        m_norm = one_step_norm(A_np1, grid)
         r = ((z.values[n + 1] - z.values[n]) / dt
              + 0.5 * (A_np1 @ z.values[n + 1] + A_n @ z.values[n])
              - 0.5 * (fhat.values[n + 1] + fhat.values[n]))[interior]
@@ -394,11 +396,11 @@ def test_residual_matches_step_reference_time_dependent():
 @pytest.mark.parametrize("terms", ["none", "G1", "G2", "G1-G2"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), nx=st.integers(8, 24),
-       nt=st.integers(8, 12), block=st.sampled_from([1, 50, 1 << 15]))
-def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
-    # every slot's band is the band of the sparse reference, and apply is
-    # its product on every time row, both bit for bit, however many time
-    # rows apply takes per block
+       nt=st.integers(8, 12))
+def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt):
+    # every slot's band is the band of the sparse reference, apply is its
+    # product on every time row and each step's |M|_inf is the reference
+    # one-step norm, all bit for bit
     rng = np.random.default_rng(seed)
     g = GridSpec(nx, nt, 1.0)
 
@@ -415,11 +417,11 @@ def test_band_and_apply_match_operator_matrix(terms, seed, nx, nt, block):
     ops = [operator_matrix(coeff, n) for n in range(nt + 1)]
     for n, A in enumerate(ops):
         assert np.array_equal(band[n], _band(A, _KA))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linear_solver, "_APPLY_BLOCK", block)
-        Az = system.apply(z)
-        pair = system.apply(np.stack([z, -z]))
+    Az = system.apply(z)
+    pair = system.apply(np.stack([z, -z]))
     assert np.array_equal(Az, np.array([A @ row for A, row in zip(ops, z)]))
+    m_norm = np.broadcast_to(system.m_norm, (nt,))
+    assert np.array_equal(m_norm, [one_step_norm(A, g) for A in ops[1:]])
     # a stack of trajectories is each trajectory's product
     assert np.array_equal(pair, np.stack([Az, -Az]))
 
