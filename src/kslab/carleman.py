@@ -495,6 +495,11 @@ class CarlemanConfig:
                 b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda_grid must be strictly increasing, "
                              "positive and finite")
+        with np.errstate(over="ignore"):  # the norm's lam^7 must be a float
+            if not np.isfinite(np.float64(lams[-1]) ** 7):
+                raise ValueError(f"lambda_grid must stay below about "
+                                 f"1.1e44, where lam^7 overflows; got "
+                                 f"{lams[-1]:g}")
         if not self.m >= 0:  # inf is a legal bound, NaN is not
             raise ValueError(f"m must be nonnegative, got {self.m}")
         if not self.c_cap > 0:

@@ -62,9 +62,12 @@ def test_criterion_1_manufactured_convergence(principal_case, nonlinear_case):
     order_lin = np.log2(lin_errs[0] / lin_errs[1])
     order_nl = np.log2(nl_errs[0] / nl_errs[1])
     ok = order_lin >= 1.7 and order_nl >= 1.7 and max(elapsed) <= 60.0
+    errors = ", ".join(
+        f"{nx}x{nt} {lin:.3e}/{nl:.3e}"
+        for (nx, nt), lin, nl in zip(pairs, lin_errs, nl_errs))
     report(1, f"manufactured convergence: linear order {order_lin:.2f}, "
-              f"nonlinear order {order_nl:.2f}, slowest pair {max(elapsed):.1f}s",
-           ok)
+              f"nonlinear order {order_nl:.2f}, slowest pair "
+              f"{max(elapsed):.1f}s; max error linear/nonlinear {errors}", ok)
 
 
 def test_criterion_2_fixed_point_behavior(nonlinear_case):

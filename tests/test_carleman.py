@@ -251,11 +251,14 @@ def test_carleman_config_validation():
     with pytest.raises(ValueError):
         CarlemanConfig(lambda_grid=(-1.0, 2.0))
     for bad in ({"lambda_grid": (2.0, np.nan)}, {"lambda_grid": (np.nan,)},
-                {"lambda_grid": (2.0, np.inf)}, {"m": np.nan},
-                {"c_cap": np.nan}, {"c_cap": 0.0}, {"c_cap": -1.0}):
+                {"lambda_grid": (2.0, np.inf)}, {"lambda_grid": (2.0, 2e44)},
+                {"m": np.nan}, {"c_cap": np.nan}, {"c_cap": 0.0},
+                {"c_cap": -1.0}):
         with pytest.raises(ValueError):
             CarlemanConfig(**bad)
     assert CarlemanConfig(m=np.inf).m == np.inf
+    # lam^7 overflows from about 1.1e44; below that lam is accepted
+    assert CarlemanConfig(lambda_grid=(2.0, 1e44)).lambda_grid[-1] == 1e44
 
 
 def test_ensemble_audit_lambda0_and_worst_ledger():

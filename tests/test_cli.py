@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -108,6 +109,24 @@ def test_invert_closed_loop(tmp_path):
     assert header == ["iter", "J", "grad_norm", "l2_error_if_known"]
     payload = json.load(open(os.path.join(out, "report.json")))
     assert payload["results"]["status"] == "ok"
+
+
+def test_invert_noisy_recovery_stays_within_criterion_8(tmp_path):
+    # criterion 8's noisy bound: a relative L2 error of at most 20 %
+    errors = []
+    for noise in ("0", "1e-3"):
+        cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg",
+                                "noise = 0\nseed = 1234",
+                                f"noise = {noise}\nseed = 42")
+        out = tmp_path / f"o{noise}"
+        assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 0
+        results = json.load(open(out / "report.json"))["results"]
+        assert results["forward_solves"] == 3
+        # row 0 is the anchor gamma_tilde, whose error is |gamma_true - 1|
+        _, rows = read_csv(out / "recovery.csv")
+        errors.append(results["l2_error"] / float(rows[0][3]))
+    assert errors[1] <= 0.2
+    assert errors[1] != errors[0]
 
 
 def test_invert_with_extreme_tikhonov_alpha_returns_gamma_tilde(tmp_path,
@@ -259,6 +278,29 @@ def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
         "kslab carleman-audit: empirical inequality failed on the ensemble\n")
     _, rows = read_csv(out / "audit.csv")
     assert all(r[6] == "0" for r in rows)
+
+
+def test_carleman_audit_without_lambda0_exits_3(tmp_path, capsys):
+    # at lambda = 0.25 the coercivity margin is still negative, so no lambda
+    # of the list is a lambda0
+    with open(cfg_path("carleman_default.cfg")) as fh:
+        text = fh.read()
+    for old, new in (("nx = 128\nnt = 256", "nx = 64\nnt = 128"),
+                     ("lambda = 2,4,8,16", "lambda = 0.25"),
+                     ("ensemble = 50", "ensemble = 5")):
+        assert old in text
+        text = text.replace(old, new)
+    cfgfile = tmp_path / "small_lambda.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    assert main(["carleman-audit", "--config", str(cfgfile),
+                 "--out", str(out)]) == 3
+    results = json.load(open(out / "report.json"))["results"]
+    assert results["status"] == "audit-failed"
+    assert results["lambda0"] is None
+    assert results["delta_min"]["0.25"] < 0
+    assert capsys.readouterr().err == (
+        "kslab carleman-audit: empirical inequality failed on the ensemble\n")
 
 
 def test_picard_budget_exhausted_exits_2(tmp_path, capsys):
@@ -445,8 +487,8 @@ lambda =
 
 @pytest.mark.parametrize("key, value", [
     ("ensemble", "0"), ("modes", "0"), ("T0", "5.0"), ("eta", "1.5"),
-    ("lambda", "2,nan"), ("lambda", "2,inf"), ("c_cap", "nan"),
-    ("c_cap", "0"), ("seed", "-1")])
+    ("lambda", "2,nan"), ("lambda", "2,inf"), ("lambda", "2,2e44"),
+    ("c_cap", "nan"), ("c_cap", "0"), ("seed", "-1")])
 def test_bad_carleman_value_is_config_error(tmp_path, capsys, key, value):
     # T = 2: T0 must lie in (0, T) and eta in (0, T/2)
     carleman = {"lambda": "2", "ensemble": "2", key: value}
@@ -612,6 +654,19 @@ def test_readme_key_table_matches_config_table():
             assert default == spec.default
         if spec.bounds:
             assert allowed == spec.bounds
+
+
+def test_readme_shell_blocks_name_existing_paths():
+    # every repository path in README's ```sh blocks is in the checkout
+    root = os.path.join(CONFIG_DIR, "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        blocks = "".join(re.findall(r"^```sh\n(.*?)^```", fh.read(),
+                                    re.M | re.S))
+    paths = re.findall(
+        r"(?<![\w./])((?:benchmark|configs|scripts|src|tests)/[\w./-]*)",
+        blocks)
+    missing = [p for p in paths if not os.path.exists(os.path.join(root, p))]
+    assert "configs/carleman_default.cfg" in paths and missing == []
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_coeff
+from kslab import linear_solver
 from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
                           SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
@@ -265,6 +266,29 @@ def test_march_non_finite_source_raises(full_linear_case, kind):
     bd = full_case_bd(full_linear_case, g)
     bd.g.values[3, 5] = np.inf  # a Trajectory checks finiteness when built
     with pytest.raises(SingularSystem, match="non-finite"):
+        solve_linear_full(coeff, bd, comp_tol=1.0)
+
+
+def test_march_names_a_failing_step_before_a_non_finite_one(
+        full_linear_case, monkeypatch):
+    # with G1/G2 the band's zero corners join one time slot to the next in
+    # the check product; 0 * inf there must not hide step 2's residual
+    g = GridSpec(16, 16, 1.0)
+    coeff = time_dependent_coeff(g)
+    bd = full_case_bd(full_linear_case, g)
+    real, steps = linear_solver.dgbtrs, iter(range(g.nt))
+
+    def dgbtrs(*args):
+        z, info = real(*args)
+        n = next(steps)
+        if n == 2:
+            z[g.nx // 2] += 1.0
+        elif n == 3:
+            z[:] = np.inf
+        return z, info
+
+    monkeypatch.setattr(linear_solver, "dgbtrs", dgbtrs)
+    with pytest.raises(SingularSystem, match="step 2: relative residual"):
         solve_linear_full(coeff, bd, comp_tol=1.0)
 
 
