@@ -699,7 +699,10 @@ class _Span:
         M = M_abs = 0.0
         for X, Y, k, k_abs in terms:
             M = M + (J[X] * k) @ J[Y].T
-            M_abs = M_abs + (B[X] * k_abs) @ S[Y].T + (S[X] * k_abs) @ B[Y].T
+            # an infinite majorant only sends a member to the exact path
+            with np.errstate(over="ignore"):
+                M_abs = M_abs + (B[X] * k_abs) @ S[Y].T \
+                    + (S[X] * k_abs) @ B[Y].T
         return M, M_abs
 
     def _polynomial(self, terms) -> dict:
@@ -755,7 +758,9 @@ class _Span:
         M_abs = sum(forms[name][1] for name in plus + minus)
         a = np.abs(coeffs)
         value = ((coeffs @ M) * coeffs).sum(1)
-        return value, self.band * ((a @ M_abs) * a).sum(1)
+        # an infinite band only sends a member to the exact path
+        with np.errstate(over="ignore"):
+            return value, self.band * ((a @ M_abs) * a).sum(1)
 
 
 def _ratio_bounds(num, num_err, den, den_err):

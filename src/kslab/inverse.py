@@ -8,10 +8,12 @@ trace plus the H4 norm of the snapshot).  The synthesis of measurements, the
 recovery and the stability functional all read it.  The
 reconstruction is regularized output least squares over a low-dimensional
 spectral parameterization of gamma (constant plus the leading sine/cosine
-modes), driven by a Levenberg-Marquardt iteration on the stacked misfit
-with the tangent-linear Jacobian (one linear solve per parameter on the
-K-S system linearized at the current iterate, all marched together) and an
-L-infinity projection of each trial iterate.
+modes), driven by a Gauss-Newton iteration on the stacked misfit with the
+tangent-linear Jacobian (one linear solve per parameter on the K-S system
+linearized at the current iterate, all marched together) and an
+L-infinity projection of each step.  It stops when |grad J| is at most
+grad_tol, when the projected step does not lower J, or after max_outer
+iterations.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, which must
 hold the anchor gamma_tilde (HypothesisViolation otherwise), the
@@ -308,10 +310,13 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
 
     Minimizes the squared H1-in-time trace misfits plus the squared H4
     snapshot misfit plus tikhonov_alpha * |gamma - gamma_tilde|^2_{H2} over
-    the spectral parameterization.  The quasi-Newton iteration is
-    Levenberg-Marquardt on the stacked misfit residual with the
-    tangent-linear Jacobian and an L-infinity projection of the iterate;
-    accepted iterates have nonincreasing J.  The misfit is the observation's
+    the spectral parameterization.  Each iteration takes one Gauss-Newton
+    step, the least-squares solution of J delta = -r for the stacked misfit
+    residual r and its tangent-linear Jacobian J, projected into the M1
+    ball, and accepts it when it lowers J.  The run stops when |grad J| is
+    at most grad_tol (converged), when the projected step does not lower J
+    or leaves gamma as it is (converged: no descent), or after max_outer
+    iterations (max_outer_reached).  The misfit is the observation's
     stack of the data gaps (Observation.stack) followed by the Tikhonov
     rows; column m of its Jacobian is Observation.jacobian's row m for the
     basis profile b_m, followed by b_m's Tikhonov rows: the exact
@@ -383,7 +388,6 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     _check_m2(lin.G1, cfg)
     obs.check_curvature(lin.G1.values, cfg.r_floor)
     j_cur = float(r @ r)
-    mu = 0.0  # Marquardt damping, raised only on rejected steps
     grad_norm = np.inf
     for it in range(cfg.max_outer):
         J = np.concatenate([obs.jacobian(lin, basis, solve_cfg.lin_tol),
@@ -395,37 +399,18 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
             report.converged = True
             break
 
-        # with tikhonov_alpha near the float limit J^T J overflows; mu is
-        # then infinite and no step is tried
-        with np.errstate(over="ignore"):
-            JtJ = J.T @ J
-        if mu == 0.0:
-            mu = 1e-10 * max(float(np.diag(JtJ).max()), 1e-300)
-        accepted = False
-        for _ in range(25):
-            if not np.isfinite(mu):  # no finite step is left to try
-                break
-            try:
-                delta = np.linalg.solve(JtJ + mu * np.eye(n_par), -(J.T @ r))
-            except np.linalg.LinAlgError:
-                mu = max(mu * 10, 1e-20)
-                continue
-            cand = project(theta + delta)
-            # J depends on theta only through gamma: a trial with the
-            # iterate's gamma (as when the projection leaves no room) has the
-            # iterate's J, so it is rejected without a solve
-            if not np.array_equal(gamma_of(cand), gamma_of(theta)):
-                r_new, lin_new = residual(cand)
-                j_new = float(r_new @ r_new)
-                if j_new < j_cur:
-                    theta, r, j_cur, lin = cand, r_new, j_new, lin_new
-                    mu *= 0.3
-                    accepted = True
-                    break
-            mu = max(mu * 10, 1e-20)
-        if not accepted:
-            report.converged = True  # no descent left at any damping
+        cand = project(theta + np.linalg.lstsq(J, -r, rcond=None)[0])
+        # J depends on theta only through gamma: a step that leaves gamma
+        # as it is (as when the projection leaves no room) is no descent
+        if np.array_equal(gamma_of(cand), gamma_of(theta)):
+            report.converged = True
             break
+        r_new, lin_new = residual(cand)
+        j_new = float(r_new @ r_new)
+        if not j_new < j_cur:
+            report.converged = True  # no descent along the projected step
+            break
+        theta, r, j_cur, lin = cand, r_new, j_new, lin_new
     else:
         report.max_outer_reached = True
 

@@ -442,5 +442,13 @@ def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
     scale = (system.m_norm * np.abs(zv[1:]).max(axis=1)
              + np.abs(f_mid).max(axis=1) + 1e-300)
     max_rel = max(0.0, *(np.abs(r).max(axis=1) / scale))
-    l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
+    with np.errstate(over="ignore"):  # an overflow is redone below
+        l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
+    if np.isinf(l2):
+        # the squares left the float range (a tiny dt makes r huge): redo
+        # the quadrature on r scaled down by a power of two, then scale
+        # the root back
+        e = np.frexp(np.abs(r).max())[1]
+        l2 = float(np.ldexp(np.sqrt(trapz_qt(np.ldexp(res_field, -e) ** 2,
+                                             grid)), e))
     return max_rel, l2

@@ -11,9 +11,12 @@ import pytest
 
 import kslab
 from kslab import cli, inverse
+from kslab.carleman import (CarlemanConfig, carleman_audit,
+                             make_default_weight, random_clamped_bump)
 from kslab.cli import main
 from kslab.config import _TABLE, RunConfig
 from kslab.errors import ConfigError
+from kslab.grid import GridSpec, ScalarField1D
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -30,6 +33,17 @@ def edited_config(tmp_path, name, old, new):
     path = tmp_path / f"edited_{name}"
     path.write_text(text.replace(old, new))
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
+def read_report(out):
+    """The report.json in out, read as strict JSON: a NaN or Infinity in
+    it fails the test."""
+    with open(os.path.join(out, "report.json")) as fh:
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def read_csv(path):
@@ -89,7 +103,7 @@ def test_report_json_config_roundtrip(tmp_path):
     out = str(tmp_path / "o")
     assert main(["simulate", "--config", cfg_path("simulate_zero.cfg"),
                  "--out", out]) == 0
-    payload = json.load(open(os.path.join(out, "report.json")))
+    payload = read_report(out)
     assert set(payload) == {"config", "seed", "results", "timings"}
     rc = RunConfig.from_dict(payload["config"])
     assert rc.to_dict() == payload["config"]
@@ -107,7 +121,7 @@ def test_invert_closed_loop(tmp_path):
     assert max(errs) <= 0.05 * max(perts)
     header, _ = read_csv(os.path.join(out, "recovery.csv"))
     assert header == ["iter", "J", "grad_norm", "l2_error_if_known"]
-    payload = json.load(open(os.path.join(out, "report.json")))
+    payload = read_report(out)
     assert payload["results"]["status"] == "ok"
 
 
@@ -120,7 +134,7 @@ def test_invert_noisy_recovery_stays_within_criterion_8(tmp_path):
                                 f"noise = {noise}\nseed = 42")
         out = tmp_path / f"o{noise}"
         assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 0
-        results = json.load(open(out / "report.json"))["results"]
+        results = read_report(out)["results"]
         assert results["forward_solves"] == 3
         # row 0 is the anchor gamma_tilde, whose error is |gamma_true - 1|
         _, rows = read_csv(out / "recovery.csv")
@@ -129,11 +143,23 @@ def test_invert_noisy_recovery_stays_within_criterion_8(tmp_path):
     assert errors[1] != errors[0]
 
 
+def test_invert_on_a_finer_grid_stops_in_a_few_solves(tmp_path):
+    # at 192x256 J reaches the forward map's roundoff floor within a few
+    # Gauss-Newton steps; the run must stop there, not keep retrying
+    cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg",
+                            "nx = 48\nnt = 64", "nx = 192\nnt = 256")
+    out = tmp_path / "o"
+    assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 0
+    results = read_report(out)["results"]
+    assert results["forward_solves"] <= 10
+    assert results["l2_error"] <= 1.5e-6
+
+
 def test_invert_with_extreme_tikhonov_alpha_returns_gamma_tilde(tmp_path,
                                                                  capsys):
-    # every step is rejected until the Marquardt damping overflows; LM then
-    # stops as at no descent, on gamma_tilde, the alpha -> inf minimizer.
-    # From about 1e305 J^T J itself overflows, which must stay quiet too.
+    # the Tikhonov rows of J are of order sqrt(alpha), up to 1e154, so the
+    # Gauss-Newton step from gamma_tilde, the alpha -> inf minimizer, is
+    # too small to move it, and the run stops as at no descent, quietly
     for alpha in ("1e300", "1e305", "1.7e308"):
         cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg",
                                 "tikhonov_alpha = 1e-10",
@@ -179,7 +205,7 @@ def test_noconv_writes_partial_diagnostics(tmp_path):
     assert main(["simulate", "--config", cfg_path("fail_noconv.cfg"),
                  "--out", out]) == 2
     assert os.path.exists(os.path.join(out, "picard.csv"))
-    payload = json.load(open(os.path.join(out, "report.json")))
+    payload = read_report(out)
     assert payload["results"]["status"] == "no-convergence"
 
 
@@ -191,7 +217,7 @@ def test_noconv_writes_partial_diagnostics(tmp_path):
 def test_failure_report(tmp_path, capsys, cmd, name, code, status, seed):
     out = str(tmp_path / "o")
     assert main([cmd, "--config", cfg_path(name), "--out", out]) == code
-    payload = json.load(open(os.path.join(out, "report.json")))
+    payload = read_report(out)
     results = payload["results"]
     assert results["status"] == status
     assert payload["seed"] == seed
@@ -215,7 +241,7 @@ def test_stability_scan_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["stability-scan", "--config", str(cfgfile),
                  "--out", str(out)]) == 3
-    results = json.load(open(out / "report.json"))["results"]
+    results = read_report(out)["results"]
     assert results["status"] == "hypothesis-violation"
     assert results["failed"] == ["M2"]
     assert "exceeds M2=1e-09" in capsys.readouterr().err
@@ -230,7 +256,7 @@ def test_invert_m2_violation_is_a_hypothesis_failure(tmp_path, capsys):
                                              "[inverse]\nm2 = 1e-9\n"))
     out = tmp_path / "o"
     assert main(["invert", "--config", str(cfgfile), "--out", str(out)]) == 3
-    results = json.load(open(out / "report.json"))["results"]
+    results = read_report(out)["results"]
     assert results["status"] == "hypothesis-violation"
     assert results["failed"] == ["M2"]
     assert "exceeds M2=1e-09" in capsys.readouterr().err
@@ -243,7 +269,7 @@ def test_invert_anchor_outside_m1_is_a_hypothesis_failure(tmp_path, capsys):
                             "[inverse]\nm1 = 0.5\n")
     out = tmp_path / "o"
     assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 3
-    results = json.load(open(out / "report.json"))["results"]
+    results = read_report(out)["results"]
     assert results["status"] == "hypothesis-violation"
     assert results["failed"] == ["M1"]
     assert capsys.readouterr().err == (
@@ -253,7 +279,7 @@ def test_invert_anchor_outside_m1_is_a_hypothesis_failure(tmp_path, capsys):
 
 def test_invert_projects_iterates_into_the_m1_ball(tmp_path):
     # gamma_true reaches 1.005 > M1 = 1.003, so the projection holds the
-    # iterates inside the ball and LM runs out of outer iterations
+    # iterates inside the ball, and Gauss-Newton stops in a few solves
     cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg", "[inverse]\n",
                             "[inverse]\nm1 = 1.003\n")
     out = tmp_path / "o"
@@ -261,8 +287,9 @@ def test_invert_projects_iterates_into_the_m1_ball(tmp_path):
     _, rows = read_csv(out / "gamma_hat.csv")
     gamma_hat = np.array(rows, dtype=float)[:, 3]
     assert 1.0025 < np.abs(gamma_hat).max() <= 1.003
-    results = json.load(open(out / "report.json"))["results"]
-    assert results["max_outer_reached"] and not results["converged"]
+    results = read_report(out)["results"]
+    assert not results["max_outer_reached"]
+    assert results["forward_solves"] <= 8
 
 
 def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
@@ -272,12 +299,49 @@ def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["carleman-audit", "--config", cfgfile,
                  "--out", str(out)]) == 3
-    results = json.load(open(out / "report.json"))["results"]
+    results = read_report(out)["results"]
     assert results["status"] == "audit-failed"
     assert capsys.readouterr().err == (
         "kslab carleman-audit: empirical inequality failed on the ensemble\n")
     _, rows = read_csv(out / "audit.csv")
     assert all(r[6] == "0" for r in rows)
+
+
+def test_carleman_audit_tiny_lambda_reports_the_per_member_maxima(tmp_path,
+                                                                   capsys):
+    # at lambda = 1e-300 the screen's roundoff majorants overflow, which
+    # only sends members to the exact path: quietly, the rows are still the
+    # per-member maxima
+    with open(cfg_path("carleman_default.cfg")) as fh:
+        text = fh.read()
+    for old, new in [("nx = 128\nnt = 256", "nx = 32\nnt = 64"),
+                     ("lambda = 2,4,8,16", "lambda = 1e-300,2"),
+                     ("ensemble = 50", "ensemble = 5")]:
+        assert old in text
+        text = text.replace(old, new)
+    cfgfile = tmp_path / "tiny_lambda.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["carleman-audit", "--config", str(cfgfile),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "kslab carleman-audit: empirical inequality failed on the ensemble\n")
+
+    g = GridSpec(32, 64, 2.0)
+    weight = make_default_weight(ScalarField1D(np.ones(g.nx + 1), g), 1.0)
+    cfg = CarlemanConfig(lambda_grid=(1e-300, 2.0), eta=0.2, c_cap=1e6)
+    rng = np.random.default_rng(1234)
+    audits = [carleman_audit(random_clamped_bump(g, rng, cfg.eta), weight,
+                             None, cfg) for _ in range(5)]
+    # max() keeps the first of equal values, like the ensemble's strict >
+    rows = [max((a[k] for a in audits), key=lambda r: r.c_hat)
+            for k in range(2)]
+    _, written = read_csv(out / "audit.csv")
+    assert [[float(v) for v in row] for row in written] == [
+        [r.lam, r.lhs, r.rhs_interior, r.rhs_boundary0, r.rhs_boundary1,
+         r.c_hat, int(r.passed)] for r in rows]
 
 
 def test_carleman_audit_without_lambda0_exits_3(tmp_path, capsys):
@@ -295,7 +359,7 @@ def test_carleman_audit_without_lambda0_exits_3(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["carleman-audit", "--config", str(cfgfile),
                  "--out", str(out)]) == 3
-    results = json.load(open(out / "report.json"))["results"]
+    results = read_report(out)["results"]
     assert results["status"] == "audit-failed"
     assert results["lambda0"] is None
     assert results["delta_min"]["0.25"] < 0
@@ -311,7 +375,7 @@ def test_picard_budget_exhausted_exits_2(tmp_path, capsys):
     assert "no convergence in 1 sweeps" in capsys.readouterr().err
     _, rows = read_csv(out / "picard.csv")
     assert len(rows) == 1
-    assert json.load(open(out / "report.json"))["results"]["status"] \
+    assert read_report(out)["results"]["status"] \
         == "no-convergence"
 
 
@@ -333,6 +397,18 @@ def test_picard_overflow_exits_2_quietly(tmp_path, capsys, sigma, message):
     assert capsys.readouterr().err == f"kslab simulate: {message}\n"
 
 
+def test_tiny_horizon_reports_a_finite_residual(tmp_path):
+    # at T = 1e-300 the CN residual is of order 1/dt and its squares
+    # overflow; residual_l2 must still be a number, and quietly
+    cfgfile = edited_config(tmp_path, "simulate_manufactured.cfg",
+                            "T = 2.0", "T = 1e-300")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
+    assert np.isfinite(read_report(out)["results"]["residual_l2"])
+
+
 def test_stability_scan_cap_exceeded_says_so_on_stderr(tmp_path, capsys):
     # c_lower is about 0.086 on this scan, so c_cap = 1 fails every amplitude
     cfgfile = tmp_path / "small_cap.cfg"
@@ -341,7 +417,7 @@ def test_stability_scan_cap_exceeded_says_so_on_stderr(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["stability-scan", "--config", str(cfgfile),
                  "--out", str(out)]) == 3
-    assert json.load(open(out / "report.json"))["results"]["status"] \
+    assert read_report(out)["results"]["status"] \
         == "cap-exceeded"
     assert capsys.readouterr().err == (
         "kslab stability-scan: lhs > c_cap * middle, c_cap=1, "
@@ -462,7 +538,7 @@ def test_carleman_audit_small_ensemble(tmp_path):
     header, rows = read_csv(os.path.join(out, "ledger.csv"))
     terms = {r[0] for r in rows}
     assert {"direct", "itemized_total", "mismatch_rel", "delta_hat"} <= terms
-    payload = json.load(open(os.path.join(out, "report.json")))
+    payload = read_report(out)
     assert payload["results"]["lambda0"] == 2.0
 
 
