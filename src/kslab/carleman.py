@@ -97,10 +97,6 @@ class CarlemanWeight:
     def grid(self) -> GridSpec:
         return self.sigma.grid
 
-    def window(self, eta: float | None = None) -> np.ndarray:
-        """Time-node indices inside [eta, T-eta]."""
-        return np.flatnonzero(_time_window(self.grid, eta)[1])
-
     def phi_arrays(self, rows: np.ndarray):
         """(phi, phi_x, phi_xx, phi_xxx, phi_xxxx, phi_t) on the given rows."""
         inv = 1.0 / self.phi0[rows]
@@ -249,12 +245,18 @@ class _Window:
 class _Lambda:
     """What one lambda adds on a window.  Each part, and the two factors of
     each ledger field, is built on first use, so an entry point pays only for
-    what it reads."""
+    what it reads.  A lambda for which lam^7 phi^7, the weighted norm's
+    weight of w^2, overflows somewhere on the window is a ValueError."""
 
     def __init__(self, window: _Window, lam: float | None):
         self.window = window
         self.lam = _DEFAULT_LAM if lam is None else lam
         self._factors = {}
+        phi_max = window.phi[0].max()
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.lam) ** 7 * phi_max ** 7):
+                raise ValueError(f"lambda = {self.lam:g} overflows lambda^7 "
+                                 f"phi^7, where phi reaches {phi_max:.4g}")
 
     @cached_property
     def e2(self) -> np.ndarray:
@@ -569,11 +571,6 @@ def _bump_time_factor(grid: GridSpec, eta: float | None) -> np.ndarray:
                     0.0)
 
 
-def _bump_coefficients(rng: np.random.Generator, n_modes: int) -> np.ndarray:
-    """(a_1, b_1, .., a_n, b_n) of one random_clamped_bump, in its draw order."""
-    return rng.uniform(-1, 1, 2 * n_modes)
-
-
 def _clamped_bump(grid: GridSpec, coeffs: np.ndarray,
                   eta: float | None) -> Trajectory:
     """tfac(t) x^2(1-x)^2 sum_k (a_k sin k pi x + b_k cos k pi x)."""
@@ -590,7 +587,7 @@ def random_clamped_bump(grid: GridSpec, rng: np.random.Generator,
                         eta: float | None = None, n_modes: int = 4) -> Trajectory:
     """Random Fourier-in-x profile under the clamping envelope x^2(1-x)^2,
     modulated by the sin^2 window bump in time; coefficients in [-1, 1]."""
-    return _clamped_bump(grid, _bump_coefficients(rng, n_modes), eta)
+    return _clamped_bump(grid, rng.uniform(-1, 1, 2 * n_modes), eta)
 
 
 def _abs_diff_x(values: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:

@@ -7,9 +7,10 @@
 
 Exit codes: 0 success, 1 configuration, usage or output error, 2 fixed-point
 non-convergence, 3 hypothesis or audit failure (the Carleman weight's
-hip4B, the empirical Carleman inequality, the anchor bound M1 of invert,
-the trajectory norm bound M2 of invert and stability-scan, or the
-stability scan's c_cap), 4 snapshot-curvature (inf-condition) failure.
+hip4B, the empirical Carleman inequality, the bound M1 on gamma and on the
+anchor of invert and on gamma and every gamma_tilde of stability-scan, the
+trajectory norm bound M2 of invert and stability-scan, or the stability
+scan's c_cap), 4 snapshot-curvature (inf-condition) failure.
 Floats are written with 17 significant digits and files are written
 atomically (temp file + rename), so a rerun with the same config and seed
 produces byte-identical CSVs; report.json carries wall-clock timings and
@@ -142,8 +143,12 @@ def cmd_carleman_audit(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
     block = cfg.carleman_block(grid)
     run.seed = block["seed"]
     weight = make_default_weight(coeff.sigma, block["T0"])
-    audit = ensemble_audit(weight, block["cfg"], n_members=block["ensemble"],
-                           seed=block["seed"], n_modes=block["modes"])
+    try:
+        audit = ensemble_audit(weight, block["cfg"],
+                               n_members=block["ensemble"],
+                               seed=block["seed"], n_modes=block["modes"])
+    except ValueError as exc:  # a lambda too large for the weight's window
+        raise ConfigError(f"[carleman] lambda: {exc}") from exc
 
     audit_rows = [(r.lam, r.lhs, r.rhs_interior, r.rhs_boundary0,
                    r.rhs_boundary1, r.c_hat, int(r.passed))

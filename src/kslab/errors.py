@@ -33,7 +33,7 @@ class NoConvergence(KSLabError):
 class HypothesisViolation(KSLabError):
     """A hypothesis of a theorem fails for the supplied data: hip4B, the
     Carleman weight's smallness condition on sigma; M1, the L-infinity bound
-    on the recovery's anchor gamma_tilde; or M2, the admissibility bound on
+    on gamma and every gamma_tilde; or M2, the admissibility bound on
     the norm surrogate of the stability scan's reference trajectory or of
     the recovery's anchor solve.
 

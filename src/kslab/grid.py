@@ -70,6 +70,17 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def sampled(values, shape: tuple, name: str) -> np.ndarray:
+    """values as a float array; LengthMismatch naming the array when its
+    shape is not the grid's shape, ValueError when an entry is not finite."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != shape:
+        raise LengthMismatch(f"{name} has shape {v.shape}, grid wants {shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 @dataclass(frozen=True)
 class ScalarField1D:
     """Sampled function of x on the nodes of a grid."""
@@ -78,13 +89,8 @@ class ScalarField1D:
     grid: GridSpec
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.nx + 1,):
-            raise LengthMismatch(
-                f"field has {v.shape} values, grid wants {self.grid.nx + 1}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
+        object.__setattr__(self, "values", sampled(
+            self.values, (self.grid.nx + 1,), "field"))
 
 
 @dataclass(frozen=True)
@@ -95,23 +101,17 @@ class Trajectory:
     grid: GridSpec
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.nt + 1, self.grid.nx + 1):
-            raise LengthMismatch(
-                f"trajectory has shape {v.shape}, grid wants "
-                f"{(self.grid.nt + 1, self.grid.nx + 1)}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trajectory contains non-finite entries")
+        object.__setattr__(self, "values", sampled(
+            self.values, (self.grid.nt + 1, self.grid.nx + 1), "trajectory"))
 
 
 def field_from_callable(fn, grid: GridSpec) -> ScalarField1D:
-    return ScalarField1D(np.asarray(fn(grid.x), dtype=float), grid)
+    return ScalarField1D(fn(grid.x), grid)
 
 
 def trajectory_from_callable(fn, grid: GridSpec) -> Trajectory:
     tt, xx = np.meshgrid(grid.t, grid.x, indexing="ij")
-    return Trajectory(np.asarray(fn(tt, xx), dtype=float), grid)
+    return Trajectory(fn(tt, xx), grid)
 
 
 def fd_weights(offsets, deriv: int) -> np.ndarray:
@@ -133,8 +133,9 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _unit_diff_matrix(n: int, order: int) -> sparse.csr_matrix:
-    """Differentiation matrix for unit spacing on n uniform nodes.
+def _diff_matrix(n: int, order: int, h: float) -> sparse.csr_matrix:
+    """Differentiation matrix on n uniform nodes with spacing h, built once
+    and shared by every caller, so its arrays are read-only.
 
     Boundary closures take max(order+3, 5) nodes: at least one order above
     the interior, so the max-norm error is governed by the centered stencils,
@@ -157,14 +158,8 @@ def _unit_diff_matrix(n: int, order: int) -> sparse.csr_matrix:
                  fd_weights(np.arange(-m_side + 1, 1) + i, order)]
     r, c, v = map(np.concatenate, (rows, cols, vals))
     keep = v != 0  # no stored zeros, D1's centre weight among them
-    return sparse.csr_matrix((v[keep], (r[keep], c[keep])), shape=(n, n))
-
-
-@lru_cache(maxsize=None)
-def _scaled_diff_matrix(n_nodes: int, order: int, h: float) -> sparse.csr_matrix:
-    """The unit-spacing matrix scaled to spacing h, built once and shared by
-    every caller, so its arrays are read-only."""
-    D = _unit_diff_matrix(n_nodes, order) * h ** (-order)
+    D = sparse.csr_matrix((v[keep], (r[keep], c[keep])),
+                          shape=(n, n)) * h ** (-order)
     for arr in (D.data, D.indices, D.indptr):
         arr.flags.writeable = False
     return D
@@ -176,9 +171,9 @@ def diff_matrix(grid: GridSpec, order: int, axis: str = "x") -> sparse.csr_matri
     if order not in (1, 2, 3, 4):
         raise ValueError(f"order must be in 1..4, got {order}")
     if axis == "x":
-        return _scaled_diff_matrix(grid.nx + 1, order, grid.dx)
+        return _diff_matrix(grid.nx + 1, order, grid.dx)
     if axis == "t":
-        return _scaled_diff_matrix(grid.nt + 1, order, grid.dt)
+        return _diff_matrix(grid.nt + 1, order, grid.dt)
     raise ValueError(f"axis must be 'x' or 't', got {axis!r}")
 
 
@@ -248,9 +243,7 @@ def discrete_norm(obj, kind: str, grid: GridSpec | None = None) -> float:
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    if isinstance(obj, ScalarField1D):
-        values, grid = obj.values, obj.grid
-    elif isinstance(obj, Trajectory):
+    if isinstance(obj, (ScalarField1D, Trajectory)):
         values, grid = obj.values, obj.grid
     else:
         values = np.asarray(obj, dtype=float)

@@ -16,8 +16,8 @@ grad_tol, when the projected step does not lower J, or after max_outer
 iterations.
 
 Admissibility: gamma stays in an L-infinity ball of radius M1, which must
-hold the anchor gamma_tilde (HypothesisViolation otherwise), the
-trajectory norm surrogate stays below M2 (HypothesisViolation otherwise),
+hold the true gamma and every gamma_tilde (HypothesisViolation otherwise),
+the trajectory norm surrogate stays below M2 (HypothesisViolation otherwise),
 and the reference snapshot curvature must be bounded away from zero
 (InfConditionViolated otherwise; without it the measurements carry no
 information about gamma).
@@ -35,10 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolation, InfConditionViolated, LengthMismatch
+from .errors import HypothesisViolation, InfConditionViolated
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                    diff_x_values, discrete_norm, extract_traces,
-                   require_same_grid, row_norms, trapz_weights)
+                   require_same_grid, row_norms, sampled, trapz_weights)
 from .linear_solver import (BoundaryData, CoefficientField,
                             solve_linear_many, zero_boundary_data)
 from .nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -56,13 +56,8 @@ class MeasurementSet:
     def __post_init__(self):
         grid = self.snapshot.grid
         for name in ("trace2", "trace3"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (grid.nt + 1,):
-                raise LengthMismatch(
-                    f"{name} has length {arr.shape}, grid wants {grid.nt + 1}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, sampled(
+                getattr(self, name), (grid.nt + 1,), name))
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,8 @@ class InverseConfig:
                 raise ValueError(f"{name} must be positive")
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
-        if not self.tikhonov_alpha >= 0:
-            raise ValueError("tikhonov_alpha must be nonnegative")
+        if not 0 <= self.tikhonov_alpha < np.inf:
+            raise ValueError("tikhonov_alpha must be nonnegative and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -212,6 +207,16 @@ def h1t_h4x_norm(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(total))
 
 
+def _check_m1(gamma: ScalarField1D, cfg: InverseConfig, label: str) -> float:
+    """|gamma|_inf; HypothesisViolation naming M1, and label in its message,
+    when it exceeds M1."""
+    bound = np.abs(gamma.values).max()
+    if bound > cfg.M1:
+        raise HypothesisViolation(
+            f"{label} = {bound:.3e} exceeds M1={cfg.M1:g}", failed=["M1"])
+    return bound
+
+
 def _check_m2(y: Trajectory, cfg: InverseConfig) -> None:
     """HypothesisViolation naming M2 when the norm surrogate of y exceeds it."""
     surrogate = h1t_h4x_norm(y.values, y.grid)
@@ -248,11 +253,15 @@ def stability_report(coeff: CoefficientField,
     the observation gap (Observation.stack) plus the fourth power of the H1
     snapshot gap.  Far right: the H1(0,T;H4) and L-infinity(0,T;H1) norms of
     the trajectory difference.  The empirical constants are the exact ratios
-    middle/lhs and middle/far.  The admissibility of y, its norm surrogate
-    at most M2 (HypothesisViolation otherwise), is checked once, before any
-    ytilde is solved; each ytilde's snapshot curvature after its solve.
+    middle/lhs and middle/far.  gamma and every gamma_tilde must lie in the
+    M1 ball and y's norm surrogate must be at most M2 (HypothesisViolation
+    otherwise), checked once, before any ytilde is solved; each ytilde's
+    snapshot curvature after its solve.
     """
     require_same_grid(coeff.sigma, bd.y0, *gamma_tildes)
+    _check_m1(coeff.gamma, cfg, "|gamma|_inf")
+    for gamma_tilde in gamma_tildes:
+        _check_m1(gamma_tilde, cfg, "|gamma_tilde|_inf")
     grid = bd.grid
     obs = Observation(grid, T0)
     solve_cfg = solve_cfg or NonlinearSolveConfig()
@@ -321,11 +330,12 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     rows; column m of its Jacobian is Observation.jacobian's row m for the
     basis profile b_m, followed by b_m's Tikhonov rows: the exact
     derivative of the discrete map, one linear solve per basis profile, all
-    of them one march.  gamma_tilde must lie in the M1 ball
-    (HypothesisViolation otherwise), so that the projection can keep every
-    iterate in it.  The first iterate is gamma_tilde itself, so its
-    solve is ytilde, on which the norm surrogate is checked against M2
-    (HypothesisViolation otherwise) and then the snapshot curvature.
+    of them one march.  gamma_tilde must lie in the M1 ball, so that the
+    projection can keep every iterate in it, and so must gamma_true when
+    given (HypothesisViolation otherwise, the anchor checked first).  The
+    first iterate is gamma_tilde itself, so its solve is ytilde, on which
+    the norm surrogate is checked against M2 (HypothesisViolation
+    otherwise) and then the snapshot curvature.
 
     The grid is the data's: the measurements, coeff_tilde, bd and gamma_true
     (when given) must share it, GridMismatch otherwise.
@@ -335,11 +345,9 @@ def recover_gamma(meas: MeasurementSet, coeff_tilde: CoefficientField,
     grid = bd.grid
     solve_cfg = solve_cfg or NonlinearSolveConfig()
     gamma_tilde = coeff_tilde.gamma
-    anchor = np.abs(gamma_tilde.values).max()
-    if anchor > cfg.M1:
-        raise HypothesisViolation(
-            f"anchor |gamma_tilde|_inf = {anchor:.3e} exceeds M1={cfg.M1:g}",
-            failed=["M1"])
+    anchor = _check_m1(gamma_tilde, cfg, "anchor |gamma_tilde|_inf")
+    if gamma_true is not None:
+        _check_m1(gamma_true, cfg, "|gamma|_inf")
     obs = Observation(grid, meas.snapshot_time)
     basis = gamma_basis(grid, cfg.n_modes)
     n_par = basis.shape[0]

@@ -50,7 +50,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (CompatibilityViolation, LengthMismatch, SingularSystem)
 from .grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
-                   diff_x_values, require_same_grid, trapz_qt)
+                   diff_x_values, require_same_grid, sampled, trapz_qt)
 
 DEFAULT_COMP_TOL = 1e-8
 DEFAULT_LIN_TOL = 1e-10
@@ -114,13 +114,8 @@ class BoundaryData:
         grid = self.y0.grid
         require_same_grid(self.y0, self.g)
         for name in ("h1", "h2", "h3", "h4"):
-            h = np.asarray(getattr(self, name), dtype=float)
+            h = sampled(getattr(self, name), (grid.nt + 1,), name)
             object.__setattr__(self, name, h)
-            if h.shape != (grid.nt + 1,):
-                raise LengthMismatch(
-                    f"{name} has length {h.shape}, grid wants {grid.nt + 1}")
-            if not np.all(np.isfinite(h)):
-                raise ValueError(f"{name} contains non-finite entries")
             h.flags.writeable = False
         # the cached corner gaps are only valid while h1..h4 and y0 stay put
         self.y0.values.flags.writeable = False

@@ -114,8 +114,7 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
             v = v_new
             vnorm = discrete_norm(v, "L2Q")
             rel = update / vnorm if vnorm > 0 else 0.0
-            ratio = (update / prev_update
-                     if prev_update is not None and prev_update > 0 else None)
+            ratio = update / prev_update if prev_update is not None else None
             if update == 0.0 or rel <= cfg.picard_tol:
                 if ratio is not None:
                     report.ratios.append(ratio)

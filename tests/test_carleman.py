@@ -124,7 +124,7 @@ def test_decompose_lambda_zero_reduction(setup128):
     g, coeff, weight, w = setup128
     q2 = Trajectory(np.full((g.nt + 1, g.nx + 1), 0.3), g)
     P1, P2, R = conjugate_decompose(w, weight, (None, None, q2), 0.0)
-    rows = weight.window()
+    rows = np.flatnonzero(kslab.carleman._time_window(g, None)[1])
     swxx_xx = diff_x_values(coeff.sigma.values
                             * diff_x_values(w.values, g, 2), g, 2)
     # P1 reduces to the principal operator, P2 to the time derivative, R to
@@ -261,6 +261,20 @@ def test_carleman_config_validation():
     assert CarlemanConfig(lambda_grid=(2.0, 1e44)).lambda_grid[-1] == 1e44
 
 
+def test_lambda_must_keep_the_norm_weight_finite_on_the_window():
+    # the weighted norm's lam^7 phi^7 bounds lambda below lam^7's own limit
+    g = GridSpec(32, 64, 2.0)
+    weight = make_default_weight(ScalarField1D(np.ones(g.nx + 1), g), 1.0)
+    w = random_clamped_bump(g, np.random.default_rng(0), 0.2)
+    phi_max = kslab.carleman._Window(weight, 0.2).phi[0].max()
+    edge = np.finfo(float).max ** (1 / 7) / phi_max
+    assert edge < 1e44
+    assert np.isfinite(weighted_norm(w, weight, 0.999 * edge, 0.2))
+    for entry in (weighted_norm, inner_product_ledger):
+        with pytest.raises(ValueError, match="overflows lambda\\^7 phi\\^7"):
+            entry(w, weight, 1.001 * edge, 0.2)
+
+
 def test_ensemble_audit_lambda0_and_worst_ledger():
     g = GridSpec(64, 128, 2.0)
     coeff = make_coeff(g)
@@ -358,7 +372,7 @@ def reference_audit(v, weight, coeff, q, cfg):
     objects: full-array jets, its own D2 and the whole per-lambda
     expression inline."""
     grid = v.grid
-    rows = weight.window(cfg.eta)
+    rows = np.flatnonzero(kslab.carleman._time_window(grid, cfg.eta)[1])
     wt, wx = trapz_weights(rows.size, grid.dt), trapz_weights(grid.nx + 1, grid.dx)
     v0 = v.values[rows]
     vx, vxx, vxxx = [diff_x_values(v.values, grid, k)[rows] for k in (1, 2, 3)]
@@ -691,7 +705,9 @@ def test_coefficient_blocks_draw_the_scalar_stream(seed, n_members, n_modes):
     block = np.random.default_rng(seed).uniform(-1, 1,
                                                 (n_members, 2 * n_modes))
     assert np.array_equal(block, scalar)
+    g = GridSpec(16, 16, 1.0)
     rng = np.random.default_rng(seed)
     for row in scalar:
-        assert np.array_equal(kslab.carleman._bump_coefficients(rng, n_modes),
-                              row)
+        assert np.array_equal(
+            random_clamped_bump(g, rng, n_modes=n_modes).values,
+            kslab.carleman._clamped_bump(g, row, None).values)

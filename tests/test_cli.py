@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -17,6 +18,7 @@ from kslab.cli import main
 from kslab.config import _TABLE, RunConfig
 from kslab.errors import ConfigError
 from kslab.grid import GridSpec, ScalarField1D
+from kslab.linear_solver import CoefficientField
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -277,19 +279,44 @@ def test_invert_anchor_outside_m1_is_a_hypothesis_failure(tmp_path, capsys):
     assert not (out / "gamma_hat.csv").exists()
 
 
-def test_invert_projects_iterates_into_the_m1_ball(tmp_path):
-    # gamma_true reaches 1.005 > M1 = 1.003, so the projection holds the
-    # iterates inside the ball, and Gauss-Newton stops in a few solves
-    cfgfile = edited_config(tmp_path, "invert_closed_loop.cfg", "[inverse]\n",
-                            "[inverse]\nm1 = 1.003\n")
+def test_invert_projects_iterates_into_the_m1_ball():
+    # data of gamma_true, which reaches 1.005 > M1 = 1.003, so the
+    # projection holds the iterates inside the ball, and Gauss-Newton stops
+    # in a few solves.  invert rejects such a gamma_true (see the test
+    # below), so the recovery runs on invert's data without it
+    cfg = RunConfig.from_file(cfg_path("invert_closed_loop.cfg"))
+    grid = cfg.grid()
+    coeff, bd = cfg.coefficients(grid), cfg.boundary_data(grid)
+    block, ncfg = cfg.inverse_block(grid), cfg.nonlinear_config()
+    meas = inverse.synthesize_measurements(coeff, bd, block["T0"],
+                                           block["noise"], block["seed"], ncfg)
+    gamma_hat, report = inverse.recover_gamma(
+        meas, CoefficientField(coeff.sigma, block["gamma_tilde"]), bd,
+        dataclasses.replace(block["cfg"], M1=1.003), solve_cfg=ncfg)
+    assert 1.0025 < np.abs(gamma_hat.values).max() <= 1.003
+    assert not report.max_outer_reached
+    assert report.forward_solves <= 8
+
+
+@pytest.mark.parametrize("cmd, name, old, new, message", [
+    ("invert", "invert_closed_loop.cfg", "gamma = 1 + 0.005*sin(pi*x)",
+     "gamma = 1e300", "|gamma|_inf = 1.000e+300 exceeds M1=10"),
+    ("stability-scan", "stability_scan.cfg", "amplitudes = 1e-3,2e-3,4e-3",
+     "amplitudes = 1e200", "|gamma_tilde|_inf = 1.000e+200 exceeds M1=10")],
+    ids=["invert", "stability-scan"])
+def test_gamma_outside_m1_is_a_hypothesis_failure(tmp_path, capsys, cmd,
+                                                  name, old, new, message):
+    # the theorem assumes gamma and every gamma_tilde in the M1 ball; one
+    # this far outside it would overflow the norms of the scan or recovery
+    cfgfile = edited_config(tmp_path, name, old, new)
     out = tmp_path / "o"
-    assert main(["invert", "--config", cfgfile, "--out", str(out)]) == 0
-    _, rows = read_csv(out / "gamma_hat.csv")
-    gamma_hat = np.array(rows, dtype=float)[:, 3]
-    assert 1.0025 < np.abs(gamma_hat).max() <= 1.003
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([cmd, "--config", cfgfile, "--out", str(out)]) == 3
     results = read_report(out)["results"]
-    assert not results["max_outer_reached"]
-    assert results["forward_solves"] <= 8
+    assert results["status"] == "hypothesis-violation"
+    assert results["failed"] == ["M1"]
+    assert capsys.readouterr().err == f"kslab {cmd}: {message}\n"
 
 
 def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
@@ -305,6 +332,23 @@ def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
         "kslab carleman-audit: empirical inequality failed on the ensemble\n")
     _, rows = read_csv(out / "audit.csv")
     assert all(r[6] == "0" for r in rows)
+
+
+def test_carleman_audit_lambda_overflowing_the_norm_is_config_error(tmp_path,
+                                                                    capsys):
+    # lambda^7 is a float up to about 1.1e44, but phi reaches 3.87 on this
+    # window, so the weighted norm's lambda^7 phi^7 overflows from 2.8e43
+    cfgfile = edited_config(tmp_path, "carleman_default.cfg",
+                            "lambda = 2,4,8,16", "lambda = 1e44")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["carleman-audit", "--config", cfgfile,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kslab: config error: [carleman] lambda: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "report.json").exists()
 
 
 def test_carleman_audit_tiny_lambda_reports_the_per_member_maxima(tmp_path,
@@ -612,6 +656,7 @@ gamma = 0
     ("invert", "inverse", "r_floor", "nan"),
     ("invert", "inverse", "grad_tol", "nan"),
     ("invert", "inverse", "tikhonov_alpha", "nan"),
+    ("invert", "inverse", "tikhonov_alpha", "inf"),
     ("invert", "inverse", "noise", "inf"),
     # the factor 1 + noise * U(-1, 1) must stay positive
     ("invert", "inverse", "noise", "1"),

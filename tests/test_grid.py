@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_x_values, discrete_norm, extract_traces,
                         field_from_callable, trajectory_from_callable,
                         trapz_x)
+from kslab.inverse import MeasurementSet
+from kslab.linear_solver import BoundaryData
 
 
 def test_grid_spec_nodes_cover_domain_exactly():
@@ -38,17 +42,41 @@ def test_grid_spec_rejects_coarse_grids():
 
 
 def test_field_length_and_finiteness_validated():
-    g = GridSpec(8, 8, 1.0)
-    with pytest.raises(LengthMismatch):
-        ScalarField1D(np.zeros(5), g)
-    with pytest.raises(ValueError):
-        ScalarField1D(np.full(9, np.nan), g)
-    with pytest.raises(LengthMismatch):
-        Trajectory(np.zeros((3, 9)), g)
-    values = np.zeros((9, 9))
-    values[4, 4] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        Trajectory(values, g)
+    # every grid container checks its arrays through grid.sampled: a wrong
+    # shape, a NaN or an infinity in any of them is rejected, naming the array
+    g = GridSpec(16, 8, 1.0)
+    nodes, slots = g.nx + 1, g.nt + 1
+    y0 = ScalarField1D(np.zeros(nodes), g)
+    src = Trajectory(np.zeros((slots, nodes)), g)
+
+    def series(k, n, build):
+        """build with series k of n replaced by the values."""
+        def with_values(values):
+            arrays = [np.zeros(slots) for _ in range(n)]
+            arrays[k] = values
+            return build(*arrays)
+        return with_values
+
+    table = [("field", (nodes,), lambda v: ScalarField1D(v, g)),
+             ("trajectory", (slots, nodes), lambda v: Trajectory(v, g))]
+    table += [(f"h{k + 1}", (slots,),
+               series(k, 4, lambda *hs: BoundaryData(*hs, y0, src)))
+              for k in range(4)]
+    table += [(f"trace{k + 2}", (slots,),
+               series(k, 2, lambda *ts: MeasurementSet(*ts, y0, 0.5)))
+              for k in range(2)]
+    for name, shape, build in table:
+        build(np.zeros(shape))
+        for wrong in ((shape[0] - 1,) + shape[1:], shape[::-1] + (1,)):
+            message = f"{name} has shape {wrong}, grid wants {shape}"
+            with pytest.raises(LengthMismatch, match=re.escape(message)):
+                build(np.zeros(wrong))
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(shape)
+            values[(3,) * len(shape)] = bad
+            with pytest.raises(ValueError,
+                               match=f"{name} contains non-finite entries"):
+                build(values)
 
 
 def test_diff_x_constant_is_zero():
