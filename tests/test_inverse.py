@@ -7,13 +7,13 @@ import scipy.linalg
 from conftest import make_coeff, nonlinear_bd
 from kslab import inverse, linear_solver
 from kslab.config import RunConfig
-from kslab.errors import InfConditionViolated
+from kslab.errors import InfConditionViolated, LengthMismatch
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_t_values,
                         diff_x_values, discrete_norm, trapz_weights)
-from kslab.inverse import (InverseConfig, Observation, gamma_basis,
-                           h1t_h4x_norm, linearized_field, linf_h1x_norm,
-                           recover_gamma, snapshot_index, stability_report,
-                           synthesize_measurements)
+from kslab.inverse import (InverseConfig, MeasurementSet, Observation,
+                           gamma_basis, h1t_h4x_norm, linearized_field,
+                           linf_h1x_norm, recover_gamma, snapshot_index,
+                           stability_report, synthesize_measurements)
 from kslab.linear_solver import (CoefficientField, solve_linear_full,
                                  solve_linear_many, zero_boundary_data)
 from kslab.nonlinear_solver import NonlinearSolveConfig, solve_ks
@@ -102,6 +102,17 @@ def test_measurements_match_analytic_trace(closedloop_case, loop48):
     analytic = closedloop_case["trace2"](g.t)
     assert np.abs(meas.trace2 - analytic).max() <= 1e-2 * np.abs(analytic).max()
     assert meas.snapshot_time == pytest.approx(T0)
+
+
+def test_measurement_set_validation():
+    g = GridSpec(16, 16, 1.0)
+    snap = ScalarField1D(np.zeros(17), g)
+    with pytest.raises(LengthMismatch, match="trace2 has shape"):
+        MeasurementSet(np.zeros(5), np.zeros(17), snap, 0.5)
+    trace = np.zeros(17)
+    trace[3] = np.nan
+    with pytest.raises(ValueError, match="trace2 contains non-finite"):
+        MeasurementSet(trace, np.zeros(17), snap, 0.5)
 
 
 @pytest.fixture(scope="module")
