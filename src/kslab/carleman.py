@@ -107,12 +107,14 @@ class CarlemanWeight:
 
 
 def _time_window(grid: GridSpec, eta: float | None):
-    """eta (T/10 when None) and the mask of the time nodes in [eta, T-eta]."""
+    """eta (T/10 when None) and the mask of the time nodes in [eta, T-eta],
+    never t = 0 or T, where phi0 vanishes, however small eta is."""
     eta = grid.T / 10.0 if eta is None else eta
     if not (0 < eta < grid.T / 2):
         raise ValueError(f"eta must lie in (0, T/2), got {eta}")
     t = grid.t
-    return eta, (t >= eta - 1e-12) & (t <= grid.T - eta + 1e-12)
+    return eta, ((t >= eta - 1e-12) & (t <= grid.T - eta + 1e-12)
+                 & (t > 0) & (t < grid.T))
 
 
 def _phi0_bump(t: np.ndarray, T: float, T0: float):
@@ -245,17 +247,21 @@ class _Window:
 class _Lambda:
     """What one lambda adds on a window.  Each part, and the two factors of
     each ledger field, is built on first use, so an entry point pays only for
-    what it reads.  A lambda for which lam^7 phi^7, the weighted norm's
-    weight of w^2, overflows somewhere on the window is a ValueError."""
+    what it reads.  lambda's one range rule: a lambda whose reciprocal (the
+    curvature terms' lam^-1) overflows, lambda = 0 aside, or for which lam^7
+    phi^7, the weighted norm's weight of w^2, overflows somewhere on the
+    window is a ValueError."""
 
     def __init__(self, window: _Window, lam: float | None):
         self.window = window
         self.lam = _DEFAULT_LAM if lam is None else lam
         self._factors = {}
-        phi_max = window.phi[0].max()
+        phi_max, lam = window.phi[0].max(), np.float64(self.lam)
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.float64(self.lam) ** 7 * phi_max ** 7):
-                raise ValueError(f"lambda = {self.lam:g} overflows lambda^7 "
+            if lam != 0 and not np.isfinite(1 / lam):
+                raise ValueError(f"lambda = {lam:g} overflows 1/lambda")
+            if not np.isfinite(lam ** 7 * phi_max ** 7):
+                raise ValueError(f"lambda = {lam:g} overflows lambda^7 "
                                  f"phi^7, where phi reaches {phi_max:.4g}")
 
     @cached_property
@@ -320,13 +326,6 @@ def _q_arrays(q, window: _Window, m: float = np.inf):
     return out
 
 
-def _conjugated(lw: _Lambda, jets, wt, qs) -> np.ndarray:
-    """Reference Pw on the window rows from the symbolic expansion."""
-    _, px, pxx, pxxx, pxxxx, pt = lw.window.phi
-    return conjugated_reference(lw.lam, wt, pt, *jets, px, pxx, pxxx, pxxxx,
-                                *lw.window.sig[:3], *qs)
-
-
 def _p1_p2(lw: _Lambda, jets, wt):
     """P1 w and P2 w on the window rows from the itemized formulas."""
     f_wxx, f_w, f_sx, f_wx, g_wx, g_wxxx, g_w = lw.split
@@ -385,7 +384,9 @@ def conjugation_identity_residual(w: Trajectory, weight: CarlemanWeight,
     qs = _q_arrays(q, window)
     P1, P2 = _p1_p2(lw, jets, wt)
     R = _remainder(lw, jets, qs)
-    direct = _conjugated(lw, jets, wt, qs)
+    _, px, pxx, pxxx, pxxxx, pt = window.phi
+    direct = conjugated_reference(lw.lam, wt, pt, *jets, px, pxx, pxxx, pxxxx,
+                                  *window.sig[:3], *qs)
     num = window.quad((P1 + P2 + R - direct) ** 2)
     den = window.quad(direct ** 2)
     if den == 0.0:
@@ -497,11 +498,6 @@ class CarlemanConfig:
                 b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda_grid must be strictly increasing, "
                              "positive and finite")
-        with np.errstate(over="ignore"):  # the norm's lam^7 must be a float
-            if not np.isfinite(np.float64(lams[-1]) ** 7):
-                raise ValueError(f"lambda_grid must stay below about "
-                                 f"1.1e44, where lam^7 overflows; got "
-                                 f"{lams[-1]:g}")
         if not self.m >= 0:  # inf is a legal bound, NaN is not
             raise ValueError(f"m must be nonnegative, got {self.m}")
         if not self.c_cap > 0:

@@ -85,8 +85,7 @@ def _write_picard(path: str, report):
     ratios = [None] + list(report.ratios)       # no ratio for the 1st sweep
     rows = [(i, upd, ratios[i - 1] if i <= len(ratios) else None)
             for i, upd in enumerate(report.update_norms, start=1)]
-    write_csv(path, ["iter", "update_norm", "ratio"],
-              rows or [(1, 0.0, None)])
+    write_csv(path, ["iter", "update_norm", "ratio"], rows)
 
 
 def _remove_report(out: str):

@@ -199,11 +199,6 @@ def trapz_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def trapz_x(values: np.ndarray, grid: GridSpec) -> float:
-    """Trapezoid quadrature over [0,1] of a spatial profile."""
-    return float(trapz_weights(grid.nx + 1, grid.dx) @ np.asarray(values))
-
-
 def trapz_t(values: np.ndarray, grid: GridSpec) -> float:
     return float(trapz_weights(grid.nt + 1, grid.dt) @ np.asarray(values))
 

@@ -129,10 +129,10 @@ class BoundaryData:
         """Corner gaps of y0 against h_j(0), with y0' taken discretely."""
         y0p = diff_x_values(self.y0.values, self.grid, 1)
         return {
-            "y0(0)=h1(0)": abs(self.y0.values[0] - self.h1[0]),
-            "y0(1)=h2(0)": abs(self.y0.values[-1] - self.h2[0]),
-            "y0'(0)=h3(0)": abs(y0p[0] - self.h3[0]),
-            "y0'(1)=h4(0)": abs(y0p[-1] - self.h4[0]),
+            "y0(0)=h1(0)": float(abs(self.y0.values[0] - self.h1[0])),
+            "y0(1)=h2(0)": float(abs(self.y0.values[-1] - self.h2[0])),
+            "y0'(0)=h3(0)": float(abs(y0p[0] - self.h3[0])),
+            "y0'(1)=h4(0)": float(abs(y0p[-1] - self.h4[0])),
         }
 
     def with_source(self, g: Trajectory) -> "BoundaryData":
@@ -437,13 +437,10 @@ def operator_residual(z: Trajectory, coeff: CoefficientField, fhat: Trajectory):
     scale = (system.m_norm * np.abs(zv[1:]).max(axis=1)
              + np.abs(f_mid).max(axis=1) + 1e-300)
     max_rel = max(0.0, *(np.abs(r).max(axis=1) / scale))
-    with np.errstate(over="ignore"):  # an overflow is redone below
-        l2 = float(np.sqrt(trapz_qt(res_field ** 2, grid)))
-    if np.isinf(l2):
-        # the squares left the float range (a tiny dt makes r huge): redo
-        # the quadrature on r scaled down by a power of two, then scale
-        # the root back
-        e = np.frexp(np.abs(r).max())[1]
-        l2 = float(np.ldexp(np.sqrt(trapz_qt(np.ldexp(res_field, -e) ** 2,
-                                             grid)), e))
+    # the quadrature of r scaled by the power of two of its largest entry,
+    # then the root scaled back: the squares stay in the float range however
+    # large r is (a tiny dt makes it huge), and the scaling is exact
+    e = np.frexp(np.abs(r).max())[1]
+    l2 = float(np.ldexp(np.sqrt(trapz_qt(np.ldexp(res_field, -e) ** 2,
+                                         grid)), e))
     return max_rel, l2

@@ -100,21 +100,20 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
     # its update ratio measures noise, so it is not recorded
     floor_rel = 1e-8
     try:
-        prev_update = None
         for k in range(1, cfg.max_picard + 1):
             bd_k = bd.with_source(_lagged_source(bd, v.values))
             v_new = solve_linear_full(coeff, bd_k, cfg.comp_tol, cfg.lin_tol)
             with np.errstate(over="ignore"):
-                update = discrete_norm(
-                    Trajectory(v_new.values - v.values, bd.grid), "L2Q")
+                update = discrete_norm(v_new.values - v.values, "L2Q",
+                                       bd.grid)
             if not np.isfinite(update):
                 raise NoConvergence("fixed-point update is not finite")
+            ratio = update / report.update_norms[-1] if k > 1 else None
             report.iterations = k
             report.update_norms.append(update)
             v = v_new
             vnorm = discrete_norm(v, "L2Q")
             rel = update / vnorm if vnorm > 0 else 0.0
-            ratio = update / prev_update if prev_update is not None else None
             if update == 0.0 or rel <= cfg.picard_tol:
                 if ratio is not None:
                     report.ratios.append(ratio)
@@ -130,7 +129,6 @@ def solve_ks(coeff: CoefficientField, bd: BoundaryData,
                 raise NoConvergence(
                     f"contraction ratios {report.ratios[-3:]} stay at or above "
                     f"1 (data too large for the small-data regime)")
-            prev_update = update
         if not report.converged:
             raise NoConvergence(
                 f"no convergence in {cfg.max_picard} sweeps "

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from kslab.carleman import (AuditRow, CarlemanConfig, CarlemanWeight,
 from kslab.errors import GridMismatch, HypothesisViolation, LayerViolation
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_t_values, diff_x_values, trapz_weights)
+from kslab.ledger_fields import conjugated_reference
 
 EPS = np.finfo(float).eps
 R_ANALYTIC = 1.0 / (4.0 * 2.0 ** 1.5)  # min over [0,1] of -beta'' for sqrt(1+x)
@@ -251,18 +254,18 @@ def test_carleman_config_validation():
     with pytest.raises(ValueError):
         CarlemanConfig(lambda_grid=(-1.0, 2.0))
     for bad in ({"lambda_grid": (2.0, np.nan)}, {"lambda_grid": (np.nan,)},
-                {"lambda_grid": (2.0, np.inf)}, {"lambda_grid": (2.0, 2e44)},
+                {"lambda_grid": (2.0, np.inf)},
                 {"m": np.nan}, {"c_cap": np.nan}, {"c_cap": 0.0},
                 {"c_cap": -1.0}):
         with pytest.raises(ValueError):
             CarlemanConfig(**bad)
     assert CarlemanConfig(m=np.inf).m == np.inf
-    # lam^7 overflows from about 1.1e44; below that lam is accepted
-    assert CarlemanConfig(lambda_grid=(2.0, 1e44)).lambda_grid[-1] == 1e44
 
 
 def test_lambda_must_keep_the_norm_weight_finite_on_the_window():
-    # the weighted norm's lam^7 phi^7 bounds lambda below lam^7's own limit
+    # the weighted norm's lam^7 phi^7 bounds lambda below lam^7's own limit,
+    # and _Lambda holds that rule for every entry point: CarlemanConfig
+    # leaves lambda's range to it
     g = GridSpec(32, 64, 2.0)
     weight = make_default_weight(ScalarField1D(np.ones(g.nx + 1), g), 1.0)
     w = random_clamped_bump(g, np.random.default_rng(0), 0.2)
@@ -270,9 +273,26 @@ def test_lambda_must_keep_the_norm_weight_finite_on_the_window():
     edge = np.finfo(float).max ** (1 / 7) / phi_max
     assert edge < 1e44
     assert np.isfinite(weighted_norm(w, weight, 0.999 * edge, 0.2))
-    for entry in (weighted_norm, inner_product_ledger):
-        with pytest.raises(ValueError, match="overflows lambda\\^7 phi\\^7"):
-            entry(w, weight, 1.001 * edge, 0.2)
+    assert CarlemanConfig(lambda_grid=(2.0, 2e44)).lambda_grid[-1] == 2e44
+
+    def audit(lam):
+        return carleman_audit(w, weight, None,
+                              CarlemanConfig(lambda_grid=(lam,), eta=0.2))
+
+    def ensemble(lam):
+        return ensemble_audit(
+            weight, CarlemanConfig(lambda_grid=(lam,), eta=0.2), n_members=2)
+
+    entries = [partial(weighted_norm, w, weight, eta=0.2),
+               partial(inner_product_ledger, w, weight, eta=0.2),
+               audit, partial(conjugate_decompose, w, weight, eta=0.2),
+               partial(conjugation_identity_residual, w, weight, eta=0.2),
+               ensemble]
+    for entry in entries:
+        for lam in (1.001 * edge, 2e44):  # lam^7 itself overflows at 2e44
+            with pytest.raises(ValueError,
+                               match="overflows lambda\\^7 phi\\^7"):
+                entry(lam=lam)
 
 
 def test_ensemble_audit_lambda0_and_worst_ledger():
@@ -543,8 +563,9 @@ def test_conjugated_operator_matches_plain_L_at_lambda_zero(setup128):
     # evaluates it on the window rows
     window = kslab.carleman._Window(weight, None)
     jets, wt, _ = window.jets(w)
-    direct = kslab.carleman._conjugated(kslab.carleman._Lambda(window, 0.0),
-                                        jets, wt, [0.0, 0.0, 0.0])
+    _, px, pxx, pxxx, pxxxx, pt = window.phi
+    direct = conjugated_reference(0.0, wt, pt, *jets, px, pxx, pxxx, pxxxx,
+                                  *window.sig[:3], 0.0, 0.0, 0.0)
     rows = window.rows
     sig = coeff.sigma.values
     expanded = (diff_x_values(sig, g, 2) * diff_x_values(w.values, g, 2)

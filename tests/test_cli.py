@@ -337,18 +337,20 @@ def test_carleman_audit_inequality_failure_exits_3(tmp_path, capsys):
 def test_carleman_audit_lambda_overflowing_the_norm_is_config_error(tmp_path,
                                                                     capsys):
     # lambda^7 is a float up to about 1.1e44, but phi reaches 3.87 on this
-    # window, so the weighted norm's lambda^7 phi^7 overflows from 2.8e43
-    cfgfile = edited_config(tmp_path, "carleman_default.cfg",
-                            "lambda = 2,4,8,16", "lambda = 1e44")
-    out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["carleman-audit", "--config", cfgfile,
-                     "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("kslab: config error: [carleman] lambda: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert not (out / "report.json").exists()
+    # window, so the weighted norm's lambda^7 phi^7 overflows from 2.8e43;
+    # from below, the curvature terms' 1/lambda overflows under 5.6e-309
+    for lam in ("1e44", "1e-320"):
+        cfgfile = edited_config(tmp_path, "carleman_default.cfg",
+                                "lambda = 2,4,8,16", f"lambda = {lam}")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["carleman-audit", "--config", cfgfile,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kslab: config error: [carleman] lambda: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (out / "report.json").exists()
 
 
 def test_carleman_audit_tiny_lambda_reports_the_per_member_maxima(tmp_path,
@@ -386,6 +388,27 @@ def test_carleman_audit_tiny_lambda_reports_the_per_member_maxima(tmp_path,
     assert [[float(v) for v in row] for row in written] == [
         [r.lam, r.lhs, r.rhs_interior, r.rhs_boundary0, r.rhs_boundary1,
          r.c_hat, int(r.passed)] for r in rows]
+
+
+def test_carleman_window_never_holds_a_zero_of_phi0(tmp_path, capsys):
+    # an eta below the window's 1e-12 slack must not let the window take
+    # t = 0, where phi0 vanishes and phi is infinite
+    with open(cfg_path("carleman_default.cfg")) as fh:
+        text = fh.read()
+    for old, new in [("nx = 128\nnt = 256", "nx = 32\nnt = 64"),
+                     ("eta = 0.2", "eta = 1e-13"),
+                     ("ensemble = 50", "ensemble = 3")]:
+        assert old in text
+        text = text.replace(old, new)
+    cfgfile = tmp_path / "tiny_eta.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["carleman-audit", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_report(out)["results"]["lambda0"] == 2.0
 
 
 def test_carleman_audit_without_lambda0_exits_3(tmp_path, capsys):
@@ -439,6 +462,21 @@ def test_picard_overflow_exits_2_quietly(tmp_path, capsys, sigma, message):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"kslab simulate: {message}\n"
+    # picard.csv lists only the sweeps that ended: at sigma = 0.001 the
+    # first lagged source overflows, so it holds its header alone
+    header, rows = read_csv(tmp_path / "o" / "picard.csv")
+    assert header == ["iter", "update_norm", "ratio"]
+    assert len(rows) == {"0.003": 1, "0.001": 0}[sigma]
+
+
+def test_compatibility_error_prints_plain_numbers(tmp_path, capsys):
+    cfgfile = edited_config(tmp_path, "simulate_manufactured.cfg",
+                            "y0 = ", "h1 = 1+0*t\ny0 = ")
+    assert main(["simulate", "--config", cfgfile,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "kslab: compatibility gaps exceed comp_tol=1e-08: "
+        "{'y0(0)=h1(0)': 1.0}\n")
 
 
 def test_tiny_horizon_reports_a_finite_residual(tmp_path):

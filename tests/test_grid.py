@@ -10,7 +10,7 @@ from kslab.errors import GridTooCoarse, LengthMismatch
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_x_values, discrete_norm, extract_traces,
                         field_from_callable, trajectory_from_callable,
-                        trapz_x)
+                        trapz_weights)
 from kslab.inverse import MeasurementSet
 from kslab.linear_solver import BoundaryData
 
@@ -252,4 +252,4 @@ def test_extract_traces_zero_and_polynomials():
 
 def test_trapz_x_linear():
     g = GridSpec(16, 8, 1.0)
-    assert abs(trapz_x(2 * g.x, g) - 1.0) < 1e-14
+    assert abs(trapz_weights(g.nx + 1, g.dx) @ (2 * g.x) - 1.0) < 1e-14

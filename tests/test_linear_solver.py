@@ -10,7 +10,7 @@ from kslab.errors import (CompatibilityViolation, GridMismatch, LengthMismatch,
                           SingularSystem)
 from kslab.grid import (GridSpec, ScalarField1D, Trajectory, diff_matrix,
                         diff_x_values, field_from_callable,
-                        trajectory_from_callable, trapz_qt, trapz_x)
+                        trajectory_from_callable, trapz_qt, trapz_weights)
 from kslab.linear_solver import (_KA, BoundaryData, _band, _CNSystem,
                                  operator_matrix, operator_residual,
                                  solve_linear_full, solve_linear_many,
@@ -104,11 +104,12 @@ def test_principal_energy_decay_stepwise():
     coeff = make_coeff(g)
     z0 = field_from_callable(lambda x: 16 * (x * (1 - x)) ** 2, g)
     z = solve_principal(coeff, Trajectory(np.zeros((129, 65)), g), z0)
-    I = np.array([trapz_x(z.values[n] ** 2, g) for n in range(g.nt + 1)])
+    wx = trapz_weights(g.nx + 1, g.dx)
+    I = np.array([wx @ z.values[n] ** 2 for n in range(g.nt + 1)])
     assert np.all(np.diff(I) <= 1e-14)
     zmid_xx = diff_x_values(0.5 * (z.values[1:] + z.values[:-1]), g, 2)
     for n in range(g.nt):
-        s_mid = trapz_x(coeff.sigma.values * zmid_xx[n] ** 2, g)
+        s_mid = wx @ (coeff.sigma.values * zmid_xx[n] ** 2)
         assert (I[n + 1] - I[n]) / g.dt + 1.9 * s_mid <= 1e-12
 
 
