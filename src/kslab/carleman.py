@@ -70,6 +70,11 @@ _SQUARES = {name: ("w2", "wx2", "wxx2", "wxxx2").index(FIELDS[name][1])
 _ENDS = [0, -1]
 # the lambda of the entry points called without one
 _DEFAULT_LAM = 8.0
+# the horizons T a weight accepts: the bump squares T0 and T - T0, and the
+# audit's time factors scale like T^-1 and T^-2 (v = -phi0'/phi0^2 and the
+# squared time derivatives of the weight) times powers of lambda and 1/phi0,
+# so T^2 and T^-2 keep 1e100 of float range to spare
+_T_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -148,10 +153,15 @@ def make_default_weight(sigma: ScalarField1D, T0: float) -> CarlemanWeight:
     -beta'') = 2^-3.5 on every grid, and phi0 vanishes at t = 0, T (hip1P)
     and lies in (0, 1] in between (hip2P) for every T0 in (0, T).  Only the
     smallness condition hip4B, |sigma_x beta'| <= (r/4) min sigma, depends
-    on sigma; HypothesisViolation names it when it fails.  The weight keeps
-    sigma and its jet, and lives on sigma's grid.
+    on sigma; HypothesisViolation names it when it fails.  A horizon T
+    outside _T_RANGE is a ValueError.  The weight keeps sigma and its jet,
+    and lives on sigma's grid.
     """
     grid = sigma.grid
+    low, high = _T_RANGE
+    if not low <= grid.T <= high:
+        raise ValueError(f"T = {grid.T:g} must lie in [{low:g}, {high:g}], "
+                         "where the weight's time factors stay in range")
     if not (0.0 < T0 < grid.T):
         raise ValueError(f"T0 must lie in (0, T), got {T0}")
     x = grid.x

@@ -141,7 +141,10 @@ def cmd_carleman_audit(cfg: RunConfig, grid: GridSpec, coeff: CoefficientField,
                        run: Run) -> int:
     block = cfg.carleman_block(grid)
     run.seed = block["seed"]
-    weight = make_default_weight(coeff.sigma, block["T0"])
+    try:
+        weight = make_default_weight(coeff.sigma, block["T0"])
+    except ValueError as exc:  # a horizon T out of the weight's range
+        raise ConfigError(f"[grid] T: {exc}") from exc
     try:
         audit = ensemble_audit(weight, block["cfg"],
                                n_members=block["ensemble"],

@@ -16,15 +16,18 @@ z_x = h3, h4 (one-sided first-derivative rows) at time t^{n+1}.  Both halves
 are banded: A has half-bandwidth 5 (the 5-node closures of D2), the clamped
 one-step matrix M half-bandwidth 3 (the 5-node slope rows).  Each
 coefficient field holds one array of A's LAPACK bands, one slot for all times
-or, with G1/G2, one per time slot, built for all slots in one numpy pass; the
-explicit half and the band LU of M are sliced from it once and shared by the
-steps, the Picard sweeps and the residual.  The same bands, rows reversed,
-are scipy's diagonal storage, so A z over a whole trajectory is one scipy
-sparse product, as is every row sum of |M|_inf.  A step is one banded
-product and one banded solve; a stack of sources with the same field and
-data (``solve_linear_many``, the tangent solves of the inverse problem)
-marches as one, one banded product per source and one banded solve for all
-of them per step.  The finite-value and residual checks run once per march.
+or, with G1/G2, one per time slot, built for all slots in one numpy pass from
+D2's and D1's stencils, entry for entry the sums of the sparse reference
+``operator_matrix``; the explicit half and the band LU of M are sliced from
+it once and shared by the steps, the Picard sweeps and the residual.  The
+row sums of |M|_inf are additions of the band's diagonals, and A z over a
+whole trajectory is one scipy sparse product with the same bands, rows
+reversed (scipy's diagonal storage).  A step is one banded product and one
+banded solve; a stack of sources with the same field and data
+(``solve_linear_many``, the tangent solves of the inverse problem) marches
+as one, the k profiles of a time as one block-diagonal band vector, so a
+step is still one banded product and one banded solve.  The finite-value
+and residual checks run once per march.
 
 No solver takes a grid beside its data: the grid is the coefficient
 field's and the boundary data's, and each solve checks once that the two
@@ -82,7 +85,7 @@ class CoefficientField:
     def principal_band(self) -> np.ndarray:
         """The band of the sigma/gamma part D2 sigma D2 + gamma D2 of A, in
         LAPACK band storage with _KA sub- and super-diagonals."""
-        band = _band(_principal_part(self), _KA)
+        band = _principal_part(self)
         band.flags.writeable = False
         return band
 
@@ -173,11 +176,14 @@ def _constraint_rows(grid: GridSpec) -> np.ndarray:
 
 def operator_matrix(coeff: CoefficientField,
                     n: int | None = None) -> sparse.csr_matrix:
-    """Spatial operator A (optionally at time slot n for G1/G2 terms), the
-    terms added in the order of its formula.  Its column indices are sorted,
-    so its product sums each row in ascending column order, as
+    """Spatial operator A (optionally at time slot n for G1/G2 terms) as
+    scipy sparse products, the terms added in the order of its formula: the
+    reference that ``_CNSystem``'s bands reproduce.  Its column indices are
+    sorted, so its product sums each row in ascending column order, as
     ``_CNSystem.apply`` does."""
-    A = _principal_part(coeff)
+    D2 = diff_matrix(coeff.sigma.grid, 2, "x")
+    A = D2 @ sparse.diags(coeff.sigma.values) @ D2 \
+        + sparse.diags(coeff.gamma.values) @ D2
     if coeff.G1 is not None:
         A = A + sparse.diags(coeff.G1.values[n]) @ diff_matrix(
             coeff.sigma.grid, 1, "x")
@@ -188,27 +194,81 @@ def operator_matrix(coeff: CoefficientField,
     return A
 
 
-def _principal_part(coeff: CoefficientField):
-    """The time-independent part D2 sigma D2 + gamma D2 of A."""
-    D2 = diff_matrix(coeff.sigma.grid, 2, "x")
-    return D2 @ sparse.diags(coeff.sigma.values) @ D2 \
-        + sparse.diags(coeff.gamma.values) @ D2
+@lru_cache(maxsize=None)
+def _d2_stencils(grid: GridSpec):
+    """D2's entries as ``_principal_part`` reads them: the weights w of the
+    centred stencil (offsets -1, 0, 1) of every row from 1 to nx - 1, and at
+    each end e the two outer rows i[e], the nodes k[:, e] in descending
+    order and the columns j[e] that their rows of D2 sigma D2 reach, with
+    D2[i, k] and D2[k, j] (k first), D2[i, j] and the band storage rows q of
+    the (i, j)."""
+    d2 = _band(diff_matrix(grid, 2, "x"), _KA)
+    n = grid.nx + 1
+
+    def at(rows, cols):  # D2[rows, cols], all within the band
+        return d2[_KA + rows - cols, cols]
+
+    i = np.array([[0, 1], [n - 2, n - 1]])
+    k = np.array([np.arange(4, -1, -1), np.arange(n - 1, n - 6, -1)]).T
+    j = np.array([np.arange(6), np.arange(n - 6, n)])[:, None]
+    q = _KA + i[..., None] - j
+    return (at(1, np.arange(3)), i, k, np.broadcast_to(j, q.shape), q,
+            at(i, k[..., None]), at(k[..., None], j[:, 0]),
+            at(i[..., None], j))
+
+
+def _principal_part(coeff: CoefficientField) -> np.ndarray:
+    """The band of the time-independent part D2 sigma D2 + gamma D2 of A,
+    in LAPACK band storage with _KA sub- and super-diagonals.
+
+    Entry (i, j) is the sum over k of (D2[i, k] sigma[k]) D2[k, j] in
+    descending k, plus gamma[i] D2[i, j]: the terms and the order in which
+    the sparse products of ``operator_matrix`` add them, so the two bands
+    agree bit for bit.  Rows 2 to nx - 2 take only centred stencils, so each
+    of their five diagonals is a few vector operations; the two rows at each
+    end are summed from dense blocks."""
+    w, i, k, j, q, d2_ik, d2_kj, d2_ij = _d2_stencils(coeff.sigma.grid)
+    sigma, gamma = coeff.sigma.values, coeff.gamma.values
+    n = len(sigma)
+    ab = np.zeros((2 * _KA + 1, n))
+    # (D2 sigma)[i, i + p] on rows 2..nx-2, for the stencil offsets p
+    left = {p: w[p + 1] * sigma[2 + p:n - 2 + p] for p in (1, 0, -1)}
+    for o in range(-2, 3):
+        terms = [left[p] * w[o - p + 1] for p in (1, 0, -1) if abs(o - p) <= 1]
+        if abs(o) <= 1:
+            terms.append(gamma[2:n - 2] * w[o + 1])
+        ab[_KA - o, 2 + o:n - 2 + o] = sum(terms[1:], terms[0])
+    # the end rows: the products [k, e, i, j], summed over k
+    products = (d2_ik * sigma[k][..., None])[..., None] * d2_kj[:, :, None]
+    ab[q, j] = sum(products[1:], products[0]) + gamma[i][..., None] * d2_ij
+    ab += 0.0  # a sum of zero terms may be -0.0, where the sparse band is 0
+    return ab
+
+
+@lru_cache(maxsize=None)
+def _d1_band(grid: GridSpec):
+    """D1's nonzero entries in band storage with _KA sub- and
+    super-diagonals: their band rows d, columns j and values."""
+    d1 = _band(diff_matrix(grid, 1, "x"), _KA)
+    d, j = np.nonzero(d1)
+    return d, j, d1[d, j]
 
 
 class _CNSystem:
     """The Crank-Nicolson system of one coefficient field on its own grid.
 
     ``band[n]`` is the operator A at time slot n in LAPACK band storage,
-    built for all slots in one pass: the band of D2 sigma D2 + gamma D2, plus
-    G1[n] times the band of D1 scaled row by row, plus G2[n] on the diagonal
-    (the sums of ``operator_matrix``, entry for entry).  The step to t^{n+1}
-    reads ``explicit[n]``, the explicit half B = I/dt - A^n/2 with its four
-    constraint rows zeroed, in band storage, and ``steps[n]``, the banded LU
-    factor (lu, piv) of the clamped one-step matrix M = I/dt + A^{n+1}/2;
-    ``m_norm`` holds |M|_inf and ``weights`` the scales of M's four
-    constraint rows; ``A`` holds every slot's band as one block-diagonal
-    ``dia_matrix``, which ``apply`` multiplies by.  Without G1/G2 every slot
-    shares one band, one step, one |M|_inf and one row of weights.
+    built for all slots in one pass: the band of D2 sigma D2 + gamma D2
+    (``_principal_part``), plus G1[n] times the band of D1 scaled row by row,
+    plus G2[n] on the diagonal (the sums of ``operator_matrix``, entry for
+    entry).  The step to t^{n+1} reads ``explicit[n]``, the explicit half
+    B = I/dt - A^n/2 with its four constraint rows zeroed, in band storage,
+    and ``steps[n]``, the banded LU factor (lu, piv) of the clamped one-step
+    matrix M = I/dt + A^{n+1}/2; ``m_norm`` holds |M|_inf and ``weights``
+    the scales of M's four constraint rows; ``A`` holds every slot's band as
+    one block-diagonal ``dia_matrix``, which ``apply`` multiplies by.
+    Without G1/G2 every slot shares one band, one step, one |M|_inf and one
+    row of weights.
     """
 
     def __init__(self, coeff: CoefficientField):
@@ -219,9 +279,8 @@ class _CNSystem:
             a = np.repeat(a, nt + 1, axis=0)
             if coeff.G1 is not None:
                 # entry (d, j) of D1's band sits in row j + d - _KA
-                d1 = _band(diff_matrix(grid, 1, "x"), _KA)
-                d, j = np.nonzero(d1)
-                a[:, d, j] += coeff.G1.values[:, j + d - _KA] * d1[d, j]
+                d, j, d1 = _d1_band(grid)
+                a[:, d, j] += coeff.G1.values[:, j + d - _KA] * d1
             if coeff.G2 is not None:
                 a[:, _KA] += coeff.G2.values
         self.band = a
@@ -295,19 +354,64 @@ def _set_row(ab: np.ndarray, k: int, i: int, row: np.ndarray):
 
 def _factor(m_bands: np.ndarray):
     """Banded LU factors [(lu, piv), ...] of the one-step matrices
-    m_bands[s] and the |M|_inf of each."""
+    m_bands[s] and the |M|_inf of each, its row sums added diagonal by
+    diagonal."""
     k, (slots, _, n) = _KM, m_bands.shape
-    row_sums = _dia(np.abs(m_bands), k) @ np.ones(slots * n)
+    # each row's absolute sum, its entries added in ascending column order
+    # as the sparse reference adds them; entry (i, i + d) sits in band row
+    # k - d, column i + d
+    abs_bands = np.abs(m_bands)
+    row_sums = np.zeros((slots, n))
+    for d in range(-k, k + 1):
+        row_sums[:, max(0, -d):n - max(0, d)] += \
+            abs_bands[:, k - d, max(0, d):n + min(0, d)]
+    # every slot Fortran-ordered with k extra rows for the fill-in, as
+    # dgbtrf factors it in place (m, n, ldab and overwrite_ab by position)
+    factors = np.zeros((slots, n, 3 * k + 1)).transpose(0, 2, 1)
+    factors[:, k:] = m_bands
     steps = []
-    for m_band in m_bands:
-        ab = np.zeros((3 * k + 1, n), order="F")
-        ab[k:] = m_band
-        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
+    for ab in factors:
+        lu, piv, info = dgbtrf(ab, k, k, n, n, 3 * k + 1, 1)
         if info != 0:
             raise SingularSystem(
                 f"one-step factorization failed: dgbtrf info={info}")
         steps.append((lu, piv))
-    return steps, row_sums.reshape(slots, n).max(axis=1)
+    return steps, row_sums.max(axis=1)
+
+
+def _steps(system: _CNSystem, y0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The CN steps of k profiles at once, time-major: z[0, j] = y0 and
+    z[n + 1] = M^{-1} (B z^n + c[n]), a (nt + 1, k, nx + 1) array.
+
+    The k profiles of one time are one vector, on which B acts as one
+    block-diagonal band: B's band repeated k times, its zero corners joining
+    one profile to the next.  So a step is two LAPACK calls for any k: a
+    banded product adds B z^n to z^{n+1}, which holds c[n], and a banded
+    solve with k right-hand sides overwrites it.
+    """
+    nt, k, n = c.shape
+    z = np.empty((nt + 1, k, n))
+    z[0] = y0
+    z[1:] = c
+    flat = z.reshape(nt + 1, k * n)
+    # B's band repeated k times, Fortran-ordered as dgbmv reads it; a field
+    # without G1/G2 has one B for all steps
+    repeated = np.empty((k, n, 2 * _KB + 1))
+    band, last = repeated.reshape(k * n, -1).T, None
+    # now and after are z^n and z^{n+1} as flat vectors, rhs is z^{n+1} as
+    # the (n, k) Fortran array dgbtrs reads
+    for B, (lu, piv), now, after, rhs in zip(
+            system.explicit, system.steps, flat[:-1], flat[1:],
+            z[1:].transpose(0, 2, 1)):
+        if B is not last:
+            repeated[:], last = B.T, B
+        # z^{n+1} += B z^n (beta = 1, overwrite_y), then the solve in place
+        # (trans = 0, overwrite_b); passed by position, which f2py parses in
+        # half the time
+        dgbmv(k * n, k * n, _KB, _KB, 1.0, band, now, 1, 0, 1.0, after,
+              1, 0, 0, 1)
+        dgbtrs(lu, _KM, _KM, rhs, piv, 0, n, 3 * _KM + 1, n, 1)
+    return z
 
 
 def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
@@ -316,49 +420,47 @@ def _march(system: _CNSystem, bd: BoundaryData, sources: np.ndarray,
     (k, nt + 1, nx + 1) stack.
 
     The interior slots hold the averaged source and the constraint slots the
-    weighted h1, h3, h4, h2 at t^{n+1}.  The constant part of every step's
-    right-hand side is built at once, so a step is one banded product per
-    source (rhs = B z^n + c^n) and one banded solve with k right-hand sides;
-    the checks run once, on the whole stack, and name the first failing step.
+    weighted h1, h3, h4, h2 at t^{n+1}: the constant part c^n of step n's
+    right-hand side B z^n + c^n, built at once.  ``_steps`` marches all k
+    profiles together; the checks run once, on the whole stack, and name
+    the first failing step.
     """
     grid = system.grid
     nx, nt, k = grid.nx, grid.nt, len(sources)
     interior, constrained = slice(2, nx - 1), [0, 1, nx - 1, nx]
 
-    # rhs[n] holds the k right-hand sides of step n, rhs[n].T in the
-    # Fortran order dgbtrs reads
-    rhs = np.zeros((nt, k, nx + 1))
-    rhs[..., interior] = 0.5 * (sources[:, 1:, interior]
-                                + sources[:, :-1, interior]).transpose(1, 0, 2)
-    rhs[..., constrained] = (system.weights * np.transpose(
+    # time-major, as _steps reads it
+    c = np.zeros((nt, k, nx + 1))
+    c[..., interior] = 0.5 * (sources[:, 1:, interior]
+                              + sources[:, :-1, interior]).transpose(1, 0, 2)
+    c[..., constrained] = (system.weights * np.transpose(
         [bd.h1, bd.h3, bd.h4, bd.h2])[1:])[:, None]
-    z = np.empty(sources.shape)
-    z[:, 0] = bd.y0.values
-    for n, (B, (lu, piv)) in enumerate(zip(system.explicit, system.steps)):
-        for j in range(k):
-            # rhs[n, j] + B z^n: beta = 1, y = rhs[n, j] and overwrite_y,
-            # passed by position, which f2py parses in half the time
-            rhs[n, j] = dgbmv(nx + 1, nx + 1, _KB, _KB, 1.0, B, z[j, n],
-                              1, 0, 1.0, rhs[n, j], 1, 0, 0, 1)
-        z[:, n + 1] = dgbtrs(lu, _KM, _KM, rhs[n].T, piv)[0].T
+    z = np.ascontiguousarray(
+        _steps(system, bd.y0.values, c).transpose(1, 0, 2))
     z += 0.0  # the solve leaves -0.0 below negative pivots; make it +0.0
 
-    # the finite and residual checks of every step at once; M z^{n+1} is
-    # formed from A's band and the constraint rows, independently of B, M and
-    # the LU factors
-    znew, rhs = z[:, 1:], rhs.transpose(1, 0, 2)
-    finite = np.isfinite(znew).all(axis=-1)
+    # the finite and residual checks of every step at once; M z^{n+1} and the
+    # right-hand side B z^n + c^n are formed from A's band and the
+    # constraint rows, independently of B, M and the LU factors
+    znew, rhs = z[:, 1:], c.transpose(1, 0, 2)
+    # the max of |z^{n+1}| is nan or inf where z^{n+1} is not finite
+    z_max = np.abs(znew).max(axis=-1)
+    finite = np.isfinite(z_max)
     # with G1/G2 the band's zero corners join the slots of apply's product,
     # where 0 * inf would carry a non-finite step into its neighbours'
     # residuals; that step fails as non-finite, so the product reads it as 0
-    Az = system.apply(z if finite.all() else np.where(np.isfinite(z), z, 0.0))
+    half_Az = system.apply(
+        z if finite.all() else np.where(np.isfinite(z), z, 0.0))
+    half_Az *= 0.5
     with np.errstate(invalid="ignore"):
-        Mz = znew / grid.dt + 0.5 * Az[:, 1:]
+        Mz = znew / grid.dt + half_Az[:, 1:]
         Mz[..., constrained] = system.weights * (
             znew @ _constraint_rows(grid).T)
-        res = np.abs(Mz - rhs).max(axis=-1)
-        scale = (system.m_norm * np.abs(znew).max(axis=-1)
-                 + np.abs(rhs).max(axis=-1))
+        rhs[..., interior] += z[:, :-1, interior] / grid.dt
+        rhs[..., interior] -= half_Az[:, :-1, interior]
+        Mz -= rhs
+        res = np.abs(Mz, out=Mz).max(axis=-1)
+        scale = system.m_norm * z_max + np.abs(rhs).max(axis=-1)
         bad = ~finite | (res > lin_tol * np.maximum(scale, 1e-300))
     if bad.any():
         n = int(np.argmax(bad.any(axis=0)))

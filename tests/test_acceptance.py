@@ -100,7 +100,7 @@ def test_criterion_2_fixed_point_behavior(nonlinear_case):
               f"delta={threshold:g}", ok)
 
 
-def test_criterion_3_lifting_exactness():
+def test_criterion_3_boundary_traces_land_on_h():
     g = GridSpec(64, 128, 2.0)
     coeff = make_coeff(g, sigma=1 + g.x / 2, gamma=np.ones(65))
     tt = g.t

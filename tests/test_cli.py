@@ -353,6 +353,34 @@ def test_carleman_audit_lambda_overflowing_the_norm_is_config_error(tmp_path,
         assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("edits", [
+    {"T = 2.0": "T = 2e154"},
+    {"T = 2.0": "T = 1e-300", "T0 = 1.0": "T0 = 5e-301",
+     "eta = 0.2": "eta = 1e-301"}], ids=["overflow", "underflow"])
+def test_carleman_audit_horizon_out_of_range_is_config_error(tmp_path, capsys,
+                                                             edits):
+    # the time bump squares T0 and T - T0: (T - T0)^2 overflows at T = 2e154,
+    # and T0^2 underflows to 0 at T = 1e-300, so phi is nan; T is at fault,
+    # not lambda
+    with open(cfg_path("carleman_default.cfg")) as fh:
+        text = fh.read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfgfile = tmp_path / "horizon.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["carleman-audit", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kslab: config error: [grid] T: T = ")
+    assert "must lie in [1e-100, 1e+100]" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "report.json").exists()
+
+
 def test_carleman_audit_tiny_lambda_reports_the_per_member_maxima(tmp_path,
                                                                    capsys):
     # at lambda = 1e-300 the screen's roundoff majorants overflow, which
